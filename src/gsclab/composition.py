@@ -14,7 +14,8 @@ session order, the per-object arbitrations, observed-then-finished edges,
 and a precedence relation guarding against arbitration choices that would
 force an unread same-object event into a reader's view), extends the seed
 to a total order, and derives visibility by the least closure of the
-per-object union under the visibility laws, written in closed form.
+per-object union under the visibility laws, computed by the same worklist
+closure (``axioms.minimal_visibility``) the membership test uses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .axioms import check_axioms
+from .axioms import check_axioms, minimal_visibility
 from .model import (
     AbstractExecution,
     History,
@@ -31,7 +32,7 @@ from .model import (
     project,
     validate_history,
 )
-from .relations import Relation, TotalOrder, extend_to_total
+from .relations import Relation, extend_to_total
 from .semantics import ObjectSemantics
 
 
@@ -80,10 +81,6 @@ def composition_precedence(h: History, vis0: Relation, so0: Relation) -> Relatio
     in the visibility union such that ``e`` reaches ``g`` through
     ``(vis0 \\ so); (rt into pullers); so0?`` or
     ``(rt from pushers into pullers); so0?``.
-
-    Two published spellings of the reach expression exist (the second folds
-    the pushed arm into the first with an identity-on-pushers hop); both are
-    computed and must agree.
     """
     ids = h.ids
     by = h.by_id
@@ -93,9 +90,6 @@ def composition_precedence(h: History, vis0: Relation, so0: Relation) -> Relatio
     so0q = so0.reflexive()
     vis_not_so = vis0 - h.so
     reach = vis_not_so.compose(rt_pull).compose(so0q) | rt_push_pull.compose(so0q)
-    folded = (vis_not_so | Relation.diagonal(ids, pushers)).compose(rt_pull).compose(so0q)
-    if reach != folded:
-        raise AssertionError("the two spellings of the precedence reach disagree")
     pairs: set[tuple[str, str]] = set()
     by_obj: dict[str, list[str]] = {}
     for e in h.events:
@@ -115,46 +109,6 @@ def arbitration_constraints(
     edges, and the precedence guard."""
     rt_pushed = Relation(h.ids, frozenset(p for p in h.rt.pairs if p[0] in h.pushers()))
     return rt_pushed | h.so | ar0 | (vis0 - h.so).compose(h.rt) | prec
-
-
-def closed_visibility(
-    h: History,
-    vis0: Relation,
-    ar: TotalOrder,
-    ar0: Relation | None = None,
-) -> Relation:
-    """The least visibility containing ``vis0`` that satisfies the four
-    visibility laws against ``ar``, in closed form:
-
-        so
-        | (ar?; (vis0 \\ so); (rt into pullers)?; so?)
-        | ((ar?; (rt? between pushers and pullers); so?) minus identity)
-
-    The first arm covers read-your-writes, the second observed visibility,
-    the third pushed visibility; the trailing ``so?`` on the last two covers
-    monotonic views.  When ``ar0`` is given, ``ar`` must contain it.
-    """
-    ids = h.ids
-    ar_rel = ar.as_relation()
-    if ar0 is not None:
-        extra = ar0.pairs - ar_rel.pairs
-        if extra:
-            a, b = min(extra)
-            raise HistoryError(
-                f"arbitration does not contain the per-object union: ({a}, {b})"
-            )
-    pushers, pullers = h.pushers(), h.pullers()
-    arq = ar_rel.reflexive()
-    soq = h.so.reflexive()
-    rt_pull_q = Relation(
-        ids, frozenset(p for p in h.rt.pairs if p[1] in pullers)
-    ).reflexive()
-    push_pull_q = Relation(
-        ids, frozenset(p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers)
-    ) | Relation.diagonal(ids, pushers & pullers)
-    arm2 = arq.compose(vis0 - h.so).compose(rt_pull_q).compose(soq)
-    arm3 = arq.compose(push_pull_q).compose(soq) - Relation.identity(ids)
-    return h.so | arm2 | arm3
 
 
 def compose(w: PerObjectWitnesses, semantics: ObjectSemantics) -> AbstractExecution:
@@ -202,7 +156,10 @@ def compose(w: PerObjectWitnesses, semantics: ObjectSemantics) -> AbstractExecut
             "an upstream invariant is broken"
         )
     ar = extend_to_total(constraints, tie_break=sorted(h.ids))
-    vis = closed_visibility(h, vis0, ar, ar0=ar0)
+    vis, cl = minimal_visibility(h, ar, seed=vis0)
+    if cl.conflict:
+        raise AssertionError(f"visibility closure over the composed arbitration "
+                             f"conflicts: {cl.conflict}")
     x = AbstractExecution(h, vis, ar)
     for obj in sorted(w.per_object):
         wit = w.per_object[obj]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .axioms import minimal_visibility
 from .model import (
     PULL,
     PUSH,
@@ -187,26 +188,20 @@ def osc_execution_from_lin(
     """Expand a linearization with serialized updates into a full witness.
 
     Arbitration extends (update-to-anything linearization edges) united with
-    real-time order, breaking ties by linearization position; an event sees
-    the updates linearized before it, closed under session order on both
-    sides, and every pull-fenced event additionally sees the pushed work
-    arbitrated up to it, as the pushed-visibility law demands.  With every
-    update push- and pull-fenced that last part makes each update see all
-    its arbitration predecessors; with all events fully fenced it makes
-    visibility the whole arbitration order."""
+    real-time order, breaking ties by linearization position.  Visibility is
+    the least closure of those update edges under the visibility laws
+    (``axioms.minimal_visibility``): an event sees the updates linearized
+    before it, closed under session order on both sides, and every
+    pull-fenced event additionally sees the pushed work arbitrated up to it.
+    With every update push- and pull-fenced that last part makes each update
+    see all its arbitration predecessors; with all events fully fenced it
+    makes visibility the whole arbitration order."""
     h = l.history
     if semantics.classify is None:
         raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
     ids = h.ids
     upd = {i for i in ids if semantics.is_update(h.event(i).op)}
-    lin_rel = l.lin.as_relation()
-    r_upd = Relation(ids, frozenset(p for p in lin_rel.pairs if p[0] in upd))
+    r_upd = Relation(ids, frozenset(p for p in l.lin.as_relation().pairs if p[0] in upd))
     ar = extend_to_total(r_upd | h.rt, tie_break=l.lin.sequence)
-    ar_rel = ar.as_relation()
-    arq = ar_rel.reflexive()
-    soq = h.so.reflexive()
-    push_pull = h.rt.reflexive() & Relation.product(ids, h.pushers(), h.pullers())
-    pushed = Relation(ids, frozenset(
-        p for p in arq.compose(push_pull).pairs if p[0] != p[1]))
-    vis = h.so | arq.compose(r_upd - h.so).compose(soq) | pushed.compose(soq)
+    vis, _ = minimal_visibility(h, ar, seed=r_upd)
     return AbstractExecution(h, vis, ar)

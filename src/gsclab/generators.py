@@ -29,13 +29,10 @@ from .protocol import (
     Schedule,
     SimRun,
     World,
-    body,
-    call,
+    _moves,
+    _terminal,
     extract_execution,
     extract_history,
-    pull,
-    push,
-    ret,
     run_to_quiescence,
     step,
 )
@@ -117,25 +114,8 @@ def _random_walk(programs: Mapping[str, Program], semantics: ObjectSemantics,
     program is exhausted, then flush to quiescence."""
     world = World.initial(programs.keys())
     tokens = []
-    while True:
-        moves = []
-        done = True
-        for c, st in world.clients:
-            if st.frame is not None:
-                done = False
-                moves.append(ret(c) if st.frame.done else body(c))
-                continue
-            if st.next_index < len(programs[c]):
-                done = False
-                obj, op, fences = programs[c][st.next_index]
-                moves.append(call(c, obj, op, fences))
-            if st.pending:
-                moves.append(push(c))
-            if st.known_len < len(world.server):
-                moves.append(pull(c))
-        if done:
-            break
-        token = rng.choice(moves)
+    while not _terminal(world, programs):
+        token = rng.choice(_moves(world, programs))
         world, _ = step(world, token, semantics)
         tokens.append(token)
     return run_to_quiescence(Schedule(tuple(tokens)), semantics)

@@ -116,10 +116,6 @@ class History:
         return {e.id: e for e in self.events}
 
     @property
-    def session_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.sessions)
-
-    @property
     def clients(self) -> tuple[str, ...]:
         return tuple(c for c, _ in self.sessions)
 
@@ -306,9 +302,6 @@ class AbstractExecution:
             a, b = min(extra)
             out.append(f"vis not contained in ar: ({a}, {b})")
         return out
-
-    def with_history(self, h: History) -> "AbstractExecution":
-        return AbstractExecution(h, self.vis, self.ar)
 
 
 # -- fence presets ---------------------------------------------------------

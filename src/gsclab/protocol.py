@@ -411,16 +411,20 @@ class _ExpState:
     rt: frozenset[tuple[str, str]]
 
 
-def _terminal(state: _ExpState, programs: Mapping[str, Program]) -> bool:
+def _terminal(world: World, programs: Mapping[str, Program]) -> bool:
+    """Whether every client has returned its last program event."""
     return all(
         st.frame is None and st.next_index == len(programs[c])
-        for c, st in state.world.clients
+        for c, st in world.clients
     )
 
 
-def _moves(state: _ExpState, programs: Mapping[str, Program]) -> list[Token]:
+def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
+    """The enabled tokens, client by client: the open event's body or
+    return, else the next call, a push of pending work and a pull of unseen
+    server entries."""
     out: list[Token] = []
-    for c, st in state.world.clients:
+    for c, st in world.clients:
         if st.frame is not None:
             out.append(body(c) if not st.frame.done else ret(c))
             continue
@@ -429,7 +433,7 @@ def _moves(state: _ExpState, programs: Mapping[str, Program]) -> list[Token]:
             out.append(call(c, obj, op, fences))
         if st.pending:
             out.append(push(c))
-        if st.known_len < len(state.world.server):
+        if st.known_len < len(world.server):
             out.append(pull(c))
     return out
 
@@ -499,13 +503,13 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     emitted: set[tuple[History, AbstractExecution]] = set()
     while stack:
         state = stack.pop()
-        if _terminal(state, programs):
+        if _terminal(state.world, programs):
             pair = _finish(state, semantics)
             if pair not in emitted:
                 emitted.add(pair)
                 yield pair
             continue
-        for token in _moves(state, programs):
+        for token in _moves(state.world, programs):
             nxt = _apply(state, token, semantics)
             if tables is not None and not _target_compatible(nxt, token, tables):
                 continue

@@ -117,13 +117,6 @@ class Relation:
         """R? — reflexive closure over the whole domain."""
         return Relation(self.domain, self.pairs | frozenset((a, a) for a in self.domain))
 
-    def reflexive_over(self, subset: Iterable[str]) -> "Relation":
-        """R plus the diagonal on ``subset`` only."""
-        sub = frozenset(subset)
-        if not sub <= self.domain:
-            raise ValueError("reflexive_over subset outside domain")
-        return Relation(self.domain, self.pairs | frozenset((a, a) for a in sub))
-
     def transitive_closure(self) -> "Relation":
         succ: dict[str, set[str]] = {a: set() for a in self.domain}
         for a, b in self.pairs:
@@ -190,9 +183,6 @@ class Relation:
 
     def predecessors(self, b: str) -> frozenset[str]:
         return frozenset(a for a, x in self.pairs if x == b)
-
-    def sorted_pairs(self) -> list[Pair]:
-        return sorted(self.pairs)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .model import History, Op, Rval
+from .model import Op, Rval
 
 UPDATE = "update"
 READ_ONLY = "read-only"
@@ -111,19 +111,6 @@ SEQUENCE = ObjectSemantics(
     context_sensitive=lambda op: op.kind == "read",
     decode_visibility=_decode_sequence,
 )
-
-
-def sequence_values_distinct(h: History) -> bool:
-    """Side condition for rval-determined visibility: per object, appended
-    values are pairwise distinct."""
-    seen: set[tuple[str, int]] = set()
-    for e in h.events:
-        if e.op.kind == "append":
-            key = (e.obj, e.op.value)
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
 
 
 # -- last-writer-wins register -----------------------------------------------

@@ -5,7 +5,8 @@ from the soundness program grid (plus a seeded two-object sample) through
 the axiom checker exactly once, keeping counts, a deterministic sample of
 executions for relational property checks, and, per deduplicated canonical
 history, the first extracted witness execution for the completeness and
-transformation sweeps.
+transformation sweeps.  ``explore`` already names events by the canonical
+client:index scheme, so its histories key the witnesses as they are.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import pytest
 from gsclab import (
     AbstractExecution,
     History,
-    Relation,
-    TotalOrder,
     check_axioms,
     explore,
     get_semantics,
@@ -26,18 +25,6 @@ from gsclab import (
 from gsclab.generators import soundness_grid_programs, soundness_sampled_programs
 
 CORPUS_SEED = 20250813
-
-
-def canonical_execution(h: History, x: AbstractExecution) -> AbstractExecution:
-    """The witness renamed to the canonical client:index id scheme."""
-    mapping = {}
-    for client, ids in h.sessions:
-        for i, eid in enumerate(ids):
-            mapping[eid] = f"{client}:{i}"
-    hc = h.renamed(mapping)
-    vis = Relation(hc.ids, frozenset((mapping[a], mapping[b]) for a, b in x.vis.pairs))
-    ar = TotalOrder(tuple(mapping[e] for e in x.ar.sequence))
-    return AbstractExecution(hc, vis, ar)
 
 
 @dataclasses.dataclass
@@ -71,8 +58,7 @@ def corpus(sem) -> Corpus:
                 failures.append((prog, rep.failed()))
             if checked % 53 == 0 and len(sample) < 500:
                 sample.append(x)
-            hc = h.canonical()
-            if hc not in witnesses:
-                witnesses[hc] = canonical_execution(h, x)
+            if h not in witnesses:
+                witnesses[h] = x
     ordered = sorted(witnesses, key=History.sort_key)
     return Corpus(checked, failures, sample, ordered, witnesses)

@@ -1,6 +1,7 @@
 """Composition of per-object witnesses: the precedence guard, the forced
-arbitration constraints, the closed-form visibility, refusal behaviour, and
-the relational identities the construction's correctness rests on."""
+arbitration constraints, the least-closure visibility (checked against the
+paper's closed form), refusal behaviour, and the relational identities the
+construction's correctness rests on."""
 
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from gsclab import (
     AbstractExecution,
+    History,
     HistoryError,
     Relation,
     TotalOrder,
@@ -20,7 +22,6 @@ from gsclab import (
 from gsclab.composition import (
     PerObjectWitnesses,
     arbitration_constraints,
-    closed_visibility,
     compose,
     composition_precedence,
     union_relations,
@@ -37,6 +38,32 @@ def handoff_witnesses():
     wy = AbstractExecution(hy, Relation.from_pairs(hy.ids, [("e", "p")]),
                            TotalOrder(("e", "p")))
     return PerObjectWitnesses(h, {"x": wx, "y": wy})
+
+
+def closed_visibility(h: History, vis0: Relation, ar: TotalOrder) -> Relation:
+    """The paper's closed form of the least visibility containing ``vis0``
+    that satisfies the four visibility laws against ``ar``:
+
+        so
+        | (ar?; (vis0 \\ so); (rt into pullers)?; so?)
+        | ((ar?; (rt? between pushers and pullers); so?) minus identity)
+
+    The first arm covers read-your-writes, the second observed visibility,
+    the third pushed visibility; the trailing ``so?`` on the last two covers
+    monotonic views.  An oracle for the worklist closure."""
+    ids = h.ids
+    pushers, pullers = h.pushers(), h.pullers()
+    arq = ar.as_relation().reflexive()
+    soq = h.so.reflexive()
+    rt_pull_q = Relation(
+        ids, frozenset(p for p in h.rt.pairs if p[1] in pullers)
+    ).reflexive()
+    push_pull_q = Relation(
+        ids, frozenset(p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers)
+    ) | Relation.diagonal(ids, pushers & pullers)
+    arm2 = arq.compose(vis0 - h.so).compose(rt_pull_q).compose(soq)
+    arm3 = arq.compose(push_pull_q).compose(soq) - Relation.identity(ids)
+    return h.so | arm2 | arm3
 
 
 def witnesses_of(h, sem):
@@ -98,15 +125,6 @@ def test_arbitration_constraints_contents():
     assert prec.pairs <= r.pairs
     # (vis0 minus so) chained with returned-before: e saw by p, p before g.
     assert ("e", "g") in r
-
-
-def test_closed_visibility_requires_containing_ar():
-    w = handoff_witnesses()
-    h = w.history
-    _, vis0, ar0 = union_relations(w)
-    bad_ar = TotalOrder(("p", "e", "f", "g"))  # ar0 has e before p
-    with pytest.raises(HistoryError, match="does not contain"):
-        closed_visibility(h, vis0, bad_ar, ar0=ar0)
 
 
 # -- compose -----------------------------------------------------------------------
@@ -190,8 +208,20 @@ def instance_relations(w):
 
 def assert_identities(w):
     h, so0, vis0, ar0, prec, rtbar, vr, base = instance_relations(w)
+    ids = h.ids
     full = arbitration_constraints(h, vis0, ar0, prec)
     assert full == base | prec
+
+    # The guard's reach has a second published spelling that folds the
+    # pushed arm into the observed one with an identity-on-pushers hop.
+    pullers = h.pullers()
+    rt_pull = Relation(ids, frozenset(p for p in h.rt.pairs if p[1] in pullers))
+    so0q = so0.reflexive()
+    reach = ((vis0 - h.so).compose(rt_pull).compose(so0q)
+             | (rtbar & rt_pull).compose(so0q))
+    folded = ((vis0 - h.so) | Relation.diagonal(ids, h.pushers())) \
+        .compose(rt_pull).compose(so0q)
+    assert reach == folded
 
     # Everything forced is satisfiable: the constraint relation is acyclic.
     assert full.is_acyclic()
@@ -241,14 +271,15 @@ def test_identities_on_random_instances(sem):
 
 
 def test_closed_visibility_is_least_closure(sem):
-    # The closed-form visibility equals the least fixpoint computed by the
-    # law-by-law closure engine, and is exactly what compose installs.
+    # The paper's closed form equals the least fixpoint computed by the
+    # law-by-law closure engine, which is exactly what compose installs.
     rng = random.Random(7)
     for _ in range(10):
         h, _ = random_well_fenced_run(rng, sem)
         w = witnesses_of(h, sem)
-        _, vis0, ar0 = union_relations(w)
+        _, vis0, _ = union_relations(w)
         x = compose(w, sem)
-        closed = closed_visibility(h, vis0, x.ar, ar0=ar0)
-        least, _ = minimal_visibility(h, x.ar, seed=vis0)
+        closed = closed_visibility(h, vis0, x.ar)
+        least, cl = minimal_visibility(h, x.ar, seed=vis0)
+        assert cl.conflict is None
         assert closed == least == x.vis

@@ -2,6 +2,8 @@
 preset requirements, agreement with the law-based membership test, and the
 witness converters in both directions."""
 
+import random
+
 import pytest
 
 from gsclab import (
@@ -9,17 +11,21 @@ from gsclab import (
     HistoryError,
     Interval,
     Op,
+    Relation,
     apply_fence_preset,
     check_axioms,
     check_lin,
     check_osc,
+    extend_to_total,
     fixture,
     is_gsc,
     lin_from_osc_execution,
     make_history,
+    minimal_visibility,
     osc_execution_from_lin,
 )
 from gsclab.derived import Linearization
+from gsclab.generators import random_history
 
 
 def fenced_chain():
@@ -139,6 +145,56 @@ def test_lin_from_osc_execution_round_trip(sem):
     # Session order survives the round trip.
     for a, b in h.so.pairs:
         assert back.lin.position(a) < back.lin.position(b)
+
+
+def closed_osc_execution(lin, sem):
+    """The paper's closed form of the expanded witness: arbitration extends
+    the update-to-anything linearization edges with real-time order, and
+
+        vis = so | (ar?; (lin from updates \\ so); so?)
+                 | (((ar?; (rt? between pushers and pullers)) minus identity); so?)
+
+    An oracle for the worklist closure ``osc_execution_from_lin`` uses."""
+    h = lin.history
+    ids = h.ids
+    upd = {i for i in ids if sem.is_update(h.event(i).op)}
+    r_upd = Relation(ids, frozenset(p for p in lin.lin.as_relation().pairs
+                                    if p[0] in upd))
+    ar = extend_to_total(r_upd | h.rt, tie_break=lin.lin.sequence)
+    arq = ar.as_relation().reflexive()
+    soq = h.so.reflexive()
+    push_pull = h.rt.reflexive() & Relation.product(ids, h.pushers(), h.pullers())
+    pushed = Relation(ids, frozenset(
+        p for p in arq.compose(push_pull).pairs if p[0] != p[1]))
+    vis = h.so | arq.compose(r_upd - h.so).compose(soq) | pushed.compose(soq)
+    return r_upd, ar, vis
+
+
+def preset_histories(sem):
+    """The lin and osc presets of the paper's fixtures, the fenced chain and
+    a seeded sample of random histories."""
+    rng = random.Random(20250811)
+    base = [fixture(n).history for n in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5")]
+    base += [fenced_chain()] + [random_history(rng) for _ in range(300)]
+    return [apply_fence_preset(h, model, sem) for h in base for model in ("lin", "osc")]
+
+
+def test_osc_execution_from_lin_is_closed_form(sem):
+    # The expanded visibility is the least closure of the update edges, and
+    # equals the paper's closed form wherever a witness exists.
+    checked = 0
+    for h in preset_histories(sem):
+        res = check_osc(h, sem)
+        if not res:
+            continue
+        x = osc_execution_from_lin(res.witness, sem)
+        r_upd, ar, closed = closed_osc_execution(res.witness, sem)
+        least, cl = minimal_visibility(h, ar, seed=r_upd)
+        assert cl.conflict is None
+        assert x.ar == ar
+        assert closed == least == x.vis
+        checked += 1
+    assert checked > 50
 
 
 def test_converters_on_fully_fenced_chain(sem):

@@ -47,7 +47,6 @@ def test_make_history_layout_and_accessors():
     assert [e.id for e in h.events] == ["e1", "e2", "f1"]
     assert h.clients == ("A", "B")
     assert h.objects() == ("x", "y")
-    assert h.session_map == {"A": ("e1", "e2"), "B": ("f1",)}
     assert h.by_id["e2"].rval == (1,)
     assert h.event("f1").client == "B"
     with pytest.raises(KeyError):

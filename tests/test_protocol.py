@@ -262,6 +262,22 @@ def test_explore_is_deterministic(sem):
     assert len(first) == len(set(first))
 
 
+def test_explore_emits_canonical_histories(sem):
+    # Events are named client:index as they are called, so the explorer's
+    # histories and witnesses need no renaming (the corpus relies on this).
+    progs = {
+        "A": (("x", Op("append", 1), frozenset({"push"})),
+              ("y", Op("read"), frozenset({"pull"}))),
+        "B": (("y", Op("append", 2), frozenset()),
+              ("x", Op("read"), frozenset())),
+    }
+    out = list(explore(progs, sem))
+    assert out
+    for h, x in out:
+        assert h.canonical() == h
+        assert x.history == h
+
+
 def test_explore_rejects_bad_fences(sem):
     progs = {"a": ((("x"), Op("append", 1), frozenset({"flush"})),)}
     with pytest.raises(ValueError, match="bad fences"):
