@@ -26,8 +26,8 @@ that disagreed with the protocol would fail to import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from .model import (
     PULL,

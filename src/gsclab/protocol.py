@@ -17,8 +17,8 @@ between its call and ret.  Disabled transitions are errors, never no-ops.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
 
 from .model import (
     PULL,
@@ -190,7 +190,7 @@ def _push(world: World, c: str) -> World:
         raise ScheduleError(f"push({c}) not enabled: pending empty")
     entry, rest = st.pending[0], st.pending[1:]
     return world.with_server(world.server + (entry,)).replace_client(
-        c, replace(st, unacked=st.unacked + (entry,), pending=rest)
+        c, ClientState(st.known_len, st.unacked + (entry,), rest, st.frame, st.next_index)
     )
 
 
@@ -204,7 +204,9 @@ def _pull(world: World, c: str) -> World:
         unacked = unacked[1:]
     elif entry in unacked:
         raise AssertionError("pulled own entry out of push order")
-    return world.replace_client(c, replace(st, known_len=st.known_len + 1, unacked=unacked))
+    return world.replace_client(
+        c, ClientState(st.known_len + 1, unacked, st.pending, st.frame, st.next_index)
+    )
 
 
 BodyInfo = tuple[str, str, str, Op, frozenset[str], Rval, frozenset[str]]
@@ -224,8 +226,9 @@ def _body(world: World, c: str, semantics: ObjectSemantics) -> tuple[World, Body
     context = tuple(op for _, obj, op in logs if obj == fr.obj)
     rval = semantics.eval(context, fr.op)
     entry: Entry = (fr.event_id, fr.obj, fr.op)
-    st = replace(st, pending=st.pending + (entry,),
-                 frame=replace(fr, done=True, rval=rval, view=view))
+    st = ClientState(st.known_len, st.unacked, st.pending + (entry,),
+                     Frame(fr.event_id, fr.obj, fr.op, fr.fences, True, rval, view),
+                     st.next_index)
     world = world.replace_client(c, st)
     if PUSH in fr.fences:
         while world.client(c).pending:
@@ -247,13 +250,17 @@ def step(world: World, token: Token, semantics: ObjectSemantics) -> tuple[World,
             raise ScheduleError(f"call({c}) while an exec is in progress")
         event_id = token.id if token.id is not None else f"{c}:{st.next_index}"
         fr = Frame(event_id, token.obj, token.op, token.fences)
-        return world.replace_client(c, replace(st, frame=fr, next_index=st.next_index + 1)), None
+        return world.replace_client(
+            c, ClientState(st.known_len, st.unacked, st.pending, fr, st.next_index + 1)
+        ), None
     if token.kind == "body":
         return _body(world, c, semantics)
     if token.kind == "ret":
         if st.frame is None or not st.frame.done:
             raise ScheduleError(f"ret({c}) not enabled")
-        return world.replace_client(c, replace(st, frame=None)), None
+        return world.replace_client(
+            c, ClientState(st.known_len, st.unacked, st.pending, None, st.next_index)
+        ), None
     raise ScheduleError(f"unknown token kind {token.kind!r}")
 
 
@@ -411,12 +418,15 @@ class _ExpState:
     rt: frozenset[tuple[str, str]]
 
 
+def _finished(world: World, programs: Mapping[str, Program]) -> set[str]:
+    """The clients that have returned their last program event."""
+    return {c for c, st in world.clients
+            if st.frame is None and st.next_index == len(programs[c])}
+
+
 def _terminal(world: World, programs: Mapping[str, Program]) -> bool:
     """Whether every client has returned its last program event."""
-    return all(
-        st.frame is None and st.next_index == len(programs[c])
-        for c, st in world.clients
-    )
+    return len(_finished(world, programs)) == len(world.clients)
 
 
 def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
@@ -484,13 +494,26 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             max_states: int = 2_000_000, target: History | None = None
             ) -> Iterator[tuple[History, AbstractExecution]]:
     """Depth-first walk of every schedule of the given programs, deduplicated
-    by reachable state.  Yields (history, execution) per distinct terminal
-    state, after a deterministic quiescence flush.
+    by reachable state.  Each terminal state is driven to quiescence by a
+    deterministic flush; yields one (history, execution) pair per distinct
+    execution, in the order the walk first reaches it.
+
+    The walk takes no pull of a finished client (no open event, program
+    exhausted).  Such a client runs no more bodies, so nothing that reaches
+    the output reads its known prefix or its unacked entries, and the flush
+    pulls it to the end of the log anyway.  A terminal state's output
+    depends only on the returned events, rt and the server log (the pending
+    entries are the returned events not yet on the log, in program order),
+    so the flush runs once per distinct combination of those.
 
     With ``target`` (canonical client:index ids) the walk prunes branches
     that provably cannot reproduce the target history: a wrong return value,
     an rt pair outside the target's, or a required rt pair already missed.
     All three conditions are monotone along a run, so pruning is sound.
+
+    Raises EnumerationCapError, with the states seen, terminal states
+    reached and pairs emitted so far, once more than ``max_states`` states
+    are seen.
     """
     for c, prog in programs.items():
         for _, op, fences in prog:
@@ -500,16 +523,27 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     init = _ExpState(World.initial(programs.keys()), (), frozenset())
     seen: set[_ExpState] = {init}
     stack: list[_ExpState] = [init]
+    flushed: set[tuple] = set()
+    terminals = 0
     emitted: set[tuple[History, AbstractExecution]] = set()
     while stack:
         state = stack.pop()
-        if _terminal(state.world, programs):
+        world = state.world
+        finished = _finished(world, programs)
+        if len(finished) == len(world.clients):
+            terminals += 1
+            key = (frozenset(state.done), state.rt, world.server)
+            if key in flushed:
+                continue
+            flushed.add(key)
             pair = _finish(state, semantics)
             if pair not in emitted:
                 emitted.add(pair)
                 yield pair
             continue
-        for token in _moves(state.world, programs):
+        for token in _moves(world, programs):
+            if token.kind == "pull" and token.client in finished:
+                continue
             nxt = _apply(state, token, semantics)
             if tables is not None and not _target_compatible(nxt, token, tables):
                 continue
@@ -517,7 +551,10 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
                 continue
             seen.add(nxt)
             if len(seen) > max_states:
-                raise EnumerationCapError(f"exploration exceeded {max_states} states")
+                raise EnumerationCapError(
+                    f"exploration exceeded {max_states} states: {len(seen)} states seen, "
+                    f"{terminals} terminal states reached, {len(emitted)} distinct "
+                    f"executions emitted")
             stack.append(nxt)
 
 

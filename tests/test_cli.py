@@ -202,9 +202,10 @@ def test_enumerate_explores_programs(tmp_path, capsys):
     rc = main(["enumerate", fixture_path("fig3b"), "--out-dir", str(out1)])
     assert rc == 0
     text = capsys.readouterr().out
-    # explore() yields one history per terminal schedule, so duplicates with
-    # different interleavings each get a file; all are operationally produced
-    # and therefore members.
+    # explore() yields one pair per distinct execution and enumerate writes
+    # the history of each, so fig3b's 29 executions give 29 files over 12
+    # distinct histories; all are operationally produced and therefore
+    # members.
     assert "total: 29 histories, 29 members" in text
     files = read_dir(out1)
     assert sorted(files) == [f"history-{i:04d}.json" for i in range(29)]

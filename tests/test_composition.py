@@ -8,14 +8,20 @@ import random
 import pytest
 
 from gsclab import (
+    PULL,
+    PUSH,
     AbstractExecution,
+    Event,
     History,
     HistoryError,
+    Interval,
+    Op,
     Relation,
     TotalOrder,
     check_axioms,
     fixture,
     is_gsc,
+    make_history,
     minimal_visibility,
     project,
 )
@@ -112,6 +118,37 @@ def test_precedence_shrinks_when_peer_is_visible():
     vis0 = vis0 | Relation.from_pairs(w.history.ids, [("f", "g")])
     prec = composition_precedence(w.history, vis0, so0)
     assert prec.pairs == {("e", "g")}
+
+
+def pushed_handoff_witnesses():
+    """A push-fenced x append p that returns before a pull-fenced y read r
+    is called, and a concurrent unfenced y append a that r does not see.
+    The y witness arbitrates a before r."""
+    h = make_history(
+        [Event("p", "A", "x", Op("append", 1), None, frozenset({PUSH})),
+         Event("a", "B", "y", Op("append", 2), None, frozenset()),
+         Event("r", "C", "y", Op("read"), (), frozenset({PULL}))],
+        {"A": ["p"], "B": ["a"], "C": ["r"]},
+        {"p": Interval(0, 1), "a": Interval(0.5, 2.5), "r": Interval(2, 3)},
+    )
+    hx, hy = project(h, "x"), project(h, "y")
+    wx = AbstractExecution(hx, Relation.from_pairs(hx.ids, []), TotalOrder(("p",)))
+    wy = AbstractExecution(hy, Relation.from_pairs(hy.ids, []), TotalOrder(("a", "r")))
+    return PerObjectWitnesses(h, {"x": wx, "y": wy})
+
+
+def test_precedence_from_pusher_into_puller(sem):
+    # Nothing is visible across clients, so only the pushed arm reaches r:
+    # p returned before the puller r was called.  Arbitrating a before p
+    # would make a visible to r through p's push, so p precedes both y
+    # events.  Without that guard the sorted tie-break puts a first.
+    w = pushed_handoff_witnesses()
+    so0, vis0, _ = union_relations(w)
+    prec = composition_precedence(w.history, vis0, so0)
+    assert prec.pairs == {("p", "a"), ("p", "r")}
+    x = compose(w, sem)
+    assert x.ar.sequence == ("p", "a", "r")
+    assert ("a", "r") not in x.vis
 
 
 def test_arbitration_constraints_contents():

@@ -1,6 +1,9 @@
 """Simulator tests: schedule grammar, step mechanics, extraction, golden
 replays of the bundled schedules, and the bounded exhaustive exploration."""
 
+import hashlib
+import random
+
 import pytest
 
 from gsclab import (
@@ -29,6 +32,8 @@ from gsclab import (
     step,
     validate_schedule,
 )
+from gsclab.generators import _random_walk, soundness_sampled_programs
+from gsclab.serialization import dumps, execution_to_doc
 
 
 def exec_tokens(client, obj, op, fences=()):
@@ -286,8 +291,64 @@ def test_explore_rejects_bad_fences(sem):
 
 def test_explore_respects_state_cap(sem):
     progs = programs_of(fixture("fig3a").history.canonical())
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError, match="exceeded 5 states: 6 states seen, "
+                       "0 terminal states reached, 0 distinct executions emitted"):
         list(explore(progs, sem, max_states=5))
+
+
+EXPLORED_PROGRAMS = {
+    "fig3a": lambda: programs_of(fixture("fig3a").history.canonical()),
+    "fig3b": lambda: programs_of(fixture("fig3b").history.canonical()),
+    "fig5": lambda: programs_of(fixture("fig5").history.canonical()),
+    # A reads x then appends y under a pull; B appends x under a pull then
+    # reads y.
+    "sampled27": lambda: soundness_sampled_programs(20250813)[27],
+}
+
+
+@pytest.fixture(scope="module")
+def explored(sem):
+    """The emitted pairs of each program in EXPLORED_PROGRAMS, in order."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = list(explore(EXPLORED_PROGRAMS[name](), sem))
+        return cache[name]
+
+    return get
+
+
+# sha256 over the canonical JSON of each emitted execution, in emission
+# order, taken from the explorer before it skipped finished clients' pulls
+# and flushed each distinct terminal once.  The corpus samples every 53rd
+# execution and keeps the first witness per history, so both rest on it.
+EMISSION_DIGESTS = {
+    "fig3a": "7bb3f582dc096b6d49b206decd362975a21bc88112624cf14f713dbf88383266",
+    "fig3b": "4ad6a732ac6721a0889c289795ec916c1a25c67a43f55e680011d0b34227623b",
+    "fig5": "65fc3922bb177176f2624d3ad836c1f7f7a5cb7d6dbbf43de278e0b678022529",
+    "sampled27": "97c4016a5e8da063d2f02de43e117fda4aa532731448d0dea4960d407eabfe40",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMISSION_DIGESTS))
+def test_explore_emission_order_is_pinned(explored, name):
+    digest = hashlib.sha256()
+    for _, x in explored(name):
+        digest.update(dumps(execution_to_doc(x, "sequence")).encode())
+    assert digest.hexdigest() == EMISSION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig5", "sampled27"])
+def test_explore_is_complete_against_random_walks(sem, explored, name):
+    # The random walk takes every enabled move, finished clients' pulls
+    # included, so each of its executions must be among the explored ones.
+    programs = EXPLORED_PROGRAMS[name]()
+    found = set(explored(name))
+    rng = random.Random(5)
+    for _ in range(200):
+        run = _random_walk(programs, sem, rng)
+        assert (extract_history(run), extract_execution(run)) in found
 
 
 def test_enumerate_histories_fig3b_programs(sem):
