@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
     PULL,
@@ -129,8 +129,7 @@ def validate_schedule(schedule: Schedule) -> list[str]:
 # -- world state -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     event_id: str
     obj: str
     op: Op
@@ -140,8 +139,7 @@ class Frame:
     view: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class ClientState:
+class ClientState(NamedTuple):
     known_len: int = 0
     unacked: tuple[Entry, ...] = ()
     pending: tuple[Entry, ...] = ()
@@ -149,8 +147,12 @@ class ClientState:
     next_index: int = 0
 
 
-@dataclass(frozen=True)
-class World:
+class World(NamedTuple):
+    """The server log and each client's state, by sorted client name.
+
+    The state types are named tuples so that the explorer's ``seen`` set
+    hashes and compares them in C."""
+
     server: tuple[Entry, ...]
     clients: tuple[tuple[str, ClientState], ...]
 
@@ -167,16 +169,6 @@ class World:
     def replace_client(self, name: str, st: ClientState) -> "World":
         return World(self.server, tuple((c, st if c == name else old) for c, old in self.clients))
 
-    def with_server(self, server: tuple[Entry, ...]) -> "World":
-        return World(server, self.clients)
-
-    def known(self, name: str) -> tuple[Entry, ...]:
-        return self.server[: self.client(name).known_len]
-
-    def logs(self, name: str) -> tuple[Entry, ...]:
-        st = self.client(name)
-        return self.server[: st.known_len] + st.unacked + st.pending
-
     def quiescent(self) -> bool:
         return all(
             st.frame is None and not st.pending and st.known_len == len(self.server)
@@ -189,7 +181,7 @@ def _push(world: World, c: str) -> World:
     if not st.pending:
         raise ScheduleError(f"push({c}) not enabled: pending empty")
     entry, rest = st.pending[0], st.pending[1:]
-    return world.with_server(world.server + (entry,)).replace_client(
+    return World(world.server + (entry,), world.clients).replace_client(
         c, ClientState(st.known_len, st.unacked + (entry,), rest, st.frame, st.next_index)
     )
 
@@ -398,8 +390,7 @@ def programs_of(h: History) -> dict[str, Program]:
     }
 
 
-@dataclass(frozen=True)
-class _Done:
+class _Done(NamedTuple):
     """A returned event inside an exploration state."""
 
     id: str
@@ -411,10 +402,9 @@ class _Done:
     view: frozenset[str]
 
 
-@dataclass(frozen=True)
-class _ExpState:
+class _ExpState(NamedTuple):
     world: World
-    done: tuple[_Done, ...]
+    done: tuple[_Done, ...]  # sorted by event id
     rt: frozenset[tuple[str, str]]
 
 
@@ -448,23 +438,30 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
     return out
 
 
-def _apply(state: _ExpState, token: Token, semantics: ObjectSemantics) -> _ExpState:
+def _apply(state: _ExpState, token: Token, semantics: ObjectSemantics,
+           programs: Mapping[str, Program]) -> _ExpState:
     world, info = step(state.world, token, semantics)
     done, rt = state.done, state.rt
+    c = token.client
     if token.kind == "call":
-        new_id = f"{token.client}:{state.world.client(token.client).next_index}"
+        new_id = f"{c}:{state.world.client(c).next_index}"
         rt = rt | frozenset((d.id, new_id) for d in done)
     elif token.kind == "ret":
-        fr = state.world.client(token.client).frame
-        done = done + (_Done(fr.event_id, token.client, fr.obj, fr.op, fr.fences,
-                             fr.rval, fr.view),)
+        fr = state.world.client(c).frame
+        # Ids are unique, so the tuples sort by id alone.
+        done = tuple(sorted(done + (_Done(fr.event_id, c, fr.obj, fr.op, fr.fences,
+                                          fr.rval, fr.view),)))
+    st = world.client(c)
+    if st.frame is None and st.next_index == len(programs[c]):
+        world = world.replace_client(c, ClientState(0, (), st.pending, None, st.next_index))
     return _ExpState(world, done, rt)
 
 
 def _finish(state: _ExpState, semantics: ObjectSemantics) -> tuple[History, AbstractExecution]:
     world = state.world
     for token in flush_suffix(world):
-        world, _ = step(world, token, semantics)
+        if token.kind == "push":
+            world, _ = step(world, token, semantics)
     events = [Event(d.id, d.client, d.obj, d.op, d.rval, d.fences) for d in state.done]
     sessions: dict[str, list[str]] = {}
     for d in state.done:
@@ -500,20 +497,28 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
 
     The walk takes no pull of a finished client (no open event, program
     exhausted).  Such a client runs no more bodies, so nothing that reaches
-    the output reads its known prefix or its unacked entries, and the flush
-    pulls it to the end of the log anyway.  A terminal state's output
-    depends only on the returned events, rt and the server log (the pending
-    entries are the returned events not yet on the log, in program order),
-    so the flush runs once per distinct combination of those.
+    the output reads its known prefix or its unacked entries.  States keep
+    only what the output and the future moves read:
+
+    - a finished client is reset to its pending entries after each of its
+      moves, since no body and no enabled move reads its other logs;
+    - the returned events are kept sorted by id, since the rt rule and the
+      output read them as a set.
+
+    A terminal state then holds exactly what its output reads (server log,
+    pending entries, returned events and rt), so deduplication by state
+    flushes each distinct terminal once.  The flush applies only the pushes
+    of ``flush_suffix``: the output reads the flushed server log alone, and
+    pulls never change it.
 
     With ``target`` (canonical client:index ids) the walk prunes branches
     that provably cannot reproduce the target history: a wrong return value,
     an rt pair outside the target's, or a required rt pair already missed.
     All three conditions are monotone along a run, so pruning is sound.
 
-    Raises EnumerationCapError, with the states seen, terminal states
-    reached and pairs emitted so far, once more than ``max_states`` states
-    are seen.
+    Raises EnumerationCapError, with the states seen, (distinct) terminal
+    states reached and pairs emitted so far, once more than ``max_states``
+    states are seen.
     """
     for c, prog in programs.items():
         for _, op, fences in prog:
@@ -523,7 +528,6 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     init = _ExpState(World.initial(programs.keys()), (), frozenset())
     seen: set[_ExpState] = {init}
     stack: list[_ExpState] = [init]
-    flushed: set[tuple] = set()
     terminals = 0
     emitted: set[tuple[History, AbstractExecution]] = set()
     while stack:
@@ -532,10 +536,6 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
         finished = _finished(world, programs)
         if len(finished) == len(world.clients):
             terminals += 1
-            key = (frozenset(state.done), state.rt, world.server)
-            if key in flushed:
-                continue
-            flushed.add(key)
             pair = _finish(state, semantics)
             if pair not in emitted:
                 emitted.add(pair)
@@ -544,7 +544,7 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
         for token in _moves(world, programs):
             if token.kind == "pull" and token.client in finished:
                 continue
-            nxt = _apply(state, token, semantics)
+            nxt = _apply(state, token, semantics, programs)
             if tables is not None and not _target_compatible(nxt, token, tables):
                 continue
             if nxt in seen:

@@ -16,6 +16,7 @@ from gsclab import (
     SynthesisError,
     TotalOrder,
     body_order,
+    can_produce,
     extract_execution,
     fixture,
     interleave_calls_returns,
@@ -131,7 +132,6 @@ def test_pull_race_is_member_but_not_schedulable(sem):
     # without pulling: g's entry would have to reach f's client before
     # f's call, which forces g to return first, contradicting the empty
     # real-time order.  The laws accept the execution; no schedule exists.
-    from gsclab import can_produce, is_gsc
     x = pull_race_execution()
     assert is_gsc(x.history, sem).member
     with pytest.raises(SynthesisError):
@@ -174,6 +174,38 @@ def test_synthesis_round_trips_generated_runs(sem):
         sched = synthesize_schedule(x, sem)
         got = extract_execution(run_to_quiescence(sched, sem))
         assert got.history.canonical() == x.history.canonical()
+
+
+def completeness_gap_run(sem):
+    """The 121st two-client run of ``random.Random(1)``: A reads y then
+    appends y; B reads x under a push fence, then reads x again."""
+    rng = random.Random(1)
+    for _ in range(121):
+        h, x = random_well_fenced_run(rng, sem, clients=2, max_ops=3)
+    return h, x
+
+
+def test_completeness_gap_history_is_producible(sem):
+    h, _ = completeness_gap_run(sem)
+    assert len(h.events) == 4
+    assert can_produce(h, sem)
+    assert is_gsc(h, sem).member
+
+
+# The protocol produced this history, so a schedule exists; synthesis still
+# rejects both witnesses.  Drop the markers once synthesis covers the case.
+@pytest.mark.parametrize("witness", [
+    pytest.param("simulator", marks=pytest.mark.xfail(
+        strict=True, raises=SynthesisError, reason="no legal point to push A:0")),
+    pytest.param("least", marks=pytest.mark.xfail(
+        strict=True, raises=SynthesisError, reason="cyclic anchor order")),
+])
+def test_completeness_gap_synthesizes(sem, witness):
+    h, x = completeness_gap_run(sem)
+    if witness == "least":
+        x = is_gsc(h, sem).witness
+    got = extract_execution(run_to_quiescence(synthesize_schedule(x, sem), sem))
+    assert got.history.canonical() == h.canonical()
 
 
 def test_synthesis_carries_pending_through_flush(sem):
