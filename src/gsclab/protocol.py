@@ -12,6 +12,10 @@ pulls until known covers the whole server log.
 Schedules are explicit token sequences: call/body/ret triples per event and
 push/pull transitions per client, where a client's own push/pull never sits
 between its call and ret.  Disabled transitions are errors, never no-ops.
+
+``run_schedule`` and ``explore`` fold tokens the same way: each ``ret``
+yields an ``EventRecord`` and each ``call`` adds its returned-before pairs,
+and one builder turns the records into a history and an execution.
 """
 
 from __future__ import annotations
@@ -91,19 +95,25 @@ class Schedule:
 
 def validate_schedule(schedule: Schedule) -> list[str]:
     """Grammar check: per client (call body ret)* with push/pull outside the
-    call..ret window; call tokens complete; explicit ids unique."""
+    call..ret window; call tokens complete; event ids unique, where a call
+    without an explicit id takes ``client:index`` with index its client's
+    call count so far."""
     out: list[str] = []
     phase: dict[str, str] = {}
+    calls: dict[str, int] = {}
     ids_seen: set[str] = set()
     for i, t in enumerate(schedule):
         p = phase.get(t.client, "idle")
         if t.kind == "call":
             if t.obj is None or t.op is None:
                 out.append(f"step {i}: call without obj/op")
-            if t.id is not None:
-                if t.id in ids_seen:
-                    out.append(f"step {i}: duplicate explicit event id {t.id}")
-                ids_seen.add(t.id)
+            index = calls.get(t.client, 0)
+            calls[t.client] = index + 1
+            eid = t.id if t.id is not None else f"{t.client}:{index}"
+            if eid in ids_seen:
+                kind = "explicit event id" if t.id is not None else "event id"
+                out.append(f"step {i}: duplicate {kind} {eid}")
+            ids_seen.add(eid)
             if p != "idle":
                 out.append(f"step {i}: call({t.client}) while an exec is in progress")
             phase[t.client] = "called"
@@ -201,10 +211,21 @@ def _pull(world: World, c: str) -> World:
     )
 
 
-BodyInfo = tuple[str, str, str, Op, frozenset[str], Rval, frozenset[str]]
+class EventRecord(NamedTuple):
+    """A returned event: what its body evaluated and saw, and ``index``, its
+    position in its client's session."""
+
+    id: str
+    client: str
+    obj: str
+    op: Op
+    fences: frozenset[str]
+    rval: Rval
+    view: frozenset[str]
+    index: int
 
 
-def _body(world: World, c: str, semantics: ObjectSemantics) -> tuple[World, BodyInfo]:
+def _body(world: World, c: str, semantics: ObjectSemantics) -> World:
     st = world.client(c)
     if st.frame is None or st.frame.done:
         raise ScheduleError(f"body({c}) not enabled")
@@ -225,17 +246,20 @@ def _body(world: World, c: str, semantics: ObjectSemantics) -> tuple[World, Body
     if PUSH in fr.fences:
         while world.client(c).pending:
             world = _push(world, c)
-    info: BodyInfo = (fr.event_id, c, fr.obj, fr.op, fr.fences, rval, view)
-    return world, info
+    return world
 
 
-def step(world: World, token: Token, semantics: ObjectSemantics) -> tuple[World, BodyInfo | None]:
-    """Apply one token.  Raises ScheduleError when the transition is disabled."""
+def step(world: World, token: Token, semantics: ObjectSemantics
+         ) -> tuple[World, EventRecord | None]:
+    """Apply one token; a ``ret`` also gives the record of the event it
+    returns.  Raises ScheduleError when the transition is disabled."""
     c = token.client
     if token.kind == "push":
         return _push(world, c), None
     if token.kind == "pull":
         return _pull(world, c), None
+    if token.kind == "body":
+        return _body(world, c, semantics), None
     st = world.client(c)
     if token.kind == "call":
         if st.frame is not None:
@@ -245,95 +269,94 @@ def step(world: World, token: Token, semantics: ObjectSemantics) -> tuple[World,
         return world.replace_client(
             c, ClientState(st.known_len, st.unacked, st.pending, fr, st.next_index + 1)
         ), None
-    if token.kind == "body":
-        return _body(world, c, semantics)
     if token.kind == "ret":
-        if st.frame is None or not st.frame.done:
+        fr = st.frame
+        if fr is None or not fr.done:
             raise ScheduleError(f"ret({c}) not enabled")
+        record = EventRecord(fr.event_id, c, fr.obj, fr.op, fr.fences, fr.rval, fr.view,
+                             st.next_index - 1)
         return world.replace_client(
             c, ClientState(st.known_len, st.unacked, st.pending, None, st.next_index)
-        ), None
+        ), record
     raise ScheduleError(f"unknown token kind {token.kind!r}")
 
 
-# -- running explicit schedules ----------------------------------------------
+# -- runs and their output -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    id: str
-    client: str
-    obj: str
-    op: Op
-    fences: frozenset[str]
-    rval: Rval
-    view: frozenset[str]
-    call_index: int
-    body_index: int
-    ret_index: int
+class _State(NamedTuple):
+    """A run so far: the world, the returned events sorted by id, and the
+    returned-before pairs, each added when its later event is called."""
+
+    world: World
+    done: tuple[EventRecord, ...]
+    rt: frozenset[tuple[str, str]]
+
+
+def _apply(state: _State, token: Token, semantics: ObjectSemantics) -> _State:
+    world, record = step(state.world, token, semantics)
+    done, rt = state.done, state.rt
+    if token.kind == "call":
+        new_id = world.client(token.client).frame.event_id
+        rt = rt | frozenset((d.id, new_id) for d in done)
+    elif record is not None:
+        # Ids are unique, so the records sort by id alone.
+        done = tuple(sorted(done + (record,)))
+    return _State(world, done, rt)
+
+
+def _history(events: tuple[EventRecord, ...], rt: frozenset[tuple[str, str]]) -> History:
+    sessions: dict[str, list[str]] = {}
+    for r in sorted(events, key=lambda r: r.index):
+        sessions.setdefault(r.client, []).append(r.id)
+    return make_history(
+        [Event(r.id, r.client, r.obj, r.op, r.rval, r.fences) for r in events],
+        sessions, Relation(frozenset(r.id for r in events), rt))
+
+
+def _execution(h: History, events: tuple[EventRecord, ...],
+               server: tuple[Entry, ...]) -> AbstractExecution:
+    vis = Relation(h.ids, frozenset(
+        (seen, r.id) for r in events for seen in r.view if seen != r.id
+    ))
+    return AbstractExecution(h, vis, TotalOrder(tuple(eid for eid, _, _ in server)))
 
 
 @dataclass(frozen=True)
 class SimRun:
+    """A schedule's run: its returned events sorted by id, the final world,
+    and the returned-before pairs (a ret earlier in the schedule than a
+    call)."""
+
     schedule: Schedule
     events: tuple[EventRecord, ...]
     world: World
+    rt: frozenset[tuple[str, str]]
 
 
 def run_schedule(schedule: Schedule, semantics: ObjectSemantics,
-                 clients: Iterable[str] = (), validate: bool = True) -> SimRun:
+                 clients: Iterable[str] = ()) -> SimRun:
     """Fold a schedule over the initial world.
 
     ``clients`` may add idle clients beyond those mentioned by the tokens.
     Grammar violations and disabled transitions raise ScheduleError with the
     offending step index.
     """
-    if validate:
-        problems = validate_schedule(schedule)
-        if problems:
-            raise ScheduleError("; ".join(problems))
-    names = sorted(set(itertools.chain((t.client for t in schedule), clients)))
-    world = World.initial(names)
-    open_calls: dict[str, dict] = {}
-    records: list[dict] = []
-    seen_ids: set[str] = set()
+    problems = validate_schedule(schedule)
+    if problems:
+        raise ScheduleError("; ".join(problems))
+    names = set(itertools.chain((t.client for t in schedule), clients))
+    state = _State(World.initial(names), (), frozenset())
     for i, token in enumerate(schedule):
         try:
-            world, info = step(world, token, semantics)
+            state = _apply(state, token, semantics)
         except ScheduleError as exc:
             raise ScheduleError(f"step {i}: {exc}") from None
-        if token.kind == "call":
-            open_calls[token.client] = {"call_index": i}
-        elif token.kind == "body":
-            eid, c, obj, op, fences, rval, view = info
-            if eid in seen_ids:
-                raise AssertionError(f"event id collision: {eid}")
-            seen_ids.add(eid)
-            open_calls[c].update(id=eid, client=c, obj=obj, op=op, fences=fences,
-                                 rval=rval, view=view, body_index=i)
-        elif token.kind == "ret":
-            rec = open_calls.pop(token.client)
-            rec["ret_index"] = i
-            records.append(rec)
-    if open_calls:
-        raise ScheduleError(f"unmatched calls for {sorted(open_calls)}")
-    events = tuple(EventRecord(**r) for r in records)
-    return SimRun(schedule, events, world)
+    return SimRun(schedule, state.done, state.world, state.rt)
 
 
 def extract_history(run: SimRun) -> History:
-    events = [Event(r.id, r.client, r.obj, r.op, r.rval, r.fences) for r in run.events]
-    sessions: dict[str, list[str]] = {}
-    for r in sorted(run.events, key=lambda r: r.call_index):
-        sessions.setdefault(r.client, []).append(r.id)
-    ids = frozenset(r.id for r in run.events)
-    rt = Relation(ids, frozenset(
-        (a.id, b.id)
-        for a in run.events
-        for b in run.events
-        if a.ret_index < b.call_index
-    ))
-    return make_history(events, sessions, rt)
+    return _history(run.events, run.rt)
 
 
 def extract_execution(run: SimRun) -> AbstractExecution:
@@ -341,13 +364,7 @@ def extract_execution(run: SimRun) -> AbstractExecution:
     server-log arbitration.  Requires a quiescent final world."""
     if not run.world.quiescent():
         raise HistoryError("run not quiescent: flush pushes/pulls before extracting")
-    h = extract_history(run)
-    ids = h.ids
-    vis = Relation(ids, frozenset(
-        (seen, r.id) for r in run.events for seen in r.view if seen != r.id
-    ))
-    ar = TotalOrder(tuple(eid for eid, _, _ in run.world.server))
-    return AbstractExecution(h, vis, ar)
+    return _execution(extract_history(run), run.events, run.world.server)
 
 
 def flush_suffix(world: World) -> list[Token]:
@@ -369,11 +386,16 @@ def flush_suffix(world: World) -> list[Token]:
 
 def run_to_quiescence(schedule: Schedule, semantics: ObjectSemantics,
                       clients: Iterable[str] = ()) -> SimRun:
-    base = run_schedule(schedule, semantics, clients)
-    extra = flush_suffix(base.world)
+    """``run_schedule`` followed by the ``flush_suffix`` of its final world;
+    the run's schedule includes the flush tokens."""
+    run = run_schedule(schedule, semantics, clients)
+    extra = flush_suffix(run.world)
     if not extra:
-        return base
-    return run_schedule(Schedule(base.schedule.steps + tuple(extra)), semantics, clients)
+        return run
+    world = run.world
+    for token in extra:
+        world, _ = step(world, token, semantics)
+    return SimRun(Schedule(schedule.steps + tuple(extra)), run.events, world, run.rt)
 
 
 # -- bounded exhaustive exploration --------------------------------------------
@@ -388,24 +410,6 @@ def programs_of(h: History) -> dict[str, Program]:
         client: tuple((by_id[i].obj, by_id[i].op, by_id[i].fences) for i in ids)
         for client, ids in h.sessions
     }
-
-
-class _Done(NamedTuple):
-    """A returned event inside an exploration state."""
-
-    id: str
-    client: str
-    obj: str
-    op: Op
-    fences: frozenset[str]
-    rval: Rval
-    view: frozenset[str]
-
-
-class _ExpState(NamedTuple):
-    world: World
-    done: tuple[_Done, ...]  # sorted by event id
-    rt: frozenset[tuple[str, str]]
 
 
 def _finished(world: World, programs: Mapping[str, Program]) -> set[str]:
@@ -438,44 +442,13 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
     return out
 
 
-def _apply(state: _ExpState, token: Token, semantics: ObjectSemantics,
-           programs: Mapping[str, Program]) -> _ExpState:
-    world, info = step(state.world, token, semantics)
-    done, rt = state.done, state.rt
-    c = token.client
-    if token.kind == "call":
-        new_id = f"{c}:{state.world.client(c).next_index}"
-        rt = rt | frozenset((d.id, new_id) for d in done)
-    elif token.kind == "ret":
-        fr = state.world.client(c).frame
-        # Ids are unique, so the tuples sort by id alone.
-        done = tuple(sorted(done + (_Done(fr.event_id, c, fr.obj, fr.op, fr.fences,
-                                          fr.rval, fr.view),)))
-    st = world.client(c)
-    if st.frame is None and st.next_index == len(programs[c]):
-        world = world.replace_client(c, ClientState(0, (), st.pending, None, st.next_index))
-    return _ExpState(world, done, rt)
-
-
-def _finish(state: _ExpState, semantics: ObjectSemantics) -> tuple[History, AbstractExecution]:
+def _finish(state: _State, semantics: ObjectSemantics) -> tuple[History, AbstractExecution]:
     world = state.world
     for token in flush_suffix(world):
         if token.kind == "push":
             world, _ = step(world, token, semantics)
-    events = [Event(d.id, d.client, d.obj, d.op, d.rval, d.fences) for d in state.done]
-    sessions: dict[str, list[str]] = {}
-    for d in state.done:
-        sessions.setdefault(d.client, [])
-    for c in sessions:
-        sessions[c] = sorted((d.id for d in state.done if d.client == c),
-                             key=lambda i: int(i.rsplit(":", 1)[1]))
-    ids = frozenset(d.id for d in state.done)
-    h = make_history(events, sessions, Relation(ids, state.rt))
-    vis = Relation(ids, frozenset(
-        (seen, d.id) for d in state.done for seen in d.view if seen != d.id
-    ))
-    ar = TotalOrder(tuple(eid for eid, _, _ in world.server))
-    return h, AbstractExecution(h, vis, ar)
+    h = _history(state.done, state.rt)
+    return h, _execution(h, state.done, world.server)
 
 
 def _target_tables(target: History | None):
@@ -525,9 +498,9 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             if not frozenset(fences) <= frozenset({PUSH, PULL}):
                 raise ValueError(f"bad fences in program for {c}")
     tables = _target_tables(target)
-    init = _ExpState(World.initial(programs.keys()), (), frozenset())
-    seen: set[_ExpState] = {init}
-    stack: list[_ExpState] = [init]
+    init = _State(World.initial(programs.keys()), (), frozenset())
+    seen: set[_State] = {init}
+    stack: list[_State] = [init]
     terminals = 0
     emitted: set[tuple[History, AbstractExecution]] = set()
     while stack:
@@ -544,7 +517,12 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
         for token in _moves(world, programs):
             if token.kind == "pull" and token.client in finished:
                 continue
-            nxt = _apply(state, token, semantics, programs)
+            nxt = _apply(state, token, semantics)
+            c = token.client
+            st = nxt.world.client(c)
+            if st.frame is None and st.next_index == len(programs[c]):
+                reset = ClientState(0, (), st.pending, None, st.next_index)
+                nxt = _State(nxt.world.replace_client(c, reset), nxt.done, nxt.rt)
             if tables is not None and not _target_compatible(nxt, token, tables):
                 continue
             if nxt in seen:
@@ -558,7 +536,7 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             stack.append(nxt)
 
 
-def _target_compatible(state: _ExpState, token: Token, tables) -> bool:
+def _target_compatible(state: _State, token: Token, tables) -> bool:
     """Check the state right after ``token`` against the target tables.
 
     Returned-before pairs only ever get added when an event is called, so a

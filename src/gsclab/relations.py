@@ -213,10 +213,6 @@ class TotalOrder:
         pairs = frozenset((seq[i], seq[j]) for i in range(len(seq)) for j in range(i + 1, len(seq)))
         return Relation(frozenset(seq), pairs)
 
-    def restrict(self, subset: Iterable[str]) -> "TotalOrder":
-        sub = frozenset(subset)
-        return TotalOrder(tuple(a for a in self.sequence if a in sub))
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.sequence)
 
@@ -255,30 +251,19 @@ def extend_to_total(r: Relation, tie_break: Sequence[str] | None = None) -> Tota
     return TotalOrder(tuple(out))
 
 
-def linear_extensions(r: Relation, tie_break: Sequence[str] | None = None,
-                      limit: int | None = None) -> Iterator[TotalOrder]:
-    """All linear extensions of an acyclic relation, lexicographic in ``tie_break``.
-
-    ``limit`` caps the number of extensions yielded; None means no cap.
-    Yields nothing if the relation is cyclic.
-    """
-    order = list(tie_break) if tie_break is not None else sorted(r.domain)
-    if set(order) != set(r.domain):
-        raise ValueError("tie_break must enumerate the domain exactly")
+def linear_extensions(r: Relation) -> Iterator[TotalOrder]:
+    """All linear extensions of an acyclic relation, lexicographic in the
+    sorted domain.  Yields nothing if the relation is cyclic."""
+    order = sorted(r.domain)
     preds: dict[str, set[str]] = {a: set() for a in r.domain}
     for a, b in r.pairs:
         if a != b:
             preds[b].add(a)
-    count = 0
     prefix: list[str] = []
     emitted: set[str] = set()
 
     def rec() -> Iterator[TotalOrder]:
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
         if len(prefix) == len(order):
-            count += 1
             yield TotalOrder(tuple(prefix))
             return
         for a in order:
@@ -289,7 +274,5 @@ def linear_extensions(r: Relation, tie_break: Sequence[str] | None = None,
             yield from rec()
             emitted.remove(a)
             prefix.pop()
-            if limit is not None and count >= limit:
-                return
 
     return rec()

@@ -58,6 +58,24 @@ def _op_from(doc: Any, where: str) -> Op:
     return Op(doc["kind"], doc.get("value"))
 
 
+def _fences_from(doc: Mapping, where: str) -> frozenset[str]:
+    fences = doc.get("fences", [])
+    _require(isinstance(fences, list), f"{where}: fences must be a list")
+    bad = set(fences) - set(_FENCES)
+    _require(not bad, f"{where}: unknown fences {sorted(bad)}")
+    return frozenset(fences)
+
+
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _pairs_from(doc: Any, field: str) -> frozenset[tuple[str, str]]:
+    _require(isinstance(doc, list) and all(_strings(p) and len(p) == 2 for p in doc),
+             f"{field} must be a list of [before, after] id pairs")
+    return frozenset((a, b) for a, b in doc)
+
+
 def _rval_doc(rval: Any) -> Any:
     if isinstance(rval, tuple):
         return list(rval)
@@ -100,15 +118,17 @@ def doc_to_history(doc: Any) -> tuple[History, str]:
         semantics in SEMANTICS,
         f"unknown semantics {semantics!r}; known: {sorted(SEMANTICS)}",
     )
+    _require(_strings(doc["objects"]), "objects must be a list of names")
+    _require(isinstance(doc["events"], list), "events must be a list")
     events = []
     for i, edoc in enumerate(doc["events"]):
         where = f"events[{i}]"
         _require(isinstance(edoc, Mapping), f"{where}: must be an object")
         for field in ("id", "client", "obj", "op"):
             _require(field in edoc, f"{where}: missing field {field!r}")
-        fences = edoc.get("fences", [])
-        bad = set(fences) - set(_FENCES)
-        _require(not bad, f"{where}: unknown fences {sorted(bad)}")
+        for field in ("id", "client", "obj"):
+            _require(isinstance(edoc[field], str), f"{where}: {field} must be a string")
+        fences = _fences_from(edoc, where)
         _require(
             edoc["obj"] in doc["objects"],
             f"{where}: object {edoc['obj']!r} not listed in objects",
@@ -120,26 +140,31 @@ def doc_to_history(doc: Any) -> tuple[History, str]:
                 edoc["obj"],
                 _op_from(edoc["op"], where),
                 _rval_from(edoc.get("rval")),
-                frozenset(fences),
+                fences,
             )
         )
     sessions = doc["sessions"]
-    _require(isinstance(sessions, Mapping), "sessions must map client to id list")
+    _require(
+        isinstance(sessions, Mapping) and all(map(_strings, sessions.values())),
+        "sessions must map client to id list",
+    )
     rt_doc = doc["rt"]
     _require(
         isinstance(rt_doc, Mapping) and rt_doc.get("kind") in ("intervals", "pairs"),
         "rt must be {kind: intervals, map} or {kind: pairs, pairs}",
     )
     if rt_doc["kind"] == "intervals":
-        _require("map" in rt_doc, "rt of kind intervals needs a map")
-        rt: Any = {
-            eid: Interval(float(se[0]), float(se[1]))
-            for eid, se in rt_doc["map"].items()
-        }
+        _require(isinstance(rt_doc.get("map"), Mapping), "rt of kind intervals needs a map")
+        rt: Any = {}
+        for eid, se in rt_doc["map"].items():
+            _require(isinstance(se, list) and len(se) == 2
+                     and all(isinstance(t, (int, float)) for t in se),
+                     f"rt map entry {eid!r} must be [start, end]")
+            rt[eid] = Interval(float(se[0]), float(se[1]))
     else:
         _require("pairs" in rt_doc, "rt of kind pairs needs pairs")
         ids = frozenset(e.id for e in events)
-        rt = Relation(ids, frozenset((a, b) for a, b in rt_doc["pairs"]))
+        rt = Relation(ids, _pairs_from(rt_doc["pairs"], "rt pairs"))
     h = make_history(events, {c: list(ids) for c, ids in sessions.items()}, rt)
     problems = validate_history(h)
     if problems:
@@ -158,9 +183,9 @@ def doc_to_execution(doc: Any) -> tuple[AbstractExecution, str]:
     h, semantics = doc_to_history(doc)
     for field in ("vis", "ar"):
         _require(field in doc, f"execution document missing field {field!r}")
-    vis = Relation(h.ids, frozenset((a, b) for a, b in doc["vis"]))
+    vis = Relation(h.ids, _pairs_from(doc["vis"], "vis"))
     _require(
-        sorted(doc["ar"]) == sorted(h.ids),
+        _strings(doc["ar"]) and sorted(doc["ar"]) == sorted(h.ids),
         "ar must list every event id exactly once",
     )
     x = AbstractExecution(h, vis, TotalOrder(tuple(doc["ar"])))
@@ -190,22 +215,23 @@ def schedule_to_doc(s: Schedule) -> dict:
 
 
 def doc_to_schedule(doc: Any) -> Schedule:
-    if not isinstance(doc, Mapping) or "steps" not in doc:
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("steps"), list):
         raise ScheduleError("schedule document must be an object with steps")
     tokens = []
     for i, sdoc in enumerate(doc["steps"]):
         where = f"steps[{i}]"
         if not isinstance(sdoc, Mapping) or "kind" not in sdoc or "client" not in sdoc:
             raise ScheduleError(f"{where}: needs kind and client")
+        if not isinstance(sdoc["client"], str):
+            raise ScheduleError(f"{where}: client must be a string")
         kind = sdoc["kind"]
         if kind == "call":
             if "obj" not in sdoc or "op" not in sdoc:
                 raise ScheduleError(f"{where}: call needs obj and op")
-            fences = sdoc.get("fences", [])
-            bad = set(fences) - set(_FENCES)
-            if bad:
-                raise ScheduleError(f"{where}: unknown fences {sorted(bad)}")
+            if not isinstance(sdoc["obj"], str) or not isinstance(sdoc.get("id"), (str, type(None))):
+                raise ScheduleError(f"{where}: obj and id must be strings")
             try:
+                fences = _fences_from(sdoc, where)
                 op = _op_from(sdoc["op"], where)
             except HistoryError as err:
                 raise ScheduleError(str(err)) from err
@@ -215,7 +241,7 @@ def doc_to_schedule(doc: Any) -> Schedule:
                     sdoc["client"],
                     obj=sdoc["obj"],
                     op=op,
-                    fences=frozenset(fences),
+                    fences=fences,
                     id=sdoc.get("id"),
                 )
             )

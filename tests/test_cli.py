@@ -101,6 +101,21 @@ def test_simulate_golden_schedule(tmp_path, capsys):
     assert x == fixture("fig3a").witness
 
 
+def test_simulate_colliding_event_ids_is_exit_2(tmp_path, capsys):
+    # Client A's explicit id b:0 is the id client b's first call gets.
+    steps = [
+        {"kind": "call", "client": "A", "obj": "x", "op": {"kind": "append", "value": 1},
+         "id": "b:0"},
+        {"kind": "body", "client": "A"}, {"kind": "ret", "client": "A"},
+        {"kind": "call", "client": "b", "obj": "x", "op": {"kind": "read"}},
+        {"kind": "body", "client": "b"}, {"kind": "ret", "client": "b"},
+    ]
+    path = tmp_path / "collide.json"
+    path.write_text(dumps({"steps": steps}))
+    assert main(["simulate", str(path)]) == 2
+    assert "step 3: duplicate event id b:0" in capsys.readouterr().err
+
+
 def test_synthesize_then_simulate_round_trip(tmp_path, capsys):
     sched_out = tmp_path / "s.json"
     rc = main(["synthesize", str(FIXDIR / "fig3b-witness.json"),

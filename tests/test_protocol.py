@@ -178,7 +178,15 @@ def test_view_snapshot_taken_before_own_append(sem):
 def test_run_schedule_reports_step_index(sem):
     bad = Schedule((push("a"),))
     with pytest.raises(ScheduleError, match=r"step 0: push\(a\) not enabled"):
-        run_schedule(bad, sem, validate=False)
+        run_schedule(bad, sem)
+
+
+def test_run_schedule_rejects_colliding_event_ids(sem):
+    # An explicit id on client a takes the id client b's first call gets.
+    steps = ([call("a", "x", Op("append", 1), id="b:0"), body("a"), ret("a")]
+             + exec_tokens("b", "x", Op("read")))
+    with pytest.raises(ScheduleError, match="step 3: duplicate event id b:0"):
+        run_schedule(Schedule(tuple(steps)), sem)
 
 
 def test_run_schedule_extra_clients(sem):

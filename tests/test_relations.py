@@ -69,7 +69,6 @@ def test_total_order_helpers():
     assert t.position("a") == 1
     assert t.before("b", "c") and not t.before("c", "b")
     assert t.as_relation().pairs == {("b", "a"), ("b", "c"), ("a", "c")}
-    assert t.restrict({"c", "b"}).sequence == ("b", "c")
 
 
 def test_extend_to_total_deterministic_and_minimal():
@@ -96,7 +95,6 @@ def test_linear_extensions_counts_and_limit():
     exts = list(linear_extensions(r))
     assert len(exts) == 3
     assert all(e.before("a", "b") for e in exts)
-    assert len(list(linear_extensions(Relation.empty(frozenset("abc")), limit=2))) == 2
 
 
 small_domains = st.sets(st.sampled_from("abcde"), min_size=1, max_size=5).map(frozenset)

@@ -114,6 +114,47 @@ def test_schedule_doc_validations():
         doc_to_schedule(doc)
 
 
+def _history_doc(**changes):
+    doc = history_to_doc(fixture("fig3b").history, "sequence")
+    doc.update(changes)
+    return doc
+
+
+def _list_valued_id():
+    doc = _history_doc()
+    doc["events"][0]["id"] = ["e1"]
+    return doc
+
+
+def _schedule_step(**changes):
+    doc = schedule_to_doc(fixture("fig3a").schedule)
+    doc["steps"][0].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("parse, doc, error, field", [
+    (doc_to_history, _history_doc(events=5), HistoryError, "events"),
+    (doc_to_history, _history_doc(sessions={"A": 3}), HistoryError, "sessions"),
+    (doc_to_history, _history_doc(rt={"kind": "intervals", "map": {"e1": [0]}}),
+     HistoryError, "rt map entry 'e1'"),
+    (doc_to_history, _list_valued_id(), HistoryError, r"events\[0\]: id"),
+    (doc_to_schedule, {"steps": 3}, ScheduleError, "steps"),
+    (doc_to_schedule, _schedule_step(fences=None), ScheduleError, r"steps\[0\]: fences"),
+    (doc_to_history, _history_doc(objects=5), HistoryError, "objects"),
+    (doc_to_history, _history_doc(rt={"kind": "pairs", "pairs": 5}), HistoryError,
+     "rt pairs"),
+    (doc_to_execution, dict(execution_to_doc(fixture("fig3b").witness, "sequence"),
+                            vis=[["e1"]]), HistoryError, "vis"),
+    (doc_to_schedule, _schedule_step(client=["A"]), ScheduleError, r"steps\[0\]: client"),
+    (doc_to_schedule, _schedule_step(id=["e1"]), ScheduleError, r"steps\[0\]: obj and id"),
+], ids=["events-int", "session-int", "interval-one-bound", "id-list", "steps-int",
+        "fences-null", "objects-int", "rt-pairs-int", "vis-short-pair", "client-list",
+        "step-id-list"])
+def test_malformed_documents_name_the_field(parse, doc, error, field):
+    with pytest.raises(error, match=field):
+        parse(doc)
+
+
 def test_fixture_files_match_registry():
     # The shipped JSON files are exactly the registry's encodings.
     import pathlib
