@@ -60,6 +60,7 @@ AXIOM_NAMES = (
 )
 
 DEFAULT_MAX_EVENTS = 9
+MAX_REFUTATIONS = 3  # refutation lines a negative verdict carries at most
 
 
 @dataclass(frozen=True)
@@ -474,8 +475,7 @@ def _candidate_sets(h: History, ar: TotalOrder, e: Event,
 
 
 def is_gsc(h: History, semantics: ObjectSemantics,
-           max_events: int = DEFAULT_MAX_EVENTS,
-           max_refutations: int = 3) -> MembershipResult:
+           max_events: int = DEFAULT_MAX_EVENTS) -> MembershipResult:
     """Decide whether any visibility/arbitration pair satisfies all laws.
 
     Return-value decoding drives the fast path; otherwise visible-update
@@ -495,7 +495,7 @@ def is_gsc(h: History, semantics: ObjectSemantics,
 
     decoded = decoded_visibility(h, semantics)
     if decoded is not None and decoded.unattainable:
-        for obs in decoded.unattainable[:max_refutations]:
+        for obs in decoded.unattainable[:MAX_REFUTATIONS]:
             e = h.by_id[obs]
             refutations.append(
                 f"{obs} returned {e.rval!r} but no subset of the other "
@@ -517,7 +517,7 @@ def is_gsc(h: History, semantics: ObjectSemantics,
             witness, refutation = _try_ar(h, ar, seed_vis, exact, semantics, stats)
             if witness is not None:
                 return MembershipResult(True, witness, "decoded", stats)
-            if len(refutations) < max_refutations:
+            if len(refutations) < MAX_REFUTATIONS:
                 refutations.append(refutation)
         return MembershipResult(False, None, "decoded", stats, tuple(refutations))
 
@@ -535,7 +535,7 @@ def is_gsc(h: History, semantics: ObjectSemantics,
         for e in sorted(observers, key=lambda e: ar.position(e.id)):
             sets = _candidate_sets(h, ar, e, semantics)
             if not sets:
-                if len(refutations) < max_refutations:
+                if len(refutations) < MAX_REFUTATIONS:
                     refutations.append(
                         f"ar {list(ar.sequence)}: no visible-update set under "
                         f"this arbitration lets {e.id} return {e.rval!r} (RETVAL)")
@@ -552,7 +552,7 @@ def is_gsc(h: History, semantics: ObjectSemantics,
             witness, refutation = _try_ar(h, ar, seed_vis, exact, semantics, stats)
             if witness is not None:
                 return MembershipResult(True, witness, "enumerative", stats)
-        if len(refutations) < max_refutations:
+        if len(refutations) < MAX_REFUTATIONS:
             refutations.append(
                 f"ar {list(ar.sequence)}: every RETVAL-consistent visibility "
                 f"assignment breaks the laws")

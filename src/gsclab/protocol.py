@@ -10,8 +10,11 @@ A push fence flushes pending inside the execution; a pull fence first runs
 pulls until known covers the whole server log.
 
 Schedules are explicit token sequences: call/body/ret triples per event and
-push/pull transitions per client, where a client's own push/pull never sits
-between its call and ret.  Disabled transitions are errors, never no-ops.
+push/pull transitions per client.  ``step`` alone judges each token: a
+malformed call, a phase out of order, a client's push or pull while it has
+an open event, and a disabled transition are all ScheduleErrors, never
+no-ops.  ``run_schedule`` adds the two run-level checks: event ids are
+unique and no client ends with an open event.
 
 ``run_schedule`` and ``explore`` fold tokens the same way: each ``ret``
 yields an ``EventRecord`` and each ``call`` adds its returned-before pairs,
@@ -20,7 +23,6 @@ and one builder turns the records into a history and an execution.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -39,6 +41,8 @@ from .relations import Relation, TotalOrder
 from .semantics import ObjectSemantics
 
 Entry = tuple[str, str, Op]  # (event id, object, operation)
+
+_FENCES = frozenset({PUSH, PULL})
 
 
 class ScheduleError(ValueError):
@@ -93,49 +97,6 @@ class Schedule:
         return len(self.steps)
 
 
-def validate_schedule(schedule: Schedule) -> list[str]:
-    """Grammar check: per client (call body ret)* with push/pull outside the
-    call..ret window; call tokens complete; event ids unique, where a call
-    without an explicit id takes ``client:index`` with index its client's
-    call count so far."""
-    out: list[str] = []
-    phase: dict[str, str] = {}
-    calls: dict[str, int] = {}
-    ids_seen: set[str] = set()
-    for i, t in enumerate(schedule):
-        p = phase.get(t.client, "idle")
-        if t.kind == "call":
-            if t.obj is None or t.op is None:
-                out.append(f"step {i}: call without obj/op")
-            index = calls.get(t.client, 0)
-            calls[t.client] = index + 1
-            eid = t.id if t.id is not None else f"{t.client}:{index}"
-            if eid in ids_seen:
-                kind = "explicit event id" if t.id is not None else "event id"
-                out.append(f"step {i}: duplicate {kind} {eid}")
-            ids_seen.add(eid)
-            if p != "idle":
-                out.append(f"step {i}: call({t.client}) while an exec is in progress")
-            phase[t.client] = "called"
-        elif t.kind == "body":
-            if p != "called":
-                out.append(f"step {i}: body({t.client}) without a pending call")
-            phase[t.client] = "evaluated"
-        elif t.kind == "ret":
-            if p != "evaluated":
-                out.append(f"step {i}: ret({t.client}) without an evaluated body")
-            phase[t.client] = "idle"
-        elif t.kind in ("push", "pull"):
-            if p != "idle":
-                out.append(f"step {i}: {t.kind}({t.client}) between call and ret")
-        else:
-            out.append(f"step {i}: unknown token kind {t.kind!r}")
-    for c, p in sorted(phase.items()):
-        if p != "idle":
-            out.append(f"client {c} left mid-execution")
-    return out
-
-
 # -- world state -------------------------------------------------------------
 
 
@@ -186,8 +147,7 @@ class World(NamedTuple):
         )
 
 
-def _push(world: World, c: str) -> World:
-    st = world.client(c)
+def _push(world: World, c: str, st: ClientState) -> World:
     if not st.pending:
         raise ScheduleError(f"push({c}) not enabled: pending empty")
     entry, rest = st.pending[0], st.pending[1:]
@@ -196,8 +156,7 @@ def _push(world: World, c: str) -> World:
     )
 
 
-def _pull(world: World, c: str) -> World:
-    st = world.client(c)
+def _pull(world: World, c: str, st: ClientState) -> World:
     if st.known_len >= len(world.server):
         raise ScheduleError(f"pull({c}) not enabled: known equals server log")
     entry = world.server[st.known_len]
@@ -225,15 +184,14 @@ class EventRecord(NamedTuple):
     index: int
 
 
-def _body(world: World, c: str, semantics: ObjectSemantics) -> World:
-    st = world.client(c)
+def _body(world: World, c: str, st: ClientState, semantics: ObjectSemantics) -> World:
     if st.frame is None or st.frame.done:
-        raise ScheduleError(f"body({c}) not enabled")
+        raise ScheduleError(f"body({c}) without a pending call")
     fr = st.frame
     if PULL in fr.fences:
-        while world.client(c).known_len < len(world.server):
-            world = _pull(world, c)
-        st = world.client(c)
+        while st.known_len < len(world.server):
+            world = _pull(world, c, st)
+            st = world.client(c)
     logs = world.server[: st.known_len] + st.unacked + st.pending
     view = frozenset(eid for eid, _, _ in logs)
     context = tuple(op for _, obj, op in logs if obj == fr.obj)
@@ -244,26 +202,33 @@ def _body(world: World, c: str, semantics: ObjectSemantics) -> World:
                      st.next_index)
     world = world.replace_client(c, st)
     if PUSH in fr.fences:
-        while world.client(c).pending:
-            world = _push(world, c)
+        while st.pending:
+            world = _push(world, c, st)
+            st = world.client(c)
     return world
 
 
 def step(world: World, token: Token, semantics: ObjectSemantics
          ) -> tuple[World, EventRecord | None]:
     """Apply one token; a ``ret`` also gives the record of the event it
-    returns.  Raises ScheduleError when the transition is disabled."""
+    returns.  This is the one judge of the schedule grammar: it raises
+    ScheduleError for a malformed token and for a disabled transition,
+    including a client's push or pull while it has an open event."""
     c = token.client
-    if token.kind == "push":
-        return _push(world, c), None
-    if token.kind == "pull":
-        return _pull(world, c), None
-    if token.kind == "body":
-        return _body(world, c, semantics), None
     st = world.client(c)
+    if token.kind in ("push", "pull"):
+        if st.frame is not None:
+            raise ScheduleError(f"{token.kind}({c}) between call and ret")
+        return (_push if token.kind == "push" else _pull)(world, c, st), None
+    if token.kind == "body":
+        return _body(world, c, st, semantics), None
     if token.kind == "call":
         if st.frame is not None:
             raise ScheduleError(f"call({c}) while an exec is in progress")
+        if token.obj is None or token.op is None:
+            raise ScheduleError("call without obj/op")
+        if not token.fences <= _FENCES:
+            raise ScheduleError(f"call({c}) with unknown fences {sorted(token.fences - _FENCES)}")
         event_id = token.id if token.id is not None else f"{c}:{st.next_index}"
         fr = Frame(event_id, token.obj, token.op, token.fences)
         return world.replace_client(
@@ -272,7 +237,7 @@ def step(world: World, token: Token, semantics: ObjectSemantics
     if token.kind == "ret":
         fr = st.frame
         if fr is None or not fr.done:
-            raise ScheduleError(f"ret({c}) not enabled")
+            raise ScheduleError(f"ret({c}) without an evaluated body")
         record = EventRecord(fr.event_id, c, fr.obj, fr.op, fr.fences, fr.rval, fr.view,
                              st.next_index - 1)
         return world.replace_client(
@@ -334,24 +299,30 @@ class SimRun:
     rt: frozenset[tuple[str, str]]
 
 
-def run_schedule(schedule: Schedule, semantics: ObjectSemantics,
-                 clients: Iterable[str] = ()) -> SimRun:
-    """Fold a schedule over the initial world.
+def run_schedule(schedule: Schedule, semantics: ObjectSemantics) -> SimRun:
+    """Fold a schedule over the initial world of the clients its tokens name.
 
-    ``clients`` may add idle clients beyond those mentioned by the tokens.
-    Grammar violations and disabled transitions raise ScheduleError with the
-    offending step index.
+    Raises ScheduleError with the offending step index at the first token
+    ``step`` rejects and at the first call that repeats an event id (a call
+    without an explicit id takes ``client:index``), and names any client
+    the schedule leaves with an open event.
     """
-    problems = validate_schedule(schedule)
-    if problems:
-        raise ScheduleError("; ".join(problems))
-    names = set(itertools.chain((t.client for t in schedule), clients))
-    state = _State(World.initial(names), (), frozenset())
+    state = _State(World.initial({t.client for t in schedule}), (), frozenset())
+    ids: set[str] = set()
     for i, token in enumerate(schedule):
         try:
             state = _apply(state, token, semantics)
         except ScheduleError as exc:
             raise ScheduleError(f"step {i}: {exc}") from None
+        if token.kind == "call":
+            eid = state.world.client(token.client).frame.event_id
+            if eid in ids:
+                kind = "explicit event id" if token.id is not None else "event id"
+                raise ScheduleError(f"step {i}: duplicate {kind} {eid}")
+            ids.add(eid)
+    for c, st in state.world.clients:
+        if st.frame is not None:
+            raise ScheduleError(f"client {c} left mid-execution")
     return SimRun(schedule, state.done, state.world, state.rt)
 
 
@@ -384,11 +355,10 @@ def flush_suffix(world: World) -> list[Token]:
     return out
 
 
-def run_to_quiescence(schedule: Schedule, semantics: ObjectSemantics,
-                      clients: Iterable[str] = ()) -> SimRun:
+def run_to_quiescence(schedule: Schedule, semantics: ObjectSemantics) -> SimRun:
     """``run_schedule`` followed by the ``flush_suffix`` of its final world;
     the run's schedule includes the flush tokens."""
-    run = run_schedule(schedule, semantics, clients)
+    run = run_schedule(schedule, semantics)
     extra = flush_suffix(run.world)
     if not extra:
         return run
@@ -491,12 +461,9 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
 
     Raises EnumerationCapError, with the states seen, (distinct) terminal
     states reached and pairs emitted so far, once more than ``max_states``
-    states are seen.
+    states are seen, and ScheduleError when a program call has fences other
+    than push and pull.
     """
-    for c, prog in programs.items():
-        for _, op, fences in prog:
-            if not frozenset(fences) <= frozenset({PUSH, PULL}):
-                raise ValueError(f"bad fences in program for {c}")
     tables = _target_tables(target)
     init = _State(World.initial(programs.keys()), (), frozenset())
     seen: set[_State] = {init}

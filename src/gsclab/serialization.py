@@ -51,16 +51,22 @@ def _op_doc(op: Op) -> dict:
     return doc
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _op_from(doc: Any, where: str) -> Op:
     _require(isinstance(doc, dict) and "kind" in doc, f"{where}: op needs a kind")
     extra = set(doc) - {"kind", "value"}
     _require(not extra, f"{where}: unknown op fields {sorted(extra)}")
+    _require("value" not in doc or _is_int(doc["value"]),
+             f"{where}: op value must be an integer")
     return Op(doc["kind"], doc.get("value"))
 
 
 def _fences_from(doc: Mapping, where: str) -> frozenset[str]:
     fences = doc.get("fences", [])
-    _require(isinstance(fences, list), f"{where}: fences must be a list")
+    _require(_strings(fences), f"{where}: fences must be a list of names")
     bad = set(fences) - set(_FENCES)
     _require(not bad, f"{where}: unknown fences {sorted(bad)}")
     return frozenset(fences)
@@ -82,10 +88,10 @@ def _rval_doc(rval: Any) -> Any:
     return rval
 
 
-def _rval_from(doc: Any) -> Any:
-    if isinstance(doc, list):
-        return tuple(doc)
-    return doc
+def _rval_from(doc: Any, where: str) -> Any:
+    _require(doc is None or _is_int(doc) or isinstance(doc, list) and all(map(_is_int, doc)),
+             f"{where}: rval must be null, an integer or a list of integers")
+    return tuple(doc) if isinstance(doc, list) else doc
 
 
 def history_to_doc(h: History, semantics: str) -> dict:
@@ -139,7 +145,7 @@ def doc_to_history(doc: Any) -> tuple[History, str]:
                 edoc["client"],
                 edoc["obj"],
                 _op_from(edoc["op"], where),
-                _rval_from(edoc.get("rval")),
+                _rval_from(edoc.get("rval"), where),
                 fences,
             )
         )

@@ -32,8 +32,6 @@ rejected with SynthesisError rather than silently approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .axioms import check_axioms
 from .model import AbstractExecution, History, HistoryError
 from .protocol import Schedule, Token, body, call, pull, push, ret
@@ -98,15 +96,6 @@ def body_order(x: AbstractExecution, prec: Relation | None = None) -> TotalOrder
         ) from err
 
 
-@dataclass(frozen=True)
-class SynthPlan:
-    """A body order plus the full token order around it: (kind, event_id)
-    triples with kind one of call/body/ret."""
-
-    q: TotalOrder
-    tokens: tuple[tuple[str, str], ...]
-
-
 def _anchor_order(
     h: History, q: TotalOrder, extra: set[tuple[str, str]]
 ) -> list[tuple[str, str]]:
@@ -146,12 +135,6 @@ def _anchor_order(
         kind, eid = node.split(":", 1)
         out.append((kind, eid))
     return out
-
-
-def interleave_calls_returns(h: History, q: TotalOrder) -> SynthPlan:
-    """Wrap the bodies of ``q`` with call and return tokens so that
-    returns-before is realized exactly."""
-    return SynthPlan(q, tuple(_anchor_order(h, q, set())))
 
 
 class _CarryHint(Exception):

@@ -18,7 +18,6 @@ from gsclab import (
     Interval,
     Op,
     PerObjectWitnesses,
-    Relation,
     apply_fence_preset,
     check_axioms,
     check_lin,

@@ -79,6 +79,15 @@ def test_check_bad_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_list_valued_op_is_exit_2(tmp_path, capsys):
+    doc = history_to_doc(fixture("fig3a").history, "sequence")
+    doc["events"][0]["op"]["value"] = [1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(doc))
+    assert main(["check", str(bad)]) == 2
+    assert "events[0]: op value must be an integer" in capsys.readouterr().err
+
+
 def test_check_missing_file(capsys):
     assert main(["check", str(FIXDIR / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

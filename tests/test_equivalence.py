@@ -3,8 +3,6 @@ disciplines, and back via fence erasure.  Membership transfers only because
 returns-before is re-chosen; the pinned-clock flip rows show the same
 histories stop being members when it is not."""
 
-import dataclasses
-
 import pytest
 
 from gsclab import (

@@ -1,0 +1,40 @@
+"""Source hygiene: every module under ``src/gsclab`` and ``tests`` reads
+each name it imports.  No linter ships with the project, so the check walks
+the syntax trees with ``ast`` alone."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names an import binds that the module never loads, other than
+    ``from __future__`` features and the names its ``__all__`` exports."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound: dict[str, int] = {}
+    exported: set[str] = set()
+    loaded: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in loaded and name not in exported]
+
+
+def test_no_unused_imports():
+    package = ROOT / "src" / "gsclab"
+    modules = sorted(package.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    problems = [p for path in modules if path != package / "__init__.py"
+                for p in unused_imports(path)]
+    assert problems == []

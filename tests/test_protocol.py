@@ -1,5 +1,6 @@
-"""Simulator tests: schedule grammar, step mechanics, extraction, golden
-replays of the bundled schedules, and the bounded exhaustive exploration."""
+"""Simulator tests: the schedule grammar as ``run_schedule`` reports it,
+step mechanics, extraction, golden replays of the bundled schedules, and
+the bounded exhaustive exploration."""
 
 import hashlib
 import random
@@ -30,7 +31,6 @@ from gsclab import (
     run_schedule,
     run_to_quiescence,
     step,
-    validate_schedule,
 )
 from gsclab.generators import _random_walk, soundness_sampled_programs
 from gsclab.serialization import dumps, execution_to_doc
@@ -52,57 +52,54 @@ def simple_schedule():
 # -- grammar -------------------------------------------------------------------
 
 
-def test_validate_accepts_well_formed():
-    assert validate_schedule(simple_schedule()) == []
+def test_validate_accepts_well_formed(sem):
+    run = run_schedule(simple_schedule(), sem)
+    assert [r.id for r in run.events] == ["a:0", "b:0"]
 
 
-def test_validate_call_without_obj():
-    bad = Schedule((Token("call", "a"), body("a"), ret("a")))
-    problems = validate_schedule(bad)
-    assert any("without obj/op" in p for p in problems)
+def rejects(sem, steps, message):
+    with pytest.raises(ScheduleError, match=message):
+        run_schedule(Schedule(tuple(steps)), sem)
 
 
-def test_validate_duplicate_explicit_id():
+def test_validate_call_without_obj(sem):
+    rejects(sem, (Token("call", "a"), body("a"), ret("a")), r"step 0: call without obj/op")
+
+
+def test_validate_duplicate_explicit_id(sem):
     steps = (
         call("a", "x", Op("append", 1), id="e"), body("a"), ret("a"),
         call("a", "x", Op("append", 2), id="e"), body("a"), ret("a"),
     )
-    problems = validate_schedule(Schedule(steps))
-    assert any("duplicate explicit event id" in p for p in problems)
+    rejects(sem, steps, "step 3: duplicate explicit event id e")
 
 
-def test_validate_nested_call():
+def test_validate_nested_call(sem):
     steps = (call("a", "x", Op("append", 1)), call("a", "x", Op("append", 2)))
-    problems = validate_schedule(Schedule(steps))
-    assert any("while an exec is in progress" in p for p in problems)
+    rejects(sem, steps, r"step 1: call\(a\) while an exec is in progress")
 
 
-def test_validate_body_without_call():
-    assert any("without a pending call" in p
-               for p in validate_schedule(Schedule((body("a"),))))
+def test_validate_body_without_call(sem):
+    rejects(sem, (body("a"),), r"step 0: body\(a\) without a pending call")
 
 
-def test_validate_ret_without_body():
+def test_validate_ret_without_body(sem):
     steps = (call("a", "x", Op("append", 1)), ret("a"))
-    assert any("without an evaluated body" in p
-               for p in validate_schedule(Schedule(steps)))
+    rejects(sem, steps, r"step 1: ret\(a\) without an evaluated body")
 
 
-def test_validate_fence_token_inside_exec():
+def test_validate_fence_token_inside_exec(sem):
     steps = (call("a", "x", Op("append", 1)), push("a"), body("a"), ret("a"))
-    assert any("between call and ret" in p
-               for p in validate_schedule(Schedule(steps)))
+    rejects(sem, steps, r"step 1: push\(a\) between call and ret")
 
 
-def test_validate_unknown_kind():
-    assert any("unknown token kind" in p
-               for p in validate_schedule(Schedule((Token("flush", "a"),))))
+def test_validate_unknown_kind(sem):
+    rejects(sem, (Token("flush", "a"),), "step 0: unknown token kind 'flush'")
 
 
-def test_validate_left_mid_execution():
+def test_validate_left_mid_execution(sem):
     steps = (call("a", "x", Op("append", 1)), body("a"))
-    assert any("left mid-execution" in p
-               for p in validate_schedule(Schedule(steps)))
+    rejects(sem, steps, "client a left mid-execution")
 
 
 # -- step mechanics ------------------------------------------------------------
@@ -118,6 +115,13 @@ def test_pull_disabled_when_caught_up(sem):
     world = World.initial(["a"])
     with pytest.raises(ScheduleError, match="known equals server log"):
         step(world, pull("a"), sem)
+
+
+def test_step_rejects_fence_tokens_inside_exec(sem):
+    world, _ = step(World.initial(["a"]), call("a", "x", Op("append", 1)), sem)
+    for token in (push("a"), pull("a")):
+        with pytest.raises(ScheduleError, match="between call and ret"):
+            step(world, token, sem)
 
 
 def test_call_assigns_sequential_ids(sem):
@@ -187,12 +191,6 @@ def test_run_schedule_rejects_colliding_event_ids(sem):
              + exec_tokens("b", "x", Op("read")))
     with pytest.raises(ScheduleError, match="step 3: duplicate event id b:0"):
         run_schedule(Schedule(tuple(steps)), sem)
-
-
-def test_run_schedule_extra_clients(sem):
-    run = run_schedule(Schedule(tuple(exec_tokens("a", "x", Op("append", 1)))),
-                       sem, clients=["b"])
-    assert [c for c, _ in run.world.clients] == ["a", "b"]
 
 
 def test_extract_history_rt_is_ret_before_call(sem):
@@ -293,7 +291,7 @@ def test_explore_emits_canonical_histories(sem):
 
 def test_explore_rejects_bad_fences(sem):
     progs = {"a": ((("x"), Op("append", 1), frozenset({"flush"})),)}
-    with pytest.raises(ValueError, match="bad fences"):
+    with pytest.raises(ValueError, match=r"call\(a\) with unknown fences \['flush'\]"):
         list(explore(progs, sem))
 
 

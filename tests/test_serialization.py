@@ -126,6 +126,12 @@ def _list_valued_id():
     return doc
 
 
+def _fig3a_event(index, **changes):
+    doc = history_to_doc(fixture("fig3a").history, "sequence")
+    doc["events"][index].update(changes)
+    return doc
+
+
 def _schedule_step(**changes):
     doc = schedule_to_doc(fixture("fig3a").schedule)
     doc["steps"][0].update(changes)
@@ -147,9 +153,17 @@ def _schedule_step(**changes):
                             vis=[["e1"]]), HistoryError, "vis"),
     (doc_to_schedule, _schedule_step(client=["A"]), ScheduleError, r"steps\[0\]: client"),
     (doc_to_schedule, _schedule_step(id=["e1"]), ScheduleError, r"steps\[0\]: obj and id"),
+    (doc_to_history, _fig3a_event(0, op={"kind": "append", "value": [1]}), HistoryError,
+     r"events\[0\]: op value"),
+    (doc_to_history, _fig3a_event(0, op={"kind": "append", "value": "1"}), HistoryError,
+     r"events\[0\]: op value"),
+    (doc_to_history, _fig3a_event(1, rval={"a": 1}), HistoryError, r"events\[1\]: rval"),
+    (doc_to_history, _fig3a_event(1, rval=[1, "2"]), HistoryError, r"events\[1\]: rval"),
+    (doc_to_history, _fig3a_event(0, fences=[["push"]]), HistoryError, r"events\[0\]: fences"),
 ], ids=["events-int", "session-int", "interval-one-bound", "id-list", "steps-int",
         "fences-null", "objects-int", "rt-pairs-int", "vis-short-pair", "client-list",
-        "step-id-list"])
+        "step-id-list", "op-value-list", "op-value-string", "rval-object",
+        "rval-mixed-list", "fences-nested-list"])
 def test_malformed_documents_name_the_field(parse, doc, error, field):
     with pytest.raises(error, match=field):
         parse(doc)
