@@ -28,6 +28,14 @@ monotone in vis: the least closure of the forced edges is contained in any
 witness, so rejecting a closure that breaks RETVAL or escapes the candidate
 arbitration rejects every witness over that arbitration.
 
+The decoded path searches arbitrations as prefixes (after Wing & Gong 1993
+and Lowe 2017): it places events one at a time, depth first, keeping the
+closure over the prefix, and cuts a branch whose closure has (a) a
+conflict, (b) a pair (x, y) with y placed and x not placed before y, or
+(c) an update outside an observer's decoded exact set visible to it.  A
+prefix's closure is contained in the closure over every completion, and
+each of (a)-(c), once true, stays true, so no accepting arbitration is cut.
+
 Enumerating update subsets only (when the semantics classifies operations)
 is justified by the read-only law: eval ignores read-only context entries,
 so visibility of read-only events never changes an rval.
@@ -162,33 +170,56 @@ class Derivation:
 
 
 class Closure:
-    """Least visibility relation containing the seed and closed under the
-    monotone laws, for one fixed arbitration.  Tracks a derivation per pair
-    so refutations can say which law forced an unwanted edge.
+    """Least visibility relation containing session order, the seed and the
+    pushed ground edges, closed under the monotone laws, over a prefix of an
+    arbitration.  A placed event's reflexive arbitration predecessors are
+    the prefix up to and including it; an unplaced event's are just itself.
+    With every event placed this is the least visibility over that
+    arbitration.  Over a shorter prefix it is contained in the closure over
+    every completion, since placing events only adds predecessors.  Tracks a
+    derivation per pair so refutations can say which law forced an
+    unwanted edge.
 
     conflict is set when a law demands a reflexive pair where the law's
-    right-hand side is vis rather than vis?; no execution over this
-    arbitration can satisfy the laws then.
+    right-hand side is vis rather than vis?; no execution over any
+    completion of the prefix can satisfy the laws then.
     """
 
-    def __init__(self, h: History, ar: TotalOrder):
+    def __init__(self, h: History, placed, seed):
         self.h = h
-        self.ar = ar
-        self.pairs: set[tuple[str, str]] = set()
-        self.why: dict[tuple[str, str], Derivation] = {}
+        self.placed: list[str] = list(placed)
+        self.pos = {a: i for i, a in enumerate(self.placed)}
+        self.why: dict[tuple[str, str], Derivation] = {}  # the pairs, with how
         self.conflict: str | None = None
-        ids = h.ids
-        pullers = h.pullers()
+        # per-history tables, shared by copies
+        pushers, pullers = h.pushers(), h.pullers()
         self._rt_pull_succ: dict[str, tuple[str, ...]] = {}
         for a, b in h.rt.pairs:
             if b in pullers:
                 self._rt_pull_succ.setdefault(a, ())
                 self._rt_pull_succ[a] += (b,)
-        self._so_succ = {i: tuple(sorted(h.so.successors(i))) for i in ids}
+        self._so_succ: dict[str, tuple[str, ...]] = {}
+        for a, b in sorted(h.so.pairs):
+            self._so_succ[a] = self._so_succ.get(a, ()) + (b,)
+        # ar? ; (rt? & EPush x EPull) <= vis?: ground, independent of vis
+        base = {p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers}
+        base |= {(e, e) for e in pushers & pullers}
+        self._pushed: dict[str, tuple[str, ...]] = {}  # by source
+        for a, b in sorted(base):
+            self._pushed[a] = self._pushed.get(a, ()) + (b,)
+        for rule, pairs in (("session-order", h.so.pairs), ("seed", seed)):
+            for a, b in sorted(pairs):
+                self.add(a, b, rule)
+        for a, targets in self._pushed.items():
+            for b in targets:
+                for c in self._ar_preds_refl(a):
+                    if c != b:
+                        self.add(c, b, "pushed-visibility", (a, b))
+        self.close(sorted(self.why))
 
     def _ar_preds_refl(self, a: str) -> list[str]:
-        pos = self.ar.position(a)
-        return list(self.ar.sequence[: pos + 1])
+        i = self.pos.get(a)
+        return [a] if i is None else self.placed[: i + 1]
 
     def add(self, a: str, b: str, rule: str, via=None) -> bool:
         if a == b:
@@ -196,30 +227,32 @@ class Closure:
                 self.conflict = (f"law {rule} forces {a} to observe itself "
                                  f"(via {via})")
             return False
-        if (a, b) in self.pairs:
+        if (a, b) in self.why:
             return False
-        self.pairs.add((a, b))
         self.why[(a, b)] = Derivation(rule, via)
         return True
 
-    def seed(self, pairs, rule: str) -> None:
-        for a, b in sorted(pairs):
-            self.add(a, b, rule)
+    def copy(self) -> "Closure":
+        new = object.__new__(Closure)
+        new.__dict__.update(self.__dict__)
+        new.placed, new.pos, new.why = self.placed[:], self.pos.copy(), self.why.copy()
+        return new
 
-    def seed_pushed(self) -> None:
-        # ar? ; (rt? & EPush x EPull) <= vis?: ground, independent of vis
-        h = self.h
-        base = set(p for p in h.rt.pairs
-                   if p[0] in h.pushers() and p[1] in h.pullers())
-        base |= {(e, e) for e in h.pushers() & h.pullers()}
-        for a, b in sorted(base):
-            for c in self._ar_preds_refl(a):
-                if c != b:
-                    self.add(c, b, "pushed-visibility", (a, b))
+    def place(self, a: str) -> None:
+        """Append a to the arbitration prefix and close again.  Only the
+        rules that read a's arbitration predecessors fire anew: the pushed
+        ground pairs from a, and observed visibility on the pairs from a."""
+        self.pos[a] = len(self.placed)
+        self.placed.append(a)
+        queue = [p for p in self.why if p[0] == a]
+        for b in self._pushed.get(a, ()):
+            for c in self.placed:
+                if c != b and self.add(c, b, "pushed-visibility", (a, b)):
+                    queue.append((c, b))
+        self.close(queue)
 
-    def close(self) -> None:
+    def close(self, queue: list[tuple[str, str]]) -> None:
         so_pairs = self.h.so.pairs
-        queue = list(sorted(self.pairs))
         while queue and self.conflict is None:
             a, b = queue.pop()
             for c in self._so_succ.get(b, ()):
@@ -239,7 +272,7 @@ class Closure:
                                 return
 
     def relation(self) -> Relation:
-        return Relation(self.h.ids, frozenset(self.pairs))
+        return Relation(self.h.ids, frozenset(self.why))
 
     def chain(self, pair: tuple[str, str]) -> list[str]:
         """Narrate how a pair was derived, walking via-links back to seeds."""
@@ -264,12 +297,7 @@ def minimal_visibility(h: History, ar: TotalOrder,
                        seed: Relation | None = None) -> tuple[Relation, Closure]:
     """Least visibility over a fixed arbitration: session order, the pushed
     ground edges, plus the optional seed, closed under the monotone laws."""
-    cl = Closure(h, ar)
-    cl.seed(h.so.pairs, "session-order")
-    if seed is not None:
-        cl.seed(seed.pairs, "seed")
-    cl.seed_pushed()
-    cl.close()
+    cl = Closure(h, ar.sequence, frozenset() if seed is None else seed.pairs)
     return cl.relation(), cl
 
 
@@ -391,8 +419,9 @@ def _required_ar_seed(h: History, decoded: DecodedConstraints | None
     for p in h.so.pairs:
         pairs.add(p)
         labels.setdefault(p, "session order")
+    pushers = h.pushers()
     for p in h.rt.pairs:
-        if p[0] in h.pushers():
+        if p[0] in pushers:
             pairs.add(p)
             labels.setdefault(p, "pushed before in real time (PUSHEDAR)")
     if decoded is not None:
@@ -447,6 +476,56 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
     return None, f"ar {list(ar.sequence)}: laws violated: {names}"
 
 
+def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
+                   exact: dict[str, frozenset[str]], semantics: ObjectSemantics,
+                   stats: dict) -> AbstractExecution | None:
+    """The witness over the lexicographically least accepting linear
+    extension of seed_ar, or None.  Places events one at a time, depth
+    first in lexicographic order, and cuts a prefix whose closure has a
+    conflict, a pair (x, y) with y placed and x not placed before it, or an
+    update an observer must not see.  Each of these stays true in the
+    closure of every completion, so no accepting arbitration is cut."""
+    by_id = h.by_id
+    order = sorted(h.ids)
+    preds: dict[str, set[str]] = {a: set() for a in order}
+    for a, b in seed_ar.pairs:
+        if a != b:
+            preds[b].add(a)
+    # (update, observer) pairs the observer's rval rules out
+    hidden = frozenset(
+        (e.id, obs) for obs, want in exact.items() for e in h.events
+        if e.obj == by_id[obs].obj and semantics.is_update(e.op) and e.id not in want)
+
+    def refuted(cl: Closure) -> bool:
+        if cl.conflict or not hidden.isdisjoint(cl.why):
+            return True
+        pos = cl.pos
+        for x, y in cl.why:
+            py = pos.get(y)
+            if py is not None and pos.get(x, py) >= py:  # unplaced x: not before
+                return True
+        return False
+
+    def search(cl: Closure) -> AbstractExecution | None:
+        if refuted(cl):
+            stats["prunes"] += 1
+            return None
+        if len(cl.placed) == len(order):
+            stats["ars_tried"] += 1
+            return _try_ar(h, TotalOrder(tuple(cl.placed)), seed_vis, exact,
+                           semantics, stats)[0]
+        for a in order:
+            if a not in cl.pos and all(p in cl.pos for p in preds[a]):
+                child = cl.copy()
+                child.place(a)
+                witness = search(child)
+                if witness is not None:
+                    return witness
+        return None
+
+    return search(Closure(h, (), seed_vis))
+
+
 def _candidate_sets(h: History, ar: TotalOrder, e: Event,
                     semantics: ObjectSemantics) -> list[frozenset[str]]:
     """Visible-update candidates for one observer under a fixed arbitration:
@@ -482,6 +561,17 @@ def is_gsc(h: History, semantics: ObjectSemantics,
     sets are enumerated per context-sensitive event.  The witness, when one
     exists, uses the lexicographically least accepting arbitration and the
     least visibility over it.
+
+    The fast path walks the linear extensions of the forced arbitration
+    order as a depth-first prefix search in lexicographic order.  It cuts a
+    prefix whose closure has a conflict, a visibility pair into a placed
+    event from one not placed before it, or an update an observer's rval
+    says it must not see; each stays true in every completion's closure, so
+    no accepting arbitration is lost.  Only full arbitrations get the
+    literal law check.  A non-member's refutations narrate the first
+    MAX_REFUTATIONS linear extensions.  stats: ars_tried counts the full
+    arbitrations reached, prunes the cut prefixes, closures every closure
+    checked in full, the narrated ones included.
     """
     problems = validate_history(h)
     if problems:
@@ -490,7 +580,8 @@ def is_gsc(h: History, semantics: ObjectSemantics,
         raise HistoryError(
             f"history has {len(h.events)} events, over the cap {max_events}; "
             f"raise max_events explicitly for larger inputs")
-    stats: dict = {"ars_tried": 0, "closures": 0, "assignments_tried": 0}
+    stats: dict = {"ars_tried": 0, "closures": 0, "assignments_tried": 0,
+                   "prunes": 0}
     refutations: list[str] = []
 
     decoded = decoded_visibility(h, semantics)
@@ -512,13 +603,11 @@ def is_gsc(h: History, semantics: ObjectSemantics,
         if not seed_ar.is_acyclic():
             refutations.append(_find_cycle_text(h, seed_ar, labels))
             return MembershipResult(False, None, "decoded", stats, tuple(refutations))
-        for ar in linear_extensions(seed_ar):
-            stats["ars_tried"] += 1
-            witness, refutation = _try_ar(h, ar, seed_vis, exact, semantics, stats)
-            if witness is not None:
-                return MembershipResult(True, witness, "decoded", stats)
-            if len(refutations) < MAX_REFUTATIONS:
-                refutations.append(refutation)
+        witness = _prefix_search(h, seed_ar, seed_vis, exact, semantics, stats)
+        if witness is not None:
+            return MembershipResult(True, witness, "decoded", stats)
+        for ar in itertools.islice(linear_extensions(seed_ar), MAX_REFUTATIONS):
+            refutations.append(_try_ar(h, ar, seed_vis, exact, semantics, stats)[1])
         return MembershipResult(False, None, "decoded", stats, tuple(refutations))
 
     # enumerative path: search arbitrations, then exact visible-update sets

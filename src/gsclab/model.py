@@ -11,6 +11,7 @@ arbitration (the order the shared log ends up in).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .relations import Relation, TotalOrder
@@ -128,6 +129,11 @@ class History:
     def pullers(self) -> frozenset[str]:
         return frozenset(e.id for e in self.events if PULL in e.fences)
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        # cached_property writes the instance dict, which frozen allows
+        return tuple(_check_structure(self))
+
     def renamed(self, mapping: Mapping[str, str]) -> "History":
         """Rename event ids (bijectively) without touching anything else."""
         if sorted(mapping) != sorted(self.ids) or len(set(mapping.values())) != len(mapping):
@@ -190,7 +196,12 @@ def make_history(
 
 
 def validate_history(h: History) -> list[str]:
-    """Structural checks; returns human-readable violations (empty = valid)."""
+    """Structural checks; returns human-readable violations (empty = valid).
+    The checks run once per history; each call returns a fresh list."""
+    return list(h._violations)
+
+
+def _check_structure(h: History) -> list[str]:
     out: list[str] = []
     ids = [e.id for e in h.events]
     if len(ids) != len(set(ids)):

@@ -215,7 +215,10 @@ def step(world: World, token: Token, semantics: ObjectSemantics
     ScheduleError for a malformed token and for a disabled transition,
     including a client's push or pull while it has an open event."""
     c = token.client
-    st = world.client(c)
+    try:
+        st = world.client(c)
+    except KeyError:
+        raise ScheduleError(f"{token.kind}({c}): unknown client") from None
     if token.kind in ("push", "pull"):
         if st.frame is not None:
             raise ScheduleError(f"{token.kind}({c}) between call and ret")
@@ -340,18 +343,19 @@ def extract_execution(run: SimRun) -> AbstractExecution:
 
 def flush_suffix(world: World) -> list[Token]:
     """Tokens that drive a world to quiescence: round-robin pushes over the
-    sorted clients (FIFO within each), then pulls client by client."""
+    sorted clients (FIFO within each), then pulls client by client.  Tokens
+    are frozen, so one push and one pull per client is repeated."""
     out: list[Token] = []
     pend = {c: len(st.pending) for c, st in world.clients}
+    pushes = {c: push(c) for c in pend}
     while any(pend.values()):
         for c in sorted(pend):
             if pend[c]:
-                out.append(push(c))
+                out.append(pushes[c])
                 pend[c] -= 1
     total = len(world.server) + sum(len(st.pending) for _, st in world.clients)
     for c, st in world.clients:
-        for _ in range(total - st.known_len):
-            out.append(pull(c))
+        out.extend([pull(c)] * (total - st.known_len))
     return out
 
 

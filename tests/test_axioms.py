@@ -3,6 +3,7 @@ deliberately broken executions, the frozen verdict table over all fence
 presets, refutation narratives, and fast-vs-enumerative agreement."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -25,8 +26,14 @@ from gsclab import (
     is_gsc,
     make_history,
     minimal_visibility,
+    project,
+    validate_history,
 )
+from gsclab import axioms
 from gsclab.fixtures import fig3a_pull_variant, fig3b_push_variant, fig3c_fence_variant
+from gsclab.generators import random_well_fenced_run
+from gsclab.model import MODELS
+from gsclab.relations import linear_extensions
 
 
 def three_singletons(vis_pairs, ar_seq, fences=None, rvals=None, kinds=None):
@@ -280,3 +287,115 @@ def test_witnesses_satisfy_transitivity_and_joint_acyclicity(sem):
         vis = x.vis
         assert vis.compose(vis).pairs <= vis.pairs
         assert (vis | x.history.rt).is_acyclic()
+
+
+# -- membership: the pruned arbitration search -----------------------------------
+
+
+def exhaustive_decoded(h, sem):
+    """The decoded search without pruning, as a reference: every linear
+    extension of the forced arbitration order in lexicographic order, each
+    closed from scratch.  None when is_gsc does not reach that search."""
+    decoded = axioms.decoded_visibility(h, sem)
+    if (decoded is None or decoded.unattainable or decoded.ambiguous
+            or not sem.rval_determines_visibility):
+        return None
+    seed_ar, _ = axioms._required_ar_seed(h, decoded)
+    if not seed_ar.is_acyclic():
+        return None
+    refutations = []
+    for ar in linear_extensions(seed_ar):
+        witness, refutation = axioms._try_ar(h, ar, decoded.edges, decoded.exact_map(),
+                                             sem, {})
+        if witness is not None:
+            return True, witness, ()
+        if len(refutations) < axioms.MAX_REFUTATIONS:
+            refutations.append(refutation)
+    return False, None, tuple(refutations)
+
+
+def adversarial(events):
+    """events - 2 concurrent unfenced appends, one per session, plus a
+    session reading ->(1,) then ->(2,): MONOTONICVIEW makes the second read
+    see the append of 1, so no arbitration works."""
+    k = events - 2
+    evs = [Event(f"P{i}:0", f"P{i}", "x", Op("append", i + 1), None) for i in range(k)]
+    evs += [Event("R:0", "R", "x", Op("read"), (1,)), Event("R:1", "R", "x", Op("read"), (2,))]
+    sessions = {f"P{i}": [f"P{i}:0"] for i in range(k)}
+    sessions["R"] = ["R:0", "R:1"]
+    ids = frozenset(e.id for e in evs)
+    return make_history(evs, sessions, Relation(ids, frozenset({("R:0", "R:1")})))
+
+
+def walk_histories(sem, runs, seed=3):
+    """Three-client simulator walks under the lin, osc, tso and dual_tso
+    presets, each with its per-object projections."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(runs):
+        h, _ = random_well_fenced_run(rng, sem, clients=3, max_ops=3)
+        for preset in ("lin", "osc", "tso", "dual_tso"):
+            hp = apply_fence_preset(h, preset, sem)
+            out.append(hp)
+            if len(hp.objects()) == 2:
+                out.extend(project(hp, obj) for obj in hp.objects())
+    return out
+
+
+def test_pruned_search_matches_exhaustive_reference(sem):
+    histories = [apply_fence_preset(f.history, m, sem)
+                 for f in all_fixtures() for m in MODELS]
+    histories += walk_histories(sem, 150)
+    histories += [adversarial(n) for n in (6, 7, 8)]
+    compared = members = 0
+    for h in histories:
+        want = exhaustive_decoded(h, sem)
+        if want is None:
+            continue
+        got = is_gsc(h, sem)
+        compared += 1
+        members += got.member
+        assert got.method == "decoded"
+        assert (got.member, got.refutations) == (want[0], want[2])
+        if got.member:
+            assert got.witness.ar == want[1].ar
+            assert got.witness.vis == want[1].vis
+    assert compared > 1000 and 0 < members < compared
+
+
+def test_prefix_closure_inside_every_completion(sem):
+    histories = [fixture(n).history for n in ("fig3a", "fig3c", "fig5")]
+    histories += walk_histories(sem, 6, seed=4)
+    for h in histories:
+        decoded = axioms.decoded_visibility(h, sem)
+        seed_ar, _ = axioms._required_ar_seed(h, decoded)
+        for ar in linear_extensions(seed_ar):
+            full, full_cl = minimal_visibility(h, ar, Relation(h.ids, decoded.edges))
+            cl = axioms.Closure(h, (), decoded.edges)
+            for a in ar.sequence:
+                assert set(cl.why) <= full.pairs or full_cl.conflict
+                assert not cl.conflict or full_cl.conflict
+                cl = cl.copy()
+                cl.place(a)
+            # placing every event one at a time reaches the same closure
+            assert bool(cl.conflict) == bool(full_cl.conflict)
+            if not cl.conflict:
+                assert frozenset(cl.why) == full.pairs
+
+
+@pytest.mark.parametrize("events", [9, 10, 12])
+def test_adversarial_family_refuted_before_any_arbitration(sem, events):
+    res = is_gsc(adversarial(events), sem, max_events=12)
+    assert not res.member
+    assert res.stats["ars_tried"] == 0 and res.stats["prunes"] >= 1
+    assert len(res.refutations) == axioms.MAX_REFUTATIONS
+
+
+def test_structural_violations_repeat_on_the_same_history(sem):
+    w = fixture("fig3a").witness
+    back = Relation.from_pairs(w.history.ids, [("e2", "e1")])
+    bad = AbstractExecution(w.history, w.vis | back, w.ar)
+    first = bad.structural_violations()
+    assert first and first == bad.structural_violations()
+    assert validate_history(w.history) == []
+    assert validate_history(w.history) is not validate_history(w.history)

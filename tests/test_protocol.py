@@ -124,6 +124,13 @@ def test_step_rejects_fence_tokens_inside_exec(sem):
             step(world, token, sem)
 
 
+def test_step_rejects_unknown_client(sem):
+    world = World.initial(["a"])
+    for token in (push("b"), pull("b"), call("b", "x", Op("read")), body("b"), ret("b")):
+        with pytest.raises(ScheduleError, match=rf"{token.kind}\(b\): unknown client"):
+            step(world, token, sem)
+
+
 def test_call_assigns_sequential_ids(sem):
     run = run_to_quiescence(Schedule(tuple(
         exec_tokens("a", "x", Op("append", 1)) + exec_tokens("a", "x", Op("read"))
@@ -219,6 +226,8 @@ def test_flush_suffix_reaches_quiescence(sem):
     )), sem)
     assert not base.world.quiescent()
     world = base.world
+    assert flush_suffix(world) == [push("a"), push("b"), pull("a"), pull("a"),
+                                   pull("b"), pull("b")]
     for token in flush_suffix(world):
         world, _ = step(world, token, sem)
     assert world.quiescent()
