@@ -35,6 +35,14 @@ conflict, (b) a pair (x, y) with y placed and x not placed before y, or
 (c) an update outside an observer's decoded exact set visible to it.  A
 prefix's closure is contained in the closure over every completion, and
 each of (a)-(c), once true, stays true, so no accepting arbitration is cut.
+A full arbitration that none of them cuts keeps the closure the search
+built: with every event placed it is the least visibility over that
+arbitration, (b) puts it inside arbitration and (c) with the seed gives each
+observer exactly its decoded updates, so only the laws are checked there.
+
+check_axioms decides each law's inclusion pair by pair over tables built
+once per call (arbitration positions, visibility predecessors, session and
+real-time successors) instead of composing relations.
 
 Enumerating update subsets only (when the semantics classifies operations)
 is justified by the read-only law: eval ignores read-only context entries,
@@ -98,61 +106,103 @@ class AxiomReport:
         raise KeyError(name)
 
 
+def _context(e: Event, preds, by_id: dict[str, Event], position) -> tuple[Event, ...]:
+    """e's same-object events among preds (its visibility predecessors),
+    sorted by arbitration position."""
+    same = [by_id[a] for a in preds if by_id[a].obj == e.obj]
+    same.sort(key=lambda ev: position(ev.id))
+    return tuple(same)
+
+
 def evaluation_context(x: AbstractExecution, event_id: str) -> tuple[Event, ...]:
     """The same-object visibility predecessors of an event, in arbitration
     order.  RETVAL evaluates the event's operation against exactly this."""
-    e = x.history.by_id[event_id]
-    pred = x.vis.predecessors(event_id)
-    same = [x.history.by_id[a] for a in pred if x.history.by_id[a].obj == e.obj]
-    same.sort(key=lambda ev: x.ar.position(ev.id))
-    return tuple(same)
+    by_id = x.history.by_id
+    return _context(by_id[event_id], x.vis.predecessors(event_id), by_id,
+                    x.ar.position)
 
 
 def _limit(pairs, n=4):
     return tuple(sorted(pairs))[:n]
 
 
+def _successors(pairs) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return out
+
+
+def _unseen(reach: dict[str, int], seq, vis) -> set[tuple[str, str]]:
+    """The pairs (a, b) outside vis with a at or before position reach[b]
+    of the arbitration seq."""
+    return {(a, b) for b, i in reach.items() for a in seq[: i + 1] if (a, b) not in vis}
+
+
 def check_axioms(x: AbstractExecution, semantics: ObjectSemantics) -> AxiomReport:
-    """Evaluate all eight laws literally against a concrete execution."""
+    """Evaluate all eight laws against a concrete execution.  Each law's
+    relational inclusion is checked pair by pair over tables built once per
+    call: arbitration positions, visibility predecessors, session and
+    real-time successors."""
     structural = tuple(x.structural_violations())
     if structural:
         return AxiomReport((), structural)
     h = x.history
-    ids = h.ids
-    vis, so, rt = x.vis, h.so, h.rt
-    ar_rel = x.ar.as_relation()
-    ar_refl = ar_rel.reflexive()
+    by_id = h.by_id
+    seq = x.ar.sequence
+    pos = {a: i for i, a in enumerate(seq)}
+    vis, so, rt = x.vis.pairs, h.so.pairs, h.rt.pairs
     pushers, pullers = h.pushers(), h.pullers()
+    preds: dict[str, list[str]] = {e.id: [] for e in h.events}
+    for a, b in vis:
+        preds[b].append(a)
+    so_succ, rt_succ = _successors(so), _successors(rt)
+    rt_pull_succ = _successors(p for p in rt if p[1] in pullers)
+    vis_not_so = [p for p in vis if p not in so]
     verdicts = []
 
     bad = []
     for e in h.events:
-        ctx = tuple(ev.op for ev in evaluation_context(x, e.id))
-        if semantics.eval(ctx, e.op) != e.rval:
-            bad.append((e.id, semantics.eval(ctx, e.op)))
+        ctx = tuple(ev.op for ev in _context(e, preds[e.id], by_id, pos.__getitem__))
+        got = semantics.eval(ctx, e.op)
+        if got != e.rval:
+            bad.append((e.id, got))
     verdicts.append(AxiomVerdict("RETVAL", not bad, _limit(bad),
                                  "rval must equal eval over visible same-object context"))
 
-    missing = so.pairs - vis.pairs
+    missing = so - vis
     verdicts.append(AxiomVerdict("RYW", not missing, _limit(missing)))
 
-    missing = vis.compose(so).pairs - vis.pairs
+    # vis ; so <= vis
+    missing = {(a, c) for a, b in vis for c in so_succ.get(b, ()) if (a, c) not in vis}
     verdicts.append(AxiomVerdict("MONOTONICVIEW", not missing, _limit(missing)))
 
-    rt_pull = Relation(ids, frozenset(p for p in rt.pairs if p[1] in pullers))
-    lhs = ar_refl.compose(vis - so).compose(rt_pull.reflexive())
-    missing = lhs.pairs - vis.pairs
+    # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis: for (a, b) in vis \ so,
+    # the arbitration prefix up to a must see b and b's pulling rt successors
+    reach: dict[str, int] = {}
+    for a, b in vis_not_so:
+        for right in (b, *rt_pull_succ.get(b, ())):
+            if pos[a] > reach.get(right, -1):
+                reach[right] = pos[a]
+    missing = _unseen(reach, seq, vis)
     verdicts.append(AxiomVerdict("OBSERVEDVIS", not missing, _limit(missing)))
 
-    push_pull = rt.reflexive() & Relation.product(ids, pushers, pullers)
-    lhs = ar_refl.compose(push_pull)
-    missing = frozenset(p for p in lhs.pairs if p[0] != p[1]) - vis.pairs
+    # ar? ; (rt? & EPush x EPull) <= vis?: a puller b must see every other
+    # event up to the last-arbitrated pusher at or rt-before it
+    reach = {b: pos[b] for b in pushers & pullers}
+    for a, b in rt:
+        if a in pushers and b in pullers and pos[a] > reach.get(b, -1):
+            reach[b] = pos[a]
+    missing = {p for p in _unseen(reach, seq, vis) if p[0] != p[1]}
     verdicts.append(AxiomVerdict("PUSHEDVIS", not missing, _limit(missing)))
 
-    missing = (vis - so).compose(rt).pairs - ar_rel.pairs
+    # (vis \ so) ; rt <= ar
+    missing = {(a, c) for a, b in vis_not_so for c in rt_succ.get(b, ())
+               if pos[a] >= pos[c]}
     verdicts.append(AxiomVerdict("OBSERVEDAR", not missing, _limit(missing)))
 
-    missing = frozenset(p for p in rt.pairs if p[0] in pushers) - ar_rel.pairs
+    # rt & (EPush x E) <= ar
+    missing = {(a, b) for a, b in rt if a in pushers and pos[a] >= pos[b]}
     verdicts.append(AxiomVerdict("PUSHEDAR", not missing, _limit(missing)))
 
     verdicts.append(AxiomVerdict("EVENTUAL", True, (),
@@ -193,20 +243,12 @@ class Closure:
         self.conflict: str | None = None
         # per-history tables, shared by copies
         pushers, pullers = h.pushers(), h.pullers()
-        self._rt_pull_succ: dict[str, tuple[str, ...]] = {}
-        for a, b in h.rt.pairs:
-            if b in pullers:
-                self._rt_pull_succ.setdefault(a, ())
-                self._rt_pull_succ[a] += (b,)
-        self._so_succ: dict[str, tuple[str, ...]] = {}
-        for a, b in sorted(h.so.pairs):
-            self._so_succ[a] = self._so_succ.get(a, ()) + (b,)
+        self._rt_pull_succ = _successors(p for p in h.rt.pairs if p[1] in pullers)
+        self._so_succ = _successors(sorted(h.so.pairs))
         # ar? ; (rt? & EPush x EPull) <= vis?: ground, independent of vis
         base = {p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers}
         base |= {(e, e) for e in pushers & pullers}
-        self._pushed: dict[str, tuple[str, ...]] = {}  # by source
-        for a, b in sorted(base):
-            self._pushed[a] = self._pushed.get(a, ()) + (b,)
+        self._pushed = _successors(sorted(base))  # by source
         for rule, pairs in (("session-order", h.so.pairs), ("seed", seed)):
             for a, b in sorted(pairs):
                 self.add(a, b, rule)
@@ -262,7 +304,7 @@ class Closure:
                     return
             if (a, b) not in so_pairs:
                 # ar? ; {(a, b)} ; (rt & E x EPull)? <= vis
-                rights = (b,) + self._rt_pull_succ.get(b, ())
+                rights = (b, *self._rt_pull_succ.get(b, ()))
                 for left in self._ar_preds_refl(a):
                     for right in rights:
                         if (left, right) != (a, b):
@@ -511,9 +553,12 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
             stats["prunes"] += 1
             return None
         if len(cl.placed) == len(order):
+            # Not refuted with every event placed: no conflict, vis <= ar by
+            # (b), and each observer sees exactly its decoded updates by (c)
+            # and the seed, so only the laws are left to check.
             stats["ars_tried"] += 1
-            return _try_ar(h, TotalOrder(tuple(cl.placed)), seed_vis, exact,
-                           semantics, stats)[0]
+            x = AbstractExecution(h, cl.relation(), TotalOrder(tuple(cl.placed)))
+            return x if check_axioms(x, semantics).ok else None
         for a in order:
             if a not in cl.pos and all(p in cl.pos for p in preds[a]):
                 child = cl.copy()
@@ -567,11 +612,14 @@ def is_gsc(h: History, semantics: ObjectSemantics,
     prefix whose closure has a conflict, a visibility pair into a placed
     event from one not placed before it, or an update an observer's rval
     says it must not see; each stays true in every completion's closure, so
-    no accepting arbitration is lost.  Only full arbitrations get the
-    literal law check.  A non-member's refutations narrate the first
-    MAX_REFUTATIONS linear extensions.  stats: ars_tried counts the full
-    arbitrations reached, prunes the cut prefixes, closures every closure
-    checked in full, the narrated ones included.
+    no accepting arbitration is lost.  A full arbitration reached keeps the
+    search's closure as its visibility and gets only the law check.  A
+    non-member's refutations narrate the first MAX_REFUTATIONS linear
+    extensions, each closed afresh.  stats: ars_tried counts the full
+    arbitrations reached, prunes the cut prefixes, closures the closures
+    built from scratch for one arbitration (the narrated refutations and
+    the enumerative path; the decoded search builds none), and
+    assignments_tried the enumerative visible-update choices.
     """
     problems = validate_history(h)
     if problems:

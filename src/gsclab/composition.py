@@ -107,7 +107,8 @@ def arbitration_constraints(
     """Everything the axioms force into global arbitration: pushed real-time
     edges, session order, the per-object arbitrations, observed-then-finished
     edges, and the precedence guard."""
-    rt_pushed = Relation(h.ids, frozenset(p for p in h.rt.pairs if p[0] in h.pushers()))
+    pushers = h.pushers()
+    rt_pushed = Relation(h.ids, frozenset(p for p in h.rt.pairs if p[0] in pushers))
     return rt_pushed | h.so | ar0 | (vis0 - h.so).compose(h.rt) | prec
 
 

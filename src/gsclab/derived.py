@@ -61,6 +61,9 @@ def _prefix_search(h: History, semantics: ObjectSemantics, base: Relation) -> To
     order: list[str] = []
     placed: set[str] = set()
     prefix_ops: dict[str, list] = {}
+    preds: dict[str, list[str]] = {eid: [] for eid in ids}
+    for a, b in base.pairs:
+        preds[b].append(a)
 
     def feasible(eid: str) -> bool:
         e = events[eid]
@@ -73,7 +76,7 @@ def _prefix_search(h: History, semantics: ObjectSemantics, base: Relation) -> To
         for eid in ids:
             if eid in placed:
                 continue
-            if any(p not in placed for p in base.predecessors(eid)):
+            if any(p not in placed for p in preds[eid]):
                 continue
             if not feasible(eid):
                 continue

@@ -165,16 +165,17 @@ class Relation:
         """Strict partial order where e1Re2 and f1Rf2 imply e1Rf2 or f1Re2.
 
         Equivalently: no induced 2+2 (two disjoint comparable pairs with no
-        cross edge in either direction).
+        cross edge in either direction), or again: the down-sets of the
+        elements form a chain under inclusion (Fishburn 1970).  A 2+2 is
+        exactly two down-sets, of e2 and of f2, neither inside the other.
         """
         if not self.is_strict_partial_order():
             return False
-        ps = list(self.pairs)
-        for e1, e2 in ps:
-            for f1, f2 in ps:
-                if (e1, f2) not in self.pairs and (f1, e2) not in self.pairs:
-                    return False
-        return True
+        down: dict[str, set[str]] = {a: set() for a in self.domain}
+        for a, b in self.pairs:
+            down[b].add(a)
+        chain = sorted(down.values(), key=len)
+        return all(s <= t for s, t in zip(chain, chain[1:]))
 
     # -- views -------------------------------------------------------------
 

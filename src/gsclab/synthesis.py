@@ -83,9 +83,10 @@ def body_order(x: AbstractExecution, prec: Relation | None = None) -> TotalOrder
     means the witness is invalid."""
     h = x.history
     lt = scheduling_precedence(x) if prec is None else prec
+    pushers = h.pushers()
     ar_push = Relation(
         h.ids,
-        frozenset(p for p in x.ar.as_relation().pairs if p[1] in h.pushers()),
+        frozenset(p for p in x.ar.as_relation().pairs if p[1] in pushers),
     )
     q_rel = h.rt | x.vis | ar_push | lt
     try:

@@ -1,9 +1,15 @@
 """Law checker and membership tests: per-law verdicts on known-good and
 deliberately broken executions, the frozen verdict table over all fence
-presets, refutation narratives, and fast-vs-enumerative agreement."""
+presets, refutation narratives, fast-vs-enumerative agreement, the law
+check against its literal relational definition, and verdicts that do not
+depend on the hash seed."""
 
 import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -33,7 +39,7 @@ from gsclab import axioms
 from gsclab.fixtures import fig3a_pull_variant, fig3b_push_variant, fig3c_fence_variant
 from gsclab.generators import random_well_fenced_run
 from gsclab.model import MODELS
-from gsclab.relations import linear_extensions
+from gsclab.relations import extend_to_total, linear_extensions
 
 
 def three_singletons(vis_pairs, ar_seq, fences=None, rvals=None, kinds=None):
@@ -399,3 +405,161 @@ def test_structural_violations_repeat_on_the_same_history(sem):
     assert first and first == bad.structural_violations()
     assert validate_history(w.history) == []
     assert validate_history(w.history) is not validate_history(w.history)
+
+
+# -- the law check against its literal relational definition ---------------------
+
+
+def reference_structural(x):
+    """AbstractExecution.structural_violations, literally."""
+    out = validate_history(x.history)
+    ids = x.history.ids
+    if x.vis.domain != ids:
+        return out + ["vis domain differs from the event set"]
+    if frozenset(x.ar.sequence) != ids:
+        return out + ["ar does not enumerate the event set"]
+    if not x.vis.is_acyclic():
+        out.append("vis cyclic")
+    extra = x.vis.pairs - x.ar.as_relation().pairs
+    if extra:
+        a, b = min(extra)
+        out.append(f"vis not contained in ar: ({a}, {b})")
+    return out
+
+
+def reference_check_axioms(x, semantics):
+    """check_axioms as relational algebra over Relation, law by law."""
+    structural = tuple(reference_structural(x))
+    if structural:
+        return axioms.AxiomReport((), structural)
+    h = x.history
+    ids, by_id = h.ids, h.by_id
+    vis, so, rt = x.vis, h.so, h.rt
+    ar_rel = x.ar.as_relation()
+    ar_refl = ar_rel.reflexive()
+    pushers, pullers = h.pushers(), h.pullers()
+    limit = axioms._limit
+    verdicts = []
+
+    bad = []
+    for e in h.events:
+        same = [by_id[a] for a in vis.predecessors(e.id) if by_id[a].obj == e.obj]
+        same.sort(key=lambda ev: x.ar.position(ev.id))
+        ctx = tuple(ev.op for ev in same)
+        if semantics.eval(ctx, e.op) != e.rval:
+            bad.append((e.id, semantics.eval(ctx, e.op)))
+    verdicts.append(axioms.AxiomVerdict(
+        "RETVAL", not bad, limit(bad), "rval must equal eval over visible same-object context"))
+
+    missing = so.pairs - vis.pairs
+    verdicts.append(axioms.AxiomVerdict("RYW", not missing, limit(missing)))
+
+    missing = vis.compose(so).pairs - vis.pairs
+    verdicts.append(axioms.AxiomVerdict("MONOTONICVIEW", not missing, limit(missing)))
+
+    rt_pull = Relation(ids, frozenset(p for p in rt.pairs if p[1] in pullers))
+    lhs = ar_refl.compose(vis - so).compose(rt_pull.reflexive())
+    missing = lhs.pairs - vis.pairs
+    verdicts.append(axioms.AxiomVerdict("OBSERVEDVIS", not missing, limit(missing)))
+
+    push_pull = rt.reflexive() & Relation.product(ids, pushers, pullers)
+    lhs = ar_refl.compose(push_pull)
+    missing = frozenset(p for p in lhs.pairs if p[0] != p[1]) - vis.pairs
+    verdicts.append(axioms.AxiomVerdict("PUSHEDVIS", not missing, limit(missing)))
+
+    missing = (vis - so).compose(rt).pairs - ar_rel.pairs
+    verdicts.append(axioms.AxiomVerdict("OBSERVEDAR", not missing, limit(missing)))
+
+    missing = frozenset(p for p in rt.pairs if p[0] in pushers) - ar_rel.pairs
+    verdicts.append(axioms.AxiomVerdict("PUSHEDAR", not missing, limit(missing)))
+
+    verdicts.append(axioms.AxiomVerdict("EVENTUAL", True, (),
+                                        "vacuously true: histories here are finite"))
+    return axioms.AxiomReport(tuple(verdicts))
+
+
+def perturbed(x, rng):
+    """x with visibility pairs dropped, with pairs added forward in
+    arbitration, with arbitrary pairs added (cycles included), under another
+    linear extension of visibility, and under a shuffled arbitration.  Every
+    draw is from a sorted list, so the inputs do not depend on hash order."""
+    h, ids = x.history, sorted(x.history.ids)
+    vis = sorted(x.vis.pairs)
+    every = [(a, b) for a in ids for b in ids]
+    forward = [(a, b) for a, b in every if x.ar.before(a, b) and (a, b) not in x.vis]
+    out = []
+    if vis:
+        dropped = set(rng.sample(vis, rng.randint(1, min(3, len(vis)))))
+        out.append(Relation(h.ids, frozenset(p for p in vis if p not in dropped)))
+    if forward:
+        out.append(x.vis | Relation(h.ids, frozenset(rng.sample(forward, min(2, len(forward))))))
+    out.append(x.vis | Relation(h.ids, frozenset(rng.sample(every, 2))))
+    out = [AbstractExecution(h, v, x.ar) for v in out]
+    out.append(AbstractExecution(h, x.vis, extend_to_total(x.vis, rng.sample(ids, len(ids)))))
+    out.append(AbstractExecution(h, x.vis, TotalOrder(tuple(rng.sample(ids, len(ids))))))
+    return out
+
+
+def oracle_executions(sem):
+    base = []
+    for f in all_fixtures():
+        for m in MODELS:
+            hp = apply_fence_preset(f.history, m, sem)
+            res = is_gsc(hp, sem)
+            if res.member:
+                base.append(res.witness)
+            if f.witness is not None:
+                base.append(AbstractExecution(hp, f.witness.vis, f.witness.ar))
+    rng = random.Random(12)
+    for _ in range(300):
+        h, x = random_well_fenced_run(rng, sem, clients=3, max_ops=2)
+        base.append(x)
+        hp = apply_fence_preset(h, rng.choice(MODELS), sem)
+        base.append(AbstractExecution(hp, x.vis, x.ar))
+    out = list(base)
+    for x in base:
+        out.extend(perturbed(x, rng))
+    return out
+
+
+def test_check_axioms_matches_relational_reference(sem):
+    executions = oracle_executions(sem)
+    failed, structural = set(), set()
+    for x in executions:
+        got = check_axioms(x, sem)
+        assert got == reference_check_axioms(x, sem)
+        failed.update(got.failed())
+        structural.update(s.split(":")[0] for s in got.structural)
+    # the inputs reach every law's failure and both ordering problems
+    assert failed == set(AXIOM_NAMES) - {"EVENTUAL"}
+    assert structural == {"vis cyclic", "vis not contained in ar"}
+    assert len(executions) > 2000
+
+
+FIXTURE_VERDICTS = """
+from gsclab import all_fixtures, apply_fence_preset, check_axioms, get_semantics, is_gsc
+from gsclab.model import MODELS
+
+sem = get_semantics("sequence")
+for f in all_fixtures():
+    for m in MODELS:
+        res = is_gsc(apply_fence_preset(f.history, m, sem), sem)
+        print(f.name, m, res.member, res.method, res.refutations)
+        if res.member:
+            w = res.witness
+            print(w.ar.sequence, sorted(w.vis.pairs), check_axioms(w, sem))
+"""
+
+
+def test_fixture_verdicts_do_not_depend_on_hash_seed():
+    src = str(pathlib.Path(axioms.__file__).resolve().parents[1])
+    children = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        children.append(subprocess.Popen([sys.executable, "-c", FIXTURE_VERDICTS], env=env,
+                                         stdout=subprocess.PIPE, text=True))
+    outputs = [child.communicate(timeout=60)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 30

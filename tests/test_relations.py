@@ -1,9 +1,13 @@
 """Relation algebra: constructors, operators, closures, orders."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsclab import get_semantics
+from gsclab.generators import random_history, random_well_fenced_run
 from gsclab.relations import (
     CycleError,
     Relation,
@@ -166,3 +170,37 @@ def test_property_interval_order_absorption(rt, data):
     s = Relation(rt.domain, frozenset(raw) - rt.inverse().pairs)
     assert not (s & rt.inverse()).pairs
     assert rt.compose(s).compose(rt).pairs <= rt.pairs
+
+
+def two_plus_two_free(r):
+    """The interval order definition, literally: a strict partial order in
+    which e1 < e2 and f1 < f2 imply e1 < f2 or f1 < e2."""
+    if not r.is_strict_partial_order():
+        return False
+    return all((e1, f2) in r.pairs or (f1, e2) in r.pairs
+               for e1, e2 in r.pairs for f1, f2 in r.pairs)
+
+
+def random_strict_partial_order(rng, n):
+    names = [f"e{i}" for i in range(n)]
+    rng.shuffle(names)
+    density = rng.uniform(0.1, 0.5)
+    pairs = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < density}
+    return Relation(frozenset(names), frozenset(pairs)).transitive_closure()
+
+
+def test_interval_order_matches_two_plus_two_definition():
+    rng = random.Random(7)
+    posets = [random_strict_partial_order(rng, rng.randint(4, 8)) for _ in range(600)]
+    # not strict partial orders: a non-transitive chain and a cycle
+    others = [rel(("a", "b"), ("b", "c")), rel(("a", "b"), ("b", "a"))]
+    hrng, wrng, sem = random.Random(8), random.Random(9), get_semantics("sequence")
+    rts = [random_history(hrng).rt for _ in range(200)]
+    rts += [random_well_fenced_run(wrng, sem, clients=3)[0].rt for _ in range(100)]
+    for group in (posets, others, rts):
+        assert [r.is_interval_order() for r in group] == [two_plus_two_free(r) for r in group]
+    positives = sum(r.is_interval_order() for r in posets)
+    assert 100 < positives < 500
+    assert not any(r.is_interval_order() for r in others)
+    assert all(r.is_interval_order() for r in rts)
