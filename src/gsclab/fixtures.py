@@ -38,7 +38,6 @@ from .model import (
     Interval,
     Op,
     make_history,
-    project,
 )
 from .protocol import Schedule, body, call, extract_execution, pull, push, ret, run_schedule
 from .relations import Relation, TotalOrder
@@ -417,27 +416,3 @@ def fixture(name: str) -> Fixture:
 
 def all_fixtures() -> tuple[Fixture, ...]:
     return tuple(_registry()[n] for n in FIXTURE_NAMES)
-
-
-def fig3d_projection_executions() -> dict[str, AbstractExecution]:
-    """Member witnesses for both object projections of the long fork.
-
-    The full history is a non-member, but each projection is fine: the
-    witness simply arbitrates the append before the reader that saw it and
-    after the reader that did not.
-    """
-    h = _long_fork_history()
-    hx = project(h, "x")
-    hy = project(h, "y")
-    return {
-        "x": AbstractExecution(
-            hx,
-            Relation.from_pairs(hx.ids, [("a", "c1")]),
-            TotalOrder(("a", "c1", "d2")),
-        ),
-        "y": AbstractExecution(
-            hy,
-            Relation.from_pairs(hy.ids, [("b", "d1")]),
-            TotalOrder(("b", "d1", "c2")),
-        ),
-    }

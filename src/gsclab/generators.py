@@ -1,9 +1,8 @@
-"""Program and history corpora backing the batch test drivers.
+"""Program and run corpora backing the batch test drivers and the benchmark.
 
-Three families: an exhaustive grid of small two-client programs whose every
-reachable execution must satisfy the axioms (soundness sweeps), seeded
-random well-fenced two-object runs for the composition theorem, and seeded
-random unconstrained histories for differential membership testing.  All
+Two families: an exhaustive grid of small two-client programs whose every
+reachable execution must satisfy the axioms (soundness sweeps), and seeded
+random well-fenced two-object runs for the composition theorem.  All
 randomness flows through explicit random.Random instances so corpora are
 reproducible from a seed.
 """
@@ -14,16 +13,7 @@ import itertools
 import random
 from typing import Iterator, Mapping
 
-from .model import (
-    PULL,
-    PUSH,
-    Event,
-    History,
-    Interval,
-    Op,
-    make_history,
-    validate_history,
-)
+from .model import PULL, PUSH, Op
 from .protocol import (
     Program,
     Schedule,
@@ -133,44 +123,3 @@ def random_well_fenced_run(rng: random.Random, semantics: ObjectSemantics,
     }
     run = _random_walk(programs, semantics, rng)
     return extract_history(run), extract_execution(run)
-
-
-def random_history(rng: random.Random, max_events: int = 6) -> History:
-    """A random single-object history: distinct append values, read returns
-    drawn as shuffled subsequences of them (frequently unrealizable), random
-    fences, and random interval-assigned returns-before."""
-    n = rng.randint(2, max_events)
-    n_clients = rng.randint(1, min(3, n))
-    names = [chr(ord("A") + i) for i in range(n_clients)]
-    owners = [names[i] if i < n_clients else rng.choice(names) for i in range(n)]
-    rng.shuffle(owners)
-    counter = itertools.count(1)
-    kinds = [rng.choice("aar") for _ in range(n)]
-    values = [next(counter) if k == "a" else None for k in kinds]
-    all_values = [v for v in values if v is not None]
-    events = []
-    sessions: dict[str, list[str]] = {c: [] for c in names}
-    intervals: dict[str, Interval] = {}
-    clock = 0.0
-    last_end = {c: -10.0 for c in names}
-    for i in range(n):
-        eid = f"e{i}"
-        client = owners[i]
-        if kinds[i] == "a":
-            op, rval = Op("append", values[i]), None
-        else:
-            subset = [v for v in all_values if rng.random() < 0.5]
-            if rng.random() < 0.3:
-                rng.shuffle(subset)
-            op, rval = Op("read"), tuple(subset)
-        fences = rng.choice(FENCE_CHOICES)
-        start = max(clock + rng.uniform(-1.5, 0.5), last_end[client] + 0.1)
-        end = start + rng.uniform(0.5, 3.0)
-        last_end[client] = end
-        clock = max(clock, start) + rng.uniform(0.1, 1.0)
-        intervals[eid] = Interval(start, end)
-        events.append(Event(eid, client, "x", op, rval, fences))
-        sessions[client].append(eid)
-    h = make_history(events, {c: ids for c, ids in sessions.items() if ids}, intervals)
-    assert not validate_history(h)
-    return h

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .relations import Relation, TotalOrder
 
@@ -31,9 +31,10 @@ class HistoryError(ValueError):
 Rval = None | int | tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Op:
-    """An operation descriptor: a kind plus an optional integer argument."""
+class Op(NamedTuple):
+    """An operation descriptor: a kind plus an optional integer argument.
+
+    A named tuple, so that states and events holding it hash in C."""
 
     kind: str
     value: int | None = None

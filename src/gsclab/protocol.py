@@ -19,6 +19,13 @@ unique and no client ends with an open event.
 ``run_schedule`` and ``explore`` fold tokens the same way: each ``ret``
 yields an ``EventRecord`` and each ``call`` adds its returned-before pairs,
 and one builder turns the records into a history and an execution.
+
+Every state type (``Token``, ``Frame``, ``ClientState``, ``World``,
+``EventRecord`` and the run state ``_State``) is a named tuple, so the
+explorer hashes and compares states in C.  A ``World`` is the server log,
+the sorted client names (one tuple shared by a whole run) and the client
+states by position: a step finds its client with ``names.index`` and
+replaces one slot of ``states``.
 """
 
 from __future__ import annotations
@@ -56,8 +63,7 @@ class EnumerationCapError(RuntimeError):
 # -- tokens and schedules ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     client: str
     obj: str | None = None
@@ -119,55 +125,52 @@ class ClientState(NamedTuple):
 
 
 class World(NamedTuple):
-    """The server log and each client's state, by sorted client name.
-
-    The state types are named tuples so that the explorer's ``seen`` set
-    hashes and compares them in C."""
+    """The server log and the client states: ``states[i]`` belongs to
+    ``names[i]``, and ``names`` is sorted and shared by a whole run."""
 
     server: tuple[Entry, ...]
-    clients: tuple[tuple[str, ClientState], ...]
+    names: tuple[str, ...]
+    states: tuple[ClientState, ...]
 
     @staticmethod
     def initial(client_names: Iterable[str]) -> "World":
-        return World((), tuple((c, ClientState()) for c in sorted(client_names)))
+        names = tuple(sorted(client_names))
+        return World((), names, (ClientState(),) * len(names))
 
     def client(self, name: str) -> ClientState:
-        for c, st in self.clients:
-            if c == name:
-                return st
-        raise KeyError(name)
+        return self.states[self.names.index(name)]
 
     def replace_client(self, name: str, st: ClientState) -> "World":
-        return World(self.server, tuple((c, st if c == name else old) for c, old in self.clients))
+        return _with(self, self.server, self.names.index(name), st)
 
     def quiescent(self) -> bool:
         return all(
             st.frame is None and not st.pending and st.known_len == len(self.server)
-            for _, st in self.clients
+            for st in self.states
         )
 
 
-def _push(world: World, c: str, st: ClientState) -> World:
-    if not st.pending:
-        raise ScheduleError(f"push({c}) not enabled: pending empty")
+def _with(world: World, server: tuple[Entry, ...], i: int, st: ClientState) -> World:
+    """``world`` with server log ``server`` and ``st`` as client ``i``'s state."""
+    states = world.states
+    return World(server, world.names, states[:i] + (st,) + states[i + 1:])
+
+
+def _pushed(server: tuple[Entry, ...], st: ClientState
+            ) -> tuple[tuple[Entry, ...], ClientState]:
     entry, rest = st.pending[0], st.pending[1:]
-    return World(world.server + (entry,), world.clients).replace_client(
-        c, ClientState(st.known_len, st.unacked + (entry,), rest, st.frame, st.next_index)
-    )
+    return server + (entry,), ClientState(st.known_len, st.unacked + (entry,), rest,
+                                          st.frame, st.next_index)
 
 
-def _pull(world: World, c: str, st: ClientState) -> World:
-    if st.known_len >= len(world.server):
-        raise ScheduleError(f"pull({c}) not enabled: known equals server log")
-    entry = world.server[st.known_len]
+def _pulled(server: tuple[Entry, ...], st: ClientState) -> ClientState:
+    entry = server[st.known_len]
     unacked = st.unacked
     if unacked and unacked[0] == entry:
         unacked = unacked[1:]
     elif entry in unacked:
         raise AssertionError("pulled own entry out of push order")
-    return world.replace_client(
-        c, ClientState(st.known_len + 1, unacked, st.pending, st.frame, st.next_index)
-    )
+    return ClientState(st.known_len + 1, unacked, st.pending, st.frame, st.next_index)
 
 
 class EventRecord(NamedTuple):
@@ -184,15 +187,13 @@ class EventRecord(NamedTuple):
     index: int
 
 
-def _body(world: World, c: str, st: ClientState, semantics: ObjectSemantics) -> World:
-    if st.frame is None or st.frame.done:
-        raise ScheduleError(f"body({c}) without a pending call")
+def _body(server: tuple[Entry, ...], st: ClientState, semantics: ObjectSemantics
+          ) -> tuple[tuple[Entry, ...], ClientState]:
     fr = st.frame
     if PULL in fr.fences:
-        while st.known_len < len(world.server):
-            world = _pull(world, c, st)
-            st = world.client(c)
-    logs = world.server[: st.known_len] + st.unacked + st.pending
+        while st.known_len < len(server):
+            st = _pulled(server, st)
+    logs = server[: st.known_len] + st.unacked + st.pending
     view = frozenset(eid for eid, _, _ in logs)
     context = tuple(op for _, obj, op in logs if obj == fr.obj)
     rval = semantics.eval(context, fr.op)
@@ -200,12 +201,10 @@ def _body(world: World, c: str, st: ClientState, semantics: ObjectSemantics) -> 
     st = ClientState(st.known_len, st.unacked, st.pending + (entry,),
                      Frame(fr.event_id, fr.obj, fr.op, fr.fences, True, rval, view),
                      st.next_index)
-    world = world.replace_client(c, st)
     if PUSH in fr.fences:
         while st.pending:
-            world = _push(world, c, st)
-            st = world.client(c)
-    return world
+            server, st = _pushed(server, st)
+    return server, st
 
 
 def step(world: World, token: Token, semantics: ObjectSemantics
@@ -216,16 +215,30 @@ def step(world: World, token: Token, semantics: ObjectSemantics
     including a client's push or pull while it has an open event."""
     c = token.client
     try:
-        st = world.client(c)
-    except KeyError:
+        i = world.names.index(c)
+    except ValueError:
         raise ScheduleError(f"{token.kind}({c}): unknown client") from None
-    if token.kind in ("push", "pull"):
+    st = world.states[i]
+    server = world.server
+    kind = token.kind
+    if kind == "push" or kind == "pull":
         if st.frame is not None:
-            raise ScheduleError(f"{token.kind}({c}) between call and ret")
-        return (_push if token.kind == "push" else _pull)(world, c, st), None
-    if token.kind == "body":
-        return _body(world, c, st, semantics), None
-    if token.kind == "call":
+            raise ScheduleError(f"{kind}({c}) between call and ret")
+        if kind == "push":
+            if not st.pending:
+                raise ScheduleError(f"push({c}) not enabled: pending empty")
+            server, st = _pushed(server, st)
+        else:
+            if st.known_len >= len(server):
+                raise ScheduleError(f"pull({c}) not enabled: known equals server log")
+            st = _pulled(server, st)
+        return _with(world, server, i, st), None
+    if kind == "body":
+        if st.frame is None or st.frame.done:
+            raise ScheduleError(f"body({c}) without a pending call")
+        server, st = _body(server, st, semantics)
+        return _with(world, server, i, st), None
+    if kind == "call":
         if st.frame is not None:
             raise ScheduleError(f"call({c}) while an exec is in progress")
         if token.obj is None or token.op is None:
@@ -234,19 +247,17 @@ def step(world: World, token: Token, semantics: ObjectSemantics
             raise ScheduleError(f"call({c}) with unknown fences {sorted(token.fences - _FENCES)}")
         event_id = token.id if token.id is not None else f"{c}:{st.next_index}"
         fr = Frame(event_id, token.obj, token.op, token.fences)
-        return world.replace_client(
-            c, ClientState(st.known_len, st.unacked, st.pending, fr, st.next_index + 1)
-        ), None
-    if token.kind == "ret":
+        return _with(world, server, i, ClientState(st.known_len, st.unacked, st.pending, fr,
+                                                   st.next_index + 1)), None
+    if kind == "ret":
         fr = st.frame
         if fr is None or not fr.done:
             raise ScheduleError(f"ret({c}) without an evaluated body")
         record = EventRecord(fr.event_id, c, fr.obj, fr.op, fr.fences, fr.rval, fr.view,
                              st.next_index - 1)
-        return world.replace_client(
-            c, ClientState(st.known_len, st.unacked, st.pending, None, st.next_index)
-        ), record
-    raise ScheduleError(f"unknown token kind {token.kind!r}")
+        return _with(world, server, i, ClientState(st.known_len, st.unacked, st.pending, None,
+                                                   st.next_index)), record
+    raise ScheduleError(f"unknown token kind {kind!r}")
 
 
 # -- runs and their output -----------------------------------------------------
@@ -323,7 +334,7 @@ def run_schedule(schedule: Schedule, semantics: ObjectSemantics) -> SimRun:
                 kind = "explicit event id" if token.id is not None else "event id"
                 raise ScheduleError(f"step {i}: duplicate {kind} {eid}")
             ids.add(eid)
-    for c, st in state.world.clients:
+    for c, st in zip(state.world.names, state.world.states):
         if st.frame is not None:
             raise ScheduleError(f"client {c} left mid-execution")
     return SimRun(schedule, state.done, state.world, state.rt)
@@ -346,15 +357,15 @@ def flush_suffix(world: World) -> list[Token]:
     sorted clients (FIFO within each), then pulls client by client.  Tokens
     are frozen, so one push and one pull per client is repeated."""
     out: list[Token] = []
-    pend = {c: len(st.pending) for c, st in world.clients}
+    pend = {c: len(st.pending) for c, st in zip(world.names, world.states)}
     pushes = {c: push(c) for c in pend}
     while any(pend.values()):
         for c in sorted(pend):
             if pend[c]:
                 out.append(pushes[c])
                 pend[c] -= 1
-    total = len(world.server) + sum(len(st.pending) for _, st in world.clients)
-    for c, st in world.clients:
+    total = len(world.server) + sum(len(st.pending) for st in world.states)
+    for c, st in zip(world.names, world.states):
         out.extend([pull(c)] * (total - st.known_len))
     return out
 
@@ -388,13 +399,13 @@ def programs_of(h: History) -> dict[str, Program]:
 
 def _finished(world: World, programs: Mapping[str, Program]) -> set[str]:
     """The clients that have returned their last program event."""
-    return {c for c, st in world.clients
+    return {c for c, st in zip(world.names, world.states)
             if st.frame is None and st.next_index == len(programs[c])}
 
 
 def _terminal(world: World, programs: Mapping[str, Program]) -> bool:
     """Whether every client has returned its last program event."""
-    return len(_finished(world, programs)) == len(world.clients)
+    return len(_finished(world, programs)) == len(world.names)
 
 
 def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
@@ -402,7 +413,7 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
     return, else the next call, a push of pending work and a pull of unseen
     server entries."""
     out: list[Token] = []
-    for c, st in world.clients:
+    for c, st in zip(world.names, world.states):
         if st.frame is not None:
             out.append(body(c) if not st.frame.done else ret(c))
             continue
@@ -414,6 +425,16 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
         if st.known_len < len(world.server):
             out.append(pull(c))
     return out
+
+
+def _local_body(world: World) -> list[Token]:
+    """The body of the first client, in name order, whose open event is
+    unfenced and has not run; empty when there is none."""
+    for c, st in zip(world.names, world.states):
+        fr = st.frame
+        if fr is not None and not fr.done and not fr.fences:
+            return [body(c)]
+    return []
 
 
 def _finish(state: _State, semantics: ObjectSemantics) -> tuple[History, AbstractExecution]:
@@ -458,10 +479,21 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     of ``flush_suffix``: the output reads the flushed server log alone, and
     pulls never change it.
 
+    Where some client's open event is unfenced and its body has not run,
+    that body (of the first such client by name) is the state's only move,
+    a singleton persistent set (Godefroid 1996).  The body reads only its
+    own client's logs, including the server prefix it has already pulled,
+    and writes only its own pending log and frame, so every other client's
+    move commutes with it and none disables it; its client has no other
+    move, and a state with an open event is never terminal.  Fenced bodies
+    read or write the server and stay interleaved.
+
     With ``target`` (canonical client:index ids) the walk prunes branches
     that provably cannot reproduce the target history: a wrong return value,
     an rt pair outside the target's, or a required rt pair already missed.
-    All three conditions are monotone along a run, so pruning is sound.
+    All three conditions are monotone along a run, so pruning is sound, and
+    the body-first rule keeps it so: a body's return value is fixed by the
+    state it is taken from.
 
     Raises EnumerationCapError, with the states seen, (distinct) terminal
     states reached and pairs emitted so far, once more than ``max_states``
@@ -478,14 +510,14 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
         state = stack.pop()
         world = state.world
         finished = _finished(world, programs)
-        if len(finished) == len(world.clients):
+        if len(finished) == len(world.names):
             terminals += 1
             pair = _finish(state, semantics)
             if pair not in emitted:
                 emitted.add(pair)
                 yield pair
             continue
-        for token in _moves(world, programs):
+        for token in _local_body(world) or _moves(world, programs):
             if token.kind == "pull" and token.client in finished:
                 continue
             nxt = _apply(state, token, semantics)

@@ -259,8 +259,58 @@ def doc_to_schedule(doc: Any) -> Schedule:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical emission: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical emission: sorted keys, two-space indent, trailing newline.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, so the
+    layout is written here and strings are escaped by the C escaper."""
+    out: list[str] = []
+    _layout(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _layout(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value``'s indented JSON text to ``out``; ``newline`` starts
+    a line at its depth.  Anything but str-keyed dicts, lists, tuples,
+    strings, ints, booleans and null goes to ``json.dumps``, re-indented
+    (JSON text holds no raw newline inside a string)."""
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif (kind is list or kind is tuple) and not value:
+        out.append("[]")
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _layout(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict and not value:
+        out.append("{}")
+    elif kind is dict and all(type(k) is str for k in value):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _escape(key) + ": ")
+            _layout(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def loads(text: str) -> Any:

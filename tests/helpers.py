@@ -1,0 +1,87 @@
+"""Builders that only the tests use: hand-made witnesses and a seeded
+generator of unconstrained histories."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from gsclab import (
+    AbstractExecution,
+    Event,
+    History,
+    Interval,
+    Op,
+    Relation,
+    TotalOrder,
+    fixture,
+    make_history,
+    project,
+    validate_history,
+)
+from gsclab.generators import FENCE_CHOICES
+
+
+def fig3d_projection_executions() -> dict[str, AbstractExecution]:
+    """Member witnesses for both object projections of the long fork.
+
+    The full history is a non-member, but each projection is fine: the
+    witness simply arbitrates the append before the reader that saw it and
+    after the reader that did not.
+    """
+    h = fixture("fig3d").history
+    hx = project(h, "x")
+    hy = project(h, "y")
+    return {
+        "x": AbstractExecution(
+            hx,
+            Relation.from_pairs(hx.ids, [("a", "c1")]),
+            TotalOrder(("a", "c1", "d2")),
+        ),
+        "y": AbstractExecution(
+            hy,
+            Relation.from_pairs(hy.ids, [("b", "d1")]),
+            TotalOrder(("b", "d1", "c2")),
+        ),
+    }
+
+
+def random_history(rng: random.Random, max_events: int = 6) -> History:
+    """A random single-object history: distinct append values, read returns
+    drawn as shuffled subsequences of them (frequently unrealizable), random
+    fences, and random interval-assigned returns-before."""
+    n = rng.randint(2, max_events)
+    n_clients = rng.randint(1, min(3, n))
+    names = [chr(ord("A") + i) for i in range(n_clients)]
+    owners = [names[i] if i < n_clients else rng.choice(names) for i in range(n)]
+    rng.shuffle(owners)
+    counter = itertools.count(1)
+    kinds = [rng.choice("aar") for _ in range(n)]
+    values = [next(counter) if k == "a" else None for k in kinds]
+    all_values = [v for v in values if v is not None]
+    events = []
+    sessions: dict[str, list[str]] = {c: [] for c in names}
+    intervals: dict[str, Interval] = {}
+    clock = 0.0
+    last_end = {c: -10.0 for c in names}
+    for i in range(n):
+        eid = f"e{i}"
+        client = owners[i]
+        if kinds[i] == "a":
+            op, rval = Op("append", values[i]), None
+        else:
+            subset = [v for v in all_values if rng.random() < 0.5]
+            if rng.random() < 0.3:
+                rng.shuffle(subset)
+            op, rval = Op("read"), tuple(subset)
+        fences = rng.choice(FENCE_CHOICES)
+        start = max(clock + rng.uniform(-1.5, 0.5), last_end[client] + 0.1)
+        end = start + rng.uniform(0.5, 3.0)
+        last_end[client] = end
+        clock = max(clock, start) + rng.uniform(0.1, 1.0)
+        intervals[eid] = Interval(start, end)
+        events.append(Event(eid, client, "x", op, rval, fences))
+        sessions[client].append(eid)
+    h = make_history(events, {c: ids for c, ids in sessions.items() if ids}, intervals)
+    assert not validate_history(h)
+    return h

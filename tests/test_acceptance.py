@@ -41,10 +41,10 @@ from gsclab.fixtures import (
     fig3a_pull_variant,
     fig3b_push_variant,
     fig3c_fence_variant,
-    fig3d_projection_executions,
 )
-from gsclab.generators import random_history, random_well_fenced_run
+from gsclab.generators import random_well_fenced_run
 
+from helpers import fig3d_projection_executions, random_history
 from test_composition import assert_identities, witnesses_of
 from test_derived import explains_by_prefixes
 from test_synthesis import assert_scheduling_facts

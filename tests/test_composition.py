@@ -32,8 +32,9 @@ from gsclab.composition import (
     composition_precedence,
     union_relations,
 )
-from gsclab.fixtures import fig3d_projection_executions
 from gsclab.generators import random_well_fenced_run
+
+from helpers import fig3d_projection_executions
 
 
 def handoff_witnesses():

@@ -25,7 +25,8 @@ from gsclab import (
     osc_execution_from_lin,
 )
 from gsclab.derived import Linearization
-from gsclab.generators import random_history
+
+from helpers import random_history
 
 
 def fenced_chain():

@@ -12,8 +12,10 @@ from gsclab import (
     is_well_fenced,
     validate_history,
 )
-from gsclab.fixtures import fig3d_projection_executions, with_fences
+from gsclab.fixtures import with_fences
 from gsclab.protocol import run_to_quiescence, extract_execution
+
+from helpers import fig3d_projection_executions
 
 
 def event_row(e):

@@ -32,7 +32,8 @@ from gsclab import (
     run_to_quiescence,
     step,
 )
-from gsclab.generators import _random_walk, soundness_sampled_programs
+from gsclab import protocol
+from gsclab.generators import _random_walk, soundness_grid_programs, soundness_sampled_programs
 from gsclab.serialization import dumps, execution_to_doc
 
 
@@ -366,12 +367,70 @@ def test_explore_is_complete_against_random_walks(sem, explored, name):
         assert (extract_history(run), extract_execution(run)) in found
 
 
-@pytest.mark.parametrize("name, states", [("fig3a", 4_317), ("fig5", 19_546)])
+@pytest.mark.parametrize("name, states", [("fig3a", 3_597), ("fig5", 17_189)])
 def test_explore_drops_dead_state(sem, explored, name, states):
     # A finished client's known prefix and unacked entries, and the order in
-    # which events returned, are no part of the explored state: without
-    # that, these programs need 8,501 and 30,015 states.
+    # which events returned, are no part of the explored state, and an open
+    # unfenced body is the only move taken from its state: without the
+    # first, these programs need 8,501 and 30,015 states, and without the
+    # second 4,317 and 19,546.
     assert list(explore(EXPLORED_PROGRAMS[name](), sem, max_states=states)) == explored(name)
+
+
+def unreduced_explore(programs, sem):
+    """The emitted pairs, in order, of a walk that takes every ``_moves``
+    token through ``step`` (no body-first rule, no skipped pulls, no reset
+    of finished clients), deduplicated by state, with explore's flush."""
+    init = protocol._State(World.initial(programs), (), frozenset())
+    seen = {init}
+    stack = [init]
+    out, emitted = [], set()
+    while stack:
+        state = stack.pop()
+        if protocol._terminal(state.world, programs):
+            pair = protocol._finish(state, sem)
+            if pair not in emitted:
+                emitted.add(pair)
+                out.append(pair)
+            continue
+        for token in protocol._moves(state.world, programs):
+            nxt = protocol._apply(state, token, sem)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return out
+
+
+REDUCTION_PROGRAMS = {
+    # Grid kinds A: append, read and B: append, read, under each fence choice.
+    **{f"grid{i}": lambda i=i: soundness_grid_programs()[i] for i in range(20, 24)},
+    "fig3b": EXPLORED_PROGRAMS["fig3b"],
+    "three_clients": lambda: {
+        "A": (("x", Op("append", 1), frozenset()),),
+        "B": (("x", Op("append", 2), frozenset({"push"})),),
+        "C": (("x", Op("read"), frozenset({"pull"})),),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_PROGRAMS))
+def test_explore_matches_unreduced_walk(sem, name):
+    # Taking an open unfenced body alone is a singleton persistent set: it
+    # reads and writes only its own client's logs, so every other move
+    # commutes with it.  A fenced body touches the server and must stay
+    # interleaved: taking a push- or pull-fenced body alone loses executions
+    # of the fenced programs here.
+    programs = REDUCTION_PROGRAMS[name]()
+    assert list(explore(programs, sem)) == unreduced_explore(programs, sem)
+
+
+@pytest.mark.parametrize("cls", [Op, Token, protocol.Frame, protocol.ClientState, World,
+                                 protocol.EventRecord, protocol._State])
+def test_explored_state_types_hash_in_c(cls):
+    # explore's ``seen`` set hashes these on every move; a dataclass's
+    # generated __hash__ runs in Python and costs the explorer its speed.
+    assert issubclass(cls, tuple)
+    assert cls.__hash__ is tuple.__hash__
 
 
 def test_enumerate_histories_fig3b_programs(sem):

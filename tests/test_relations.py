@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsclab import get_semantics
-from gsclab.generators import random_history, random_well_fenced_run
+from gsclab.generators import random_well_fenced_run
 from gsclab.relations import (
     CycleError,
     Relation,
@@ -15,6 +15,8 @@ from gsclab.relations import (
     extend_to_total,
     linear_extensions,
 )
+
+from helpers import random_history
 
 D = frozenset("abcd")
 

@@ -3,10 +3,12 @@ schedules, canonical text stability, interval clocks, and input
 validation error messages."""
 
 import json
+import random
 
 import pytest
 
 from gsclab import HistoryError, ScheduleError, all_fixtures, fixture
+from gsclab.generators import random_well_fenced_run
 from gsclab.serialization import (
     doc_to_execution,
     doc_to_history,
@@ -50,6 +52,38 @@ def test_dumps_is_stable_and_sorted():
     assert text == dumps(loads(text))
     assert text.endswith("\n")
     assert json.loads(text) == doc
+
+
+HAND_DOCUMENTS = [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}, [1, [2, {"z": None}]]], "d": {"e": {"f": [()]}}},
+    {"text": ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9 \u20ac \U0001f600",
+              "", " ", "\"\\/"]},
+    {"flags": [True, False, None], "ints": [0, -1, -2**40, 2**70], "mixed": [True, 1, "1"]},
+    # Values the layout hands to json.dumps: floats and non-string keys.
+    {"clock": [0.5, -1.25, 1e100], "keys": {2: "b", 1: {"c": [3]}}},
+]
+
+
+def test_dumps_matches_json_dumps(sem):
+    # The hand layout must give json.dumps(indent=2, sort_keys=True) text.
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    docs = [loads(path.read_text()) for path in sorted(root.glob("*.json"))]
+    for fix in all_fixtures():
+        docs.append(history_to_doc(fix.history, "sequence"))
+        if fix.witness is not None:
+            docs.append(execution_to_doc(fix.witness, "sequence"))
+        if fix.schedule is not None:
+            docs.append(schedule_to_doc(fix.schedule))
+    rng = random.Random(3)
+    for _ in range(300):
+        h, x = random_well_fenced_run(rng, sem, clients=3)
+        docs += [history_to_doc(h, "sequence"), execution_to_doc(x, "sequence")]
+    docs += HAND_DOCUMENTS
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_intervals_accepted():
