@@ -31,7 +31,6 @@ from typing import Mapping
 
 from .model import (
     PULL,
-    PUSH,
     AbstractExecution,
     Event,
     History,
@@ -81,17 +80,6 @@ _READ = Op("read")
 
 def _ev(eid: str, client: str, obj: str, op: Op, rval, fences=()) -> Event:
     return Event(eid, client, obj, op, rval, frozenset(fences))
-
-
-def with_fences(h: History, assignment: Mapping[str, frozenset[str] | set[str]]) -> History:
-    """A copy of ``h`` with the fences of selected events replaced."""
-    unknown = set(assignment) - set(h.ids)
-    if unknown:
-        raise KeyError(f"unknown event ids {sorted(unknown)}")
-    events = [
-        e.with_fences(assignment[e.id]) if e.id in assignment else e for e in h.events
-    ]
-    return make_history(events, dict(h.sessions), h.rt)
 
 
 # --- histories -------------------------------------------------------------
@@ -178,30 +166,6 @@ def _unfenced_handoff_history() -> History:
         "g": Interval(4, 5),
     }
     return make_history(events, sessions, intervals)
-
-
-# --- flip variants (each turns a member into a non-member) -----------------
-
-
-def fig3a_pull_variant() -> History:
-    """Stale read with a pull fence on the stale reader: the pull would have
-    fetched both appends, so returning just one is no longer allowed."""
-    return with_fences(_stale_read_history(), {"f2": {PULL}})
-
-
-def fig3b_push_variant() -> History:
-    """Reordered appends with a push fence on the earlier append: the push
-    pins it to the server first, so the log can no longer reorder them."""
-    return with_fences(_reordered_appends_history(), {"e1": {PUSH}})
-
-
-def fig3c_fence_variant() -> History:
-    """Store buffering with pushed appends and pulling reads: each read
-    would then have to see the other client's append."""
-    return with_fences(
-        _store_buffering_history(),
-        {"e1": {PUSH}, "f1": {PUSH}, "e2": {PULL}, "f2": {PULL}},
-    )
 
 
 # --- golden schedules ------------------------------------------------------

@@ -10,11 +10,14 @@ A push fence flushes pending inside the execution; a pull fence first runs
 pulls until known covers the whole server log.
 
 Schedules are explicit token sequences: call/body/ret triples per event and
-push/pull transitions per client.  ``step`` alone judges each token: a
-malformed call, a phase out of order, a client's push or pull while it has
-an open event, and a disabled transition are all ScheduleErrors, never
-no-ops.  ``run_schedule`` adds the two run-level checks: event ids are
-unique and no client ends with an open event.
+push/pull transitions per client.  A client may push or pull at any point,
+also between an event's call and return.  ``step`` alone judges each token:
+a malformed call, a phase out of order and a disabled transition are all
+ScheduleErrors, never no-ops.  ``run_schedule`` adds the two run-level
+checks: event ids are unique and no client ends with an open event.
+
+``explore`` walks fewer schedules than ``step`` accepts: it offers a push
+or pull only to a client with no open event (ROADMAP item 1).
 
 ``run_schedule`` and ``explore`` fold tokens the same way: each ``ret``
 yields an ``EventRecord`` and each ``call`` adds its returned-before pairs,
@@ -31,6 +34,7 @@ replaces one slot of ``states``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
@@ -76,18 +80,26 @@ def call(client: str, obj: str, op: Op, fences: Iterable[str] = (), id: str | No
     return Token("call", client, obj, op, frozenset(fences), id)
 
 
+# Tokens are immutable, so every body, ret, push and pull of a client is one
+# shared object: a schedule of any length holds four tokens per client.
+
+
+@cache
 def body(client: str) -> Token:
     return Token("body", client)
 
 
+@cache
 def ret(client: str) -> Token:
     return Token("ret", client)
 
 
+@cache
 def push(client: str) -> Token:
     return Token("push", client)
 
 
+@cache
 def pull(client: str) -> Token:
     return Token("pull", client)
 
@@ -211,8 +223,9 @@ def step(world: World, token: Token, semantics: ObjectSemantics
          ) -> tuple[World, EventRecord | None]:
     """Apply one token; a ``ret`` also gives the record of the event it
     returns.  This is the one judge of the schedule grammar: it raises
-    ScheduleError for a malformed token and for a disabled transition,
-    including a client's push or pull while it has an open event."""
+    ScheduleError for a malformed token and for a disabled transition.  A
+    push or pull is judged only by whether it is enabled, whether or not
+    its client has an open event."""
     c = token.client
     try:
         i = world.names.index(c)
@@ -221,18 +234,15 @@ def step(world: World, token: Token, semantics: ObjectSemantics
     st = world.states[i]
     server = world.server
     kind = token.kind
-    if kind == "push" or kind == "pull":
-        if st.frame is not None:
-            raise ScheduleError(f"{kind}({c}) between call and ret")
-        if kind == "push":
-            if not st.pending:
-                raise ScheduleError(f"push({c}) not enabled: pending empty")
-            server, st = _pushed(server, st)
-        else:
-            if st.known_len >= len(server):
-                raise ScheduleError(f"pull({c}) not enabled: known equals server log")
-            st = _pulled(server, st)
+    if kind == "push":
+        if not st.pending:
+            raise ScheduleError(f"push({c}) not enabled: pending empty")
+        server, st = _pushed(server, st)
         return _with(world, server, i, st), None
+    if kind == "pull":
+        if st.known_len >= len(server):
+            raise ScheduleError(f"pull({c}) not enabled: known equals server log")
+        return _with(world, server, i, _pulled(server, st)), None
     if kind == "body":
         if st.frame is None or st.frame.done:
             raise ScheduleError(f"body({c}) without a pending call")
@@ -354,15 +364,13 @@ def extract_execution(run: SimRun) -> AbstractExecution:
 
 def flush_suffix(world: World) -> list[Token]:
     """Tokens that drive a world to quiescence: round-robin pushes over the
-    sorted clients (FIFO within each), then pulls client by client.  Tokens
-    are frozen, so one push and one pull per client is repeated."""
+    sorted clients (FIFO within each), then pulls client by client."""
     out: list[Token] = []
     pend = {c: len(st.pending) for c, st in zip(world.names, world.states)}
-    pushes = {c: push(c) for c in pend}
     while any(pend.values()):
         for c in sorted(pend):
             if pend[c]:
-                out.append(pushes[c])
+                out.append(push(c))
                 pend[c] -= 1
     total = len(world.server) + sum(len(st.pending) for st in world.states)
     for c, st in zip(world.names, world.states):
@@ -409,9 +417,11 @@ def _terminal(world: World, programs: Mapping[str, Program]) -> bool:
 
 
 def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
-    """The enabled tokens, client by client: the open event's body or
-    return, else the next call, a push of pending work and a pull of unseen
-    server entries."""
+    """The tokens ``explore`` offers, client by client: the open event's
+    body or return, else the next call, a push of pending work and a pull
+    of unseen server entries.  A client with an open event is offered no
+    push or pull, although ``step`` accepts them, so the walk covers only
+    schedules whose clients communicate between events (ROADMAP item 1)."""
     out: list[Token] = []
     for c, st in zip(world.names, world.states):
         if st.frame is not None:
@@ -458,8 +468,9 @@ def _target_tables(target: History | None):
 def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             max_states: int = 2_000_000, target: History | None = None
             ) -> Iterator[tuple[History, AbstractExecution]]:
-    """Depth-first walk of every schedule of the given programs, deduplicated
-    by reachable state.  Each terminal state is driven to quiescence by a
+    """Depth-first walk of the schedules of the given programs that
+    ``_moves`` offers (pushes and pulls only between a client's events),
+    deduplicated by reachable state.  Each terminal state is driven to quiescence by a
     deterministic flush; yields one (history, execution) pair per distinct
     execution, in the order the walk first reaches it.
 
@@ -571,8 +582,9 @@ def enumerate_histories(programs: Mapping[str, Program], semantics: ObjectSemant
 
 
 def can_produce(h: History, semantics: ObjectSemantics, max_states: int = 2_000_000) -> bool:
-    """Whether some schedule of h's own programs reproduces h exactly
-    (canonical ids).  Exhaustive up to the state cap."""
+    """Whether some schedule of h's own programs that ``explore`` walks
+    (pushes and pulls only between a client's events) reproduces h
+    exactly (canonical ids).  Exhaustive up to the state cap."""
     target = h.canonical()
     programs = programs_of(target)
     for hist, _ in explore(programs, semantics, max_states, target=target):

@@ -32,11 +32,12 @@ from .model import (
     make_history,
     validate_history,
 )
-from .protocol import Schedule, ScheduleError, Token
+from .protocol import Schedule, ScheduleError, Token, body, pull, push, ret
 from .relations import Relation, TotalOrder
 from .semantics import SEMANTICS
 
 _FENCES = (PUSH, PULL)
+_TOKENS = {"body": body, "ret": ret, "push": push, "pull": pull}
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -251,8 +252,8 @@ def doc_to_schedule(doc: Any) -> Schedule:
                     id=sdoc.get("id"),
                 )
             )
-        elif kind in ("body", "ret", "push", "pull"):
-            tokens.append(Token(kind, sdoc["client"]))
+        elif kind in _TOKENS:
+            tokens.append(_TOKENS[kind](sdoc["client"]))
         else:
             raise ScheduleError(f"{where}: unknown kind {kind!r}")
     return Schedule(tuple(tokens))

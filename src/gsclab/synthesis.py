@@ -3,37 +3,37 @@
 Given a history plus visibility and arbitration satisfying the axioms, this
 module builds a schedule of the log protocol whose replay reproduces the
 history exactly (ids, return values, fences, returns-before pairs) and
-extracts the same visibility and arbitration.  The construction layers:
+extracts the same visibility and arbitration.  The schedule is one
+topological order (Kahn, CACM 1962) of a token graph:
 
-  1. a body order: a total order on operation executions extending
-     real-time order, visibility, arbitration into pushing events, and a
-     scheduling precedence that keeps a pulling event's execution ahead of
-     any push it must not observe;
-  2. an interleaving of call and return tokens around the bodies realizing
-     returns-before exactly: return(e) precedes call(f) in the schedule if
-     and only if (e, f) is a real-time pair;
-  3. communication placement: pushes happen strictly in arbitration order
-     (the server is an arbitration prefix at every moment and ends equal to
-     it), each placed at an idle point of its client after the entries it
-     must not leak past and before the first event whose view needs it;
-     pulls bring a client's known prefix up to exactly the entries the
-     event's visibility prescribes.  An entry with no idle point of its own
-     can instead ride the pending-queue flush of its session's next
-     push-fenced event, which the protocol performs inside that event's
-     body; the planner falls back to this placement when a standalone push
-     has no legal slot.
+  - nodes call(e), body(e) and ret(e) per event, push(g) per event without
+    a push fence (a push-fenced body is its own push node), and pull(c, k)
+    per client c and server position k;
+  - call(e) < body(e) < ret(e), body(g) < push(g), and pushes in
+    arbitration order, so the server is always an arbitration prefix (a
+    client's pushes follow its session, since so is inside ar);
+  - push(ar[k]) < pull(c, k) < pull(c, k+1);
+  - ret(e) < call(f) if (e, f) is returns-before, else call(f) < ret(e);
+  - for e of client c and g of another client, pull(c, pos g) < body(e) if
+    g is visible to e, else body(e) < pull(c, pos g); a pull-fenced body
+    reads the whole server, so push(g) replaces pull(c, pos g) there.  A
+    client's own entries need no edge: pending and unacked keep them in
+    view.
 
-Replay verification is mandatory: synthesize_schedule re-runs the result
-through the simulator and fails loudly on any mismatch.  Witnesses whose
-dependencies cannot be serialized under the schedule grammar (a client's
-own pushes and pulls are forbidden between an event's call and return) are
-rejected with SynthesisError rather than silently approximated.
+Every schedule that realizes the witness is an order of this graph, once a
+push-fenced body's flush and a pull-fenced body's pulls are written as
+tokens just before it; so a cycle means no schedule exists.  Ties break
+ret, body, push, call, then pulls, each by arbitration position; a pull
+that a pull-fenced body already fetched writes no token.  The replay of
+the result through the simulator must reproduce the witness.
 """
 
 from __future__ import annotations
 
+import heapq
+
 from .axioms import check_axioms
-from .model import AbstractExecution, History, HistoryError
+from .model import PULL, PUSH, AbstractExecution, HistoryError
 from .protocol import Schedule, Token, body, call, pull, push, ret
 from .protocol import extract_execution, extract_history, run_schedule
 from .relations import CycleError, Relation, TotalOrder, extend_to_total
@@ -41,8 +41,8 @@ from .semantics import ObjectSemantics
 
 
 class SynthesisError(AssertionError):
-    """The witness cannot be realized under the schedule grammar, or the
-    replay of a synthesized schedule failed verification."""
+    """No schedule realizes the witness, or the replay of a synthesized
+    schedule failed verification."""
 
 
 def scheduling_precedence(x: AbstractExecution) -> Relation:
@@ -97,63 +97,85 @@ def body_order(x: AbstractExecution, prec: Relation | None = None) -> TotalOrder
         ) from err
 
 
-def _anchor_order(
-    h: History, q: TotalOrder, extra: set[tuple[str, str]]
-) -> list[tuple[str, str]]:
-    """Total order over call/body/ret tokens: call < body < ret per event,
-    bodies follow q, and return(e) precedes call(f) iff (e, f) is a
-    real-time pair (both directions encoded as hard edges).  ``extra``
-    adds dependency edges between named tokens."""
-    seq = q.sequence
-    nodes = [f"{k}:{e}" for e in seq for k in ("call", "body", "ret")]
-    edges: set[tuple[str, str]] = set(extra)
-    for e in seq:
-        edges.add((f"call:{e}", f"body:{e}"))
-        edges.add((f"body:{e}", f"ret:{e}"))
-    for a, b in zip(seq, seq[1:]):
-        edges.add((f"body:{a}", f"body:{b}"))
-    rt = h.rt.pairs
-    for e in seq:
-        for f in seq:
-            if e == f:
+# A token-graph node is (kind, position, client): the event's arbitration
+# position (a pull's server position), and a client on pulls only.  Kinds
+# are ranked so that the node is its own tie-break key.
+Node = tuple[int, int, str]
+_RET, _BODY, _PUSH, _CALL, _PULL = range(5)
+
+
+def _token_graph(x: AbstractExecution) -> dict[Node, list[Node]]:
+    """The token graph of the module docstring, as successor lists."""
+    h, seq = x.history, x.ar.sequence
+    by, n = h.by_id, len(seq)
+    succ: dict[Node, list[Node]] = {}
+    pushes = []
+    for k, e in enumerate(seq):
+        succ[(_CALL, k, "")] = [(_BODY, k, "")]
+        succ[(_RET, k, "")] = []
+        if PUSH in by[e].fences:
+            succ[(_BODY, k, "")] = [(_RET, k, "")]
+            pushes.append((_BODY, k, ""))
+        else:
+            succ[(_BODY, k, "")] = [(_RET, k, ""), (_PUSH, k, "")]
+            succ[(_PUSH, k, "")] = []
+            pushes.append((_PUSH, k, ""))
+    for a, b in zip(pushes, pushes[1:]):
+        succ[a].append(b)
+    for c in {by[e].client for e in seq}:
+        for k in range(n):
+            succ[pushes[k]].append((_PULL, k, c))
+            succ[(_PULL, k, c)] = [(_PULL, k + 1, c)] if k + 1 < n else []
+    rt, vis = h.rt.pairs, x.vis.pairs
+    for k, e in enumerate(seq):
+        c, pulls = by[e].client, PULL in by[e].fences
+        for j, f in enumerate(seq):
+            if j == k:
                 continue
             if (e, f) in rt:
-                edges.add((f"ret:{e}", f"call:{f}"))
+                succ[(_RET, k, "")].append((_CALL, j, ""))
             else:
-                edges.add((f"call:{f}", f"ret:{e}"))
-    tie = ([f"ret:{e}" for e in seq] + [f"body:{e}" for e in seq]
-           + [f"call:{e}" for e in seq])
-    rel = Relation(frozenset(nodes), frozenset(edges))
-    try:
-        total = extend_to_total(rel, tie_break=tie)
-    except CycleError as err:
-        raise SynthesisError(
-            "the witness cannot be serialized under the schedule grammar: "
-            f"{err}"
-        ) from err
-    out = []
-    for node in total.sequence:
-        kind, eid = node.split(":", 1)
-        out.append((kind, eid))
-    return out
+                succ[(_CALL, j, "")].append((_RET, k, ""))
+            if by[f].client != c:
+                src = pushes[j] if pulls else (_PULL, j, c)
+                if (f, e) in vis:
+                    succ[src].append((_BODY, k, ""))
+                else:
+                    succ[(_BODY, k, "")].append(src)
+    return succ
 
 
-class _CarryHint(Exception):
-    """Internal: a standalone push for ``event`` has no legal slot, but the
-    entry can ride the pending flush of ``pusher`` instead."""
-
-    def __init__(self, event: str, pusher: str) -> None:
-        super().__init__(event, pusher)
-        self.event = event
-        self.pusher = pusher
+def _topological_order(succ: dict[Node, list[Node]]) -> list[Node]:
+    """Kahn's algorithm, taking the least ready node first."""
+    indeg = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for v in targets:
+            indeg[v] += 1
+    ready = [v for v, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                heapq.heappush(ready, v)
+    if len(order) < len(succ):
+        kinds = ("ret", "body", "push", "call", "pull")
+        stuck = [f"{kinds[kind]}({c + ', ' if c else '#'}{k})"
+                 for kind, k, c in sorted(v for v, d in indeg.items() if d)]
+        raise SynthesisError("no schedule realizes the witness: its token "
+                             f"constraints are cyclic among {', '.join(stuck[:6])}")
+    return order
 
 
 def synthesize_schedule(x: AbstractExecution, semantics: ObjectSemantics) -> Schedule:
     """Compile a witness execution into a replayable schedule and verify it.
 
     Raises HistoryError for invalid witnesses (structure or axioms),
-    SynthesisError when no schedule exists under the grammar or when the
-    replay does not reproduce the witness."""
+    SynthesisError when no schedule realizes the witness or when the
+    replay does not reproduce it."""
     h = x.history
     errs = x.structural_violations()
     if errs:
@@ -161,220 +183,31 @@ def synthesize_schedule(x: AbstractExecution, semantics: ObjectSemantics) -> Sch
     rep = check_axioms(x, semantics)
     if not rep.ok:
         raise HistoryError(f"witness fails axioms: {', '.join(rep.failed())}")
-    carried: dict[str, str] = {}
-    while True:
-        try:
-            return _assemble(x, semantics, carried)
-        except _CarryHint as hint:
-            carried[hint.event] = hint.pusher
-
-
-def _assemble(x: AbstractExecution, semantics: ObjectSemantics,
-              carried: dict[str, str]) -> Schedule:
-    h = x.history
-    ids = h.ids
-    by = h.by_id
-    pushers, pullers = h.pushers(), h.pullers()
-    owner = {eid: by[eid].client for eid in ids}
     ar_seq = x.ar.sequence
-    ar_pos = {eid: i for i, eid in enumerate(ar_seq)}
-    vis_not_so = x.vis - h.so
-
-    # The body of a push-fenced event flushes its client's pending entries
-    # (in session order) before appending its own, so an entry that is
-    # still pending then cannot sit after that event in arbitration.
-    next_flusher: dict[str, str | None] = {}
-    for _client, sids in h.sessions:
-        nxt: str | None = None
-        for eid in reversed(sids):
-            next_flusher[eid] = nxt
-            if eid in pushers:
-                nxt = eid
-    for g in ids:
-        p = next_flusher[g]
-        if g not in pushers and p is not None and ar_pos[g] > ar_pos[p]:
-            raise SynthesisError(
-                f"the flush at {p} puts {g} on the server first, "
-                f"contradicting arbitration order"
-            )
-
-    def entry_src(g: str) -> str:
-        """The token after which g's entry is on the server."""
-        if g in pushers:
-            return f"body:{g}"
-        if g in carried:
-            return f"body:{carried[g]}"
-        return f"ret:{g}"
-
-    prec = scheduling_precedence(x)
-    q = body_order(x, prec)
-
-    # Entries each event needs on the server: the whole arbitration prefix
-    # up to its last cross-session visibility predecessor (the server can
-    # only be pulled as a prefix), plus, for pushing events, everything
-    # arbitrated before them (the server must stay an arbitration prefix).
-    vneed: dict[str, list[str]] = {}
-    pneed: dict[str, list[str]] = {}
-    vcut: dict[str, int] = {}
-    for e in ids:
-        vs = vis_not_so.predecessors(e)
-        cut = max((ar_pos[v] for v in vs), default=-1)
-        vcut[e] = cut
-        vneed[e] = [g for g in ar_seq[: cut + 1] if g != e]
-        if e in pushers:
-            pneed[e] = [g for g in ar_seq[: ar_pos[e]] if g not in set(vneed[e])]
-        else:
-            pneed[e] = []
-
-    extra: set[tuple[str, str]] = set()
-    for e in ids:
-        v_anchor = f"body:{e}" if e in pullers else f"call:{e}"
-        for g in vneed[e]:
-            src = entry_src(g)
-            if src != v_anchor and g != e:
-                extra.add((src, v_anchor))
-        for g in pneed[e]:
-            src = entry_src(g)
-            if src != f"body:{e}":
-                extra.add((src, f"body:{e}"))
-    # A carried entry reaches the server inside its flusher's body, so any
-    # pulling event of another client that must not observe it has to run
-    # before that body.
-    for g, p in carried.items():
-        for e_prime in pullers:
-            if owner[e_prime] == owner[g]:
-                continue
-            if (g, e_prime) not in x.vis:
-                extra.add((f"body:{e_prime}", f"body:{p}"))
-    # A pull-fenced event observes everything pushed by the time it runs,
-    # so anything pushed ahead of a call must wait for every pulling event
-    # that must not see it.
-    for f in ids:
-        if f in pullers or not vneed[f]:
-            continue
-        for e_prime in pullers:
-            if e_prime == f:
-                continue
-            if any(g != e_prime and (g, e_prime) not in x.vis for g in vneed[f]):
-                extra.add((f"body:{e_prime}", f"call:{f}"))
-
-    anchors = _anchor_order(h, q, extra)
-    aidx = {t: i for i, t in enumerate(anchors)}
-    n = len(anchors)
-
-    # Push placement: slot s means "immediately before anchors[s]" (s = n is
-    # the trailing flush).  Push-fenced events are pushed by their own body;
-    # everything else needs a slot at an idle point of its client, after its
-    # return and after every pulling body that must not see it, before the
-    # first anchor that needs it, all in arbitration order.
-    windows: dict[str, list[tuple[int, int]]] = {}
-    for e in ids:
-        windows.setdefault(owner[e], []).append((aidx[("call", e)], aidx[("ret", e)]))
-
-    def idle(client: str, s: int) -> bool:
-        return not any(c < s <= r for c, r in windows[client])
-
-    needed_by: dict[str, int] = {}
-    for e in ids:
-        v_anchor = aidx[("body", e)] if e in pullers else aidx[("call", e)]
-        for g in vneed[e]:
-            needed_by[g] = min(needed_by.get(g, n), v_anchor)
-        for g in pneed[e]:
-            needed_by[g] = min(needed_by.get(g, n), aidx[("body", e)])
-
-    slot_of: dict[str, int] = {}
-    cursor: tuple[int, int] = (-1, 1)
-    for g in ar_seq:
-        if g in pushers or g in carried:
-            flusher = g if g in pushers else carried[g]
-            pos = (aidx[("body", flusher)], 1)
-            if pos < cursor:
-                raise SynthesisError(
-                    f"push of {g} cannot respect arbitration order under "
-                    f"the schedule grammar"
-                )
-            cursor = pos
-            continue
-        lower = aidx[("ret", g)] + 1
-        for e_prime in pullers:
-            if e_prime != g and (g, e_prime) not in x.vis:
-                lower = max(lower, aidx[("body", e_prime)] + 1)
-        if cursor[1] == 0:
-            lower = max(lower, cursor[0])
-        else:
-            lower = max(lower, cursor[0] + 1)
-        upper = needed_by.get(g, n)
-        nf = next_flusher[g]
-        if nf is not None:
-            upper = min(upper, aidx[("body", nf)])
-        s = lower
-        while s <= upper and not idle(owner[g], s):
-            s += 1
-        if s > upper:
-            if nf is not None:
-                raise _CarryHint(g, nf)
-            raise SynthesisError(
-                f"no legal point to push {g} before it is needed under "
-                f"the schedule grammar"
-            )
-        slot_of[g] = s
-        cursor = (s, 0)
-
-    pushes_at: dict[int, list[str]] = {}
-    for g in ar_seq:
-        if g in slot_of:
-            pushes_at.setdefault(slot_of[g], []).append(g)
-
-    # Emission, mirroring the server and per-client state.
     tokens: list[Token] = []
-    server: list[str] = []
-    known = {c: 0 for c in windows}
-    pending = {c: [] for c in windows}
-
-    def emit_push(g: str) -> None:
-        c = owner[g]
-        if not pending[c] or pending[c][0] != g:
-            raise SynthesisError(f"push of {g} out of session order at {c}")
-        tokens.append(push(c))
-        pending[c].pop(0)
-        server.append(g)
-        if server != list(ar_seq[: len(server)]):
-            raise SynthesisError("server left arbitration order")
-
-    for i, (kind, e) in enumerate(anchors):
-        for g in pushes_at.get(i, ()):
-            emit_push(g)
-        c = owner[e]
-        if kind == "call":
-            if e not in pullers and vcut[e] >= 0:
-                target = vcut[e] + 1
-                if len(server) < target:
-                    raise SynthesisError(f"entries needed by {e} not pushed in time")
-                while known[c] < target:
-                    tokens.append(pull(c))
-                    known[c] += 1
-            tokens.append(call(c, by[e].obj, by[e].op, fences=by[e].fences, id=e))
-        elif kind == "body":
+    known = {c: 0 for c, _ in h.sessions}
+    on_server = 0
+    for kind, k, c in _topological_order(_token_graph(x)):
+        if kind == _PULL:
+            if k >= known[c]:
+                tokens.append(pull(c))
+                known[c] = k + 1
+            continue
+        ev = h.by_id[ar_seq[k]]
+        c = ev.client
+        if kind == _CALL:
+            tokens.append(call(c, ev.obj, ev.op, fences=ev.fences, id=ev.id))
+        elif kind == _BODY:
             tokens.append(body(c))
-            if e in pullers:
-                known[c] = len(server)
-            if e in pushers:
-                server.extend(pending[c])
-                pending[c].clear()
-                server.append(e)
-                if server != list(ar_seq[: len(server)]):
-                    raise SynthesisError("server left arbitration order")
-            else:
-                pending[c].append(e)
+            if PULL in ev.fences:
+                known[c] = on_server
+            if PUSH in ev.fences:
+                on_server = k + 1
+        elif kind == _PUSH:
+            tokens.append(push(c))
+            on_server = k + 1
         else:
             tokens.append(ret(c))
-    for g in pushes_at.get(n, ()):
-        emit_push(g)
-    for c in sorted(known):
-        while known[c] < len(server):
-            tokens.append(pull(c))
-            known[c] += 1
-
     sched = Schedule(tuple(tokens))
 
     run = run_schedule(sched, semantics)

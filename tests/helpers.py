@@ -1,10 +1,12 @@
-"""Builders that only the tests use: hand-made witnesses and a seeded
-generator of unconstrained histories."""
+"""Builders that only the tests use: hand-made witnesses, fence-flipped
+variants of the litmus histories, and a seeded generator of unconstrained
+histories."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Mapping
 
 from gsclab import (
     AbstractExecution,
@@ -12,6 +14,8 @@ from gsclab import (
     History,
     Interval,
     Op,
+    PULL,
+    PUSH,
     Relation,
     TotalOrder,
     fixture,
@@ -20,6 +24,41 @@ from gsclab import (
     validate_history,
 )
 from gsclab.generators import FENCE_CHOICES
+
+
+def with_fences(h: History, assignment: Mapping[str, frozenset[str] | set[str]]) -> History:
+    """A copy of ``h`` with the fences of selected events replaced."""
+    unknown = set(assignment) - set(h.ids)
+    if unknown:
+        raise KeyError(f"unknown event ids {sorted(unknown)}")
+    events = [
+        e.with_fences(assignment[e.id]) if e.id in assignment else e for e in h.events
+    ]
+    return make_history(events, dict(h.sessions), h.rt)
+
+
+# Each flip variant turns a member into a non-member.
+
+
+def fig3a_pull_variant() -> History:
+    """Stale read with a pull fence on the stale reader: the pull would have
+    fetched both appends, so returning just one is no longer allowed."""
+    return with_fences(fixture("fig3a").history, {"f2": {PULL}})
+
+
+def fig3b_push_variant() -> History:
+    """Reordered appends with a push fence on the earlier append: the push
+    pins it to the server first, so the log can no longer reorder them."""
+    return with_fences(fixture("fig3b").history, {"e1": {PUSH}})
+
+
+def fig3c_fence_variant() -> History:
+    """Store buffering with pushed appends and pulling reads: each read
+    would then have to see the other client's append."""
+    return with_fences(
+        fixture("fig3c").history,
+        {"e1": {PUSH}, "f1": {PUSH}, "e2": {PULL}, "f2": {PULL}},
+    )
 
 
 def fig3d_projection_executions() -> dict[str, AbstractExecution]:

@@ -37,14 +37,15 @@ from gsclab import (
     to_dual_tso,
     to_tso,
 )
-from gsclab.fixtures import (
+from gsclab.generators import random_well_fenced_run
+
+from helpers import (
     fig3a_pull_variant,
     fig3b_push_variant,
     fig3c_fence_variant,
+    fig3d_projection_executions,
+    random_history,
 )
-from gsclab.generators import random_well_fenced_run
-
-from helpers import fig3d_projection_executions, random_history
 from test_composition import assert_identities, witnesses_of
 from test_derived import explains_by_prefixes
 from test_synthesis import assert_scheduling_facts

@@ -36,10 +36,11 @@ from gsclab import (
     validate_history,
 )
 from gsclab import axioms
-from gsclab.fixtures import fig3a_pull_variant, fig3b_push_variant, fig3c_fence_variant
 from gsclab.generators import random_well_fenced_run
 from gsclab.model import MODELS
 from gsclab.relations import extend_to_total, linear_extensions
+
+from helpers import fig3a_pull_variant, fig3b_push_variant, fig3c_fence_variant
 
 
 def three_singletons(vis_pairs, ar_seq, fences=None, rvals=None, kinds=None):

@@ -10,18 +10,24 @@ from gsclab import (
     Event,
     Op,
     Relation,
+    SynthesisError,
     TotalOrder,
     check_axioms,
+    extract_execution,
+    extract_history,
     fixture,
     is_gsc,
     make_history,
     project,
+    run_to_quiescence,
 )
+from gsclab import cli
 from gsclab.cli import main
 from gsclab.generators import random_well_fenced_run
 from gsclab.serialization import (
     doc_to_execution,
     doc_to_history,
+    doc_to_schedule,
     dumps,
     execution_to_doc,
     history_to_doc,
@@ -139,7 +145,9 @@ def test_synthesize_then_simulate_round_trip(tmp_path, capsys):
     assert h.canonical() == fixture("fig3b").history.canonical()
 
 
-def test_synthesize_infeasible_witness_is_exit_3(tmp_path, capsys):
+def test_synthesize_in_window_witness_replays(tmp_path, capsys, sem):
+    # The reader saw the append although neither returned before the
+    # other's call: the schedule pushes and pulls inside the windows.
     events = [
         Event("g", "A", "x", Op("append", 1), None, frozenset()),
         Event("e", "B", "x", Op("read"), (1,), frozenset()),
@@ -148,10 +156,24 @@ def test_synthesize_infeasible_witness_is_exit_3(tmp_path, capsys):
                      Relation.from_pairs(["g", "e"], []))
     x = AbstractExecution(h, Relation.from_pairs(h.ids, [("g", "e")]),
                           TotalOrder(("g", "e")))
-    path = tmp_path / "impossible.json"
+    path = tmp_path / "overlap.json"
     path.write_text(dumps(execution_to_doc(x, "sequence")))
-    assert main(["synthesize", str(path)]) == 3
-    assert "internal check failed" in capsys.readouterr().err
+    sched_out = tmp_path / "s.json"
+    assert main(["synthesize", str(path), "-o", str(sched_out)]) == 0
+    assert "replay verified" in capsys.readouterr().out
+    run = run_to_quiescence(doc_to_schedule(loads(sched_out.read_text())), sem)
+    assert extract_history(run) == h
+    assert extract_execution(run).vis == x.vis
+
+
+def test_synthesis_error_is_exit_3(monkeypatch, capsys):
+    # A lawful witness always synthesizes, so a failed replay check is
+    # the only way to a SynthesisError; stand one in.
+    def fail(x, semantics):
+        raise SynthesisError("replay arbitration differs")
+    monkeypatch.setattr(cli, "synthesize_schedule", fail)
+    assert main(["synthesize", str(FIXDIR / "fig3b-witness.json")]) == 3
+    assert "internal check failed: replay arbitration differs" in capsys.readouterr().err
 
 
 # -- compose -----------------------------------------------------------------------

@@ -12,10 +12,9 @@ from gsclab import (
     is_well_fenced,
     validate_history,
 )
-from gsclab.fixtures import with_fences
 from gsclab.protocol import run_to_quiescence, extract_execution
 
-from helpers import fig3d_projection_executions
+from helpers import fig3d_projection_executions, with_fences
 
 
 def event_row(e):

@@ -1,8 +1,10 @@
 """Source hygiene: every module under ``src/gsclab`` and ``tests`` reads
-each name it imports.  No linter ships with the project, so the check walks
-the syntax trees with ``ast`` alone."""
+each name it imports, and every attribute the benchmark tracer wraps still
+exists.  No linter ships with the project, so the check walks the syntax
+trees with ``ast`` alone."""
 
 import ast
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -38,3 +40,15 @@ def test_no_unused_imports():
     problems = [p for path in modules if path != package / "__init__.py"
                 for p in unused_imports(path)]
     assert problems == []
+
+
+def test_tracer_patches_name_existing_attributes():
+    # The tracer swaps ``owner.__dict__[attr]`` for a wrapper, so a renamed
+    # or deleted attribute breaks ``perfbench/run.py --trace 1`` only there.
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracing._PATCHES
+               if attr not in owner.__dict__]
+    assert missing == []

@@ -90,8 +90,9 @@ def test_validate_ret_without_body(sem):
 
 
 def test_validate_fence_token_inside_exec(sem):
+    # A push inside an open event is judged only by whether it is enabled.
     steps = (call("a", "x", Op("append", 1)), push("a"), body("a"), ret("a"))
-    rejects(sem, steps, r"step 1: push\(a\) between call and ret")
+    rejects(sem, steps, r"step 1: push\(a\) not enabled: pending empty")
 
 
 def test_validate_unknown_kind(sem):
@@ -118,11 +119,18 @@ def test_pull_disabled_when_caught_up(sem):
         step(world, pull("a"), sem)
 
 
-def test_step_rejects_fence_tokens_inside_exec(sem):
-    world, _ = step(World.initial(["a"]), call("a", "x", Op("append", 1)), sem)
-    for token in (push("a"), pull("a")):
-        with pytest.raises(ScheduleError, match="between call and ret"):
-            step(world, token, sem)
+def test_step_accepts_fence_tokens_inside_exec(sem):
+    # b's append is on the server; a pulls it between its call and body,
+    # so its read sees it, and pushes its own entry before returning.
+    world = World.initial(["a", "b"])
+    for token in exec_tokens("b", "x", Op("append", 1)) + [push("b")]:
+        world, _ = step(world, token, sem)
+    for token in (call("a", "x", Op("append", 2)), pull("a"), body("a"), push("a")):
+        world, _ = step(world, token, sem)
+    world, record = step(world, ret("a"), sem)
+    assert record.view == frozenset({"b:0"})
+    assert [e for e, _, _ in world.server] == ["b:0", "a:0"]
+    assert world.client("a").unacked == (("a:0", "x", Op("append", 2)),)
 
 
 def test_step_rejects_unknown_client(sem):

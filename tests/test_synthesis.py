@@ -17,6 +17,7 @@ from gsclab import (
     TotalOrder,
     body_order,
     can_produce,
+    check_axioms,
     extract_execution,
     fixture,
     is_gsc,
@@ -28,8 +29,10 @@ from gsclab import (
     synthesize_schedule,
 )
 from gsclab import protocol
+from gsclab.axioms import _required_ar_seed, minimal_visibility
 from gsclab.generators import random_well_fenced_run
-from gsclab.synthesis import _anchor_order
+from gsclab.relations import linear_extensions
+from gsclab.synthesis import _topological_order
 
 
 def pull_race_execution():
@@ -65,9 +68,7 @@ def test_precedence_pull_race(sem):
 
 def test_precedence_on_handoff_witness(sem):
     # The puller g missed only f, but nothing observes f and nothing
-    # pushes, so neither arm of the precedence definition fires: keeping
-    # f's entry out of g's pull is the slot assigner's job, not the body
-    # order's.
+    # pushes, so neither arm of the precedence definition fires.
     assert scheduling_precedence(fixture("fig5").witness).pairs == frozenset()
 
 
@@ -95,23 +96,32 @@ def test_body_order_deterministic(sem):
 # -- interleaving ------------------------------------------------------------------
 
 
+def event_positions(sched):
+    """(kind, event id) -> index of that call, body or ret token."""
+    pos, open_event = {}, {}
+    for i, tok in enumerate(sched):
+        if tok.kind == "call":
+            open_event[tok.client] = tok.id
+        if tok.kind in ("call", "body", "ret"):
+            pos[(tok.kind, open_event[tok.client])] = i
+    return pos
+
+
 def test_interleave_respects_grammar_and_rt(sem):
-    x = fixture("fig3a").witness
-    h = x.history
-    q = body_order(x, scheduling_precedence(x))
-    pos = {tok: i for i, tok in enumerate(_anchor_order(h, q, set()))}
-    for e in h.ids:
-        assert pos[("call", e)] < pos[("body", e)] < pos[("ret", e)]
-    for a, b in zip(q.sequence, q.sequence[1:]):
-        assert pos[("body", a)] < pos[("body", b)]
-    for e in h.ids:
-        for f in h.ids:
-            if e == f:
-                continue
-            if (e, f) in h.rt:
-                assert pos[("ret", e)] < pos[("call", f)]
-            else:
-                assert pos[("call", f)] < pos[("ret", e)]
+    for name in ("fig3a", "fig3b", "fig3c", "fig5"):
+        x = fixture(name).witness
+        h = x.history
+        pos = event_positions(synthesize_schedule(x, sem))
+        for e in h.ids:
+            assert pos[("call", e)] < pos[("body", e)] < pos[("ret", e)]
+        for e in h.ids:
+            for f in h.ids:
+                if e == f:
+                    continue
+                if (e, f) in h.rt:
+                    assert pos[("ret", e)] < pos[("call", f)]
+                else:
+                    assert pos[("call", f)] < pos[("ret", e)]
 
 
 # -- full synthesis ----------------------------------------------------------------
@@ -121,6 +131,8 @@ def test_interleave_respects_grammar_and_rt(sem):
 def test_fixture_witness_round_trip(sem, name):
     x = fixture(name).witness
     sched = synthesize_schedule(x, sem)
+    # Pulls no body needs come last, so pull-fenced bodies fetch all they can.
+    assert len(sched) == {"fig3a": 24, "fig3b": 18, "fig3c": 24, "fig5": 27}[name]
     run = run_to_quiescence(sched, sem)
     got = extract_execution(run)
     assert got.history.canonical() == x.history.canonical()
@@ -131,14 +143,13 @@ def test_fixture_witness_round_trip(sem, name):
 
 
 def test_pull_race_is_member_but_not_schedulable(sem):
-    # f observes g across clients without a returned-before edge and
-    # without pulling: g's entry would have to reach f's client before
-    # f's call, which forces g to return first, contradicting the empty
-    # real-time order.  The laws accept the execution; no schedule exists.
+    # f observes g across clients without a returned-before edge: g's
+    # entry reaches f's client between f's call and body, which a schedule
+    # may do.  ``explore`` offers pushes and pulls only to idle clients, so
+    # it still cannot produce the history (ROADMAP item 1).
     x = pull_race_execution()
     assert is_gsc(x.history, sem).member
-    with pytest.raises(SynthesisError):
-        synthesize_schedule(x, sem)
+    assert realizes(synthesize_schedule(x, sem).steps, x, sem)
     assert not can_produce(x.history, sem)
 
 
@@ -150,11 +161,10 @@ def test_synthesis_rejects_lawless_witness(sem):
         synthesize_schedule(broken, sem)
 
 
-def test_synthesis_rejects_grammar_infeasible_witness(sem):
-    # Valid witness, impossible timing: the reader saw the append, so the
-    # append's body must run first; but with no returned-before pair the
-    # grammar forces the reader's call before the append's return, and a
-    # same-snapshot read cannot see an entry appended after its call.
+def test_synthesis_pushes_and_pulls_inside_windows(sem):
+    # The reader saw the append, but with no returned-before pair the
+    # reader is called before the append returns: the append is pushed
+    # inside its own window and the reader pulls it inside its window.
     events = [
         Event("g", "A", "x", Op("append", 1), None, frozenset()),
         Event("e", "B", "x", Op("read"), (1,), frozenset()),
@@ -163,8 +173,18 @@ def test_synthesis_rejects_grammar_infeasible_witness(sem):
                      Relation.from_pairs(["g", "e"], []))
     x = AbstractExecution(h, Relation.from_pairs(h.ids, [("g", "e")]),
                           TotalOrder(("g", "e")))
-    with pytest.raises(SynthesisError):
-        synthesize_schedule(x, sem)
+    sched = synthesize_schedule(x, sem)
+    assert realizes(sched.steps, x, sem)
+    pos = event_positions(sched)
+    kinds = [(tok.kind, tok.client) for tok in sched]
+    assert pos[("call", "g")] < kinds.index(("push", "A")) < pos[("ret", "g")]
+    assert pos[("call", "e")] < kinds.index(("pull", "B")) < pos[("body", "e")]
+
+
+def test_cyclic_token_graph_is_a_synthesis_error():
+    succ = {(0, 0, ""): [(1, 0, "")], (1, 0, ""): [(0, 0, "")], (4, 0, "A"): []}
+    with pytest.raises(SynthesisError, match=r"cyclic among ret\(#0\), body\(#0\)"):
+        _topological_order(succ)
     assert isinstance(SynthesisError("x"), AssertionError)
 
 
@@ -179,13 +199,26 @@ def test_synthesis_round_trips_generated_runs(sem):
         assert got.history.canonical() == x.history.canonical()
 
 
-def schedule_oracle(x, sem):
+def open_moves(world, programs):
+    """``protocol._moves`` plus a push or pull of a client with an open
+    event, which ``step`` accepts and ``explore`` does not offer."""
+    out = protocol._moves(world, programs)
+    for c, st in zip(world.names, world.states):
+        if st.frame is not None:
+            if st.pending:
+                out.append(protocol.push(c))
+            if st.known_len < len(world.server):
+                out.append(protocol.pull(c))
+    return out
+
+
+def schedule_oracle(x, sem, moves=protocol._moves):
     """Exhaustive search for a schedule whose run realizes the witness ``x``
     exactly (history, visibility and arbitration, ids renamed to the
     client:index form the simulator gives).  Returns its tokens, or None
-    when no schedule of the protocol realizes ``x``.
+    when no schedule over ``moves`` realizes ``x``.
 
-    The search walks ``protocol._moves`` depth first, deduplicated by state.
+    The search walks ``moves`` depth first, deduplicated by state.
     A push or body is kept only while the server stays a prefix of the
     arbitration, a body only if its view is the event's visibility, and a
     call or body only if the target tables allow it; after the programs end
@@ -204,7 +237,7 @@ def schedule_oracle(x, sem):
         state, path = stack.pop()
         if len(state.world.server) == len(ar) and protocol._terminal(state.world, programs):
             return path
-        for token in protocol._moves(state.world, programs):
+        for token in moves(state.world, programs):
             nxt = protocol._apply(state, token, sem)
             log = tuple(eid for eid, _, _ in nxt.world.server)
             if log != ar[:len(log)]:
@@ -231,14 +264,15 @@ def realizes(tokens, x, sem):
 
 
 def test_oracle_bounds_synthesis_on_two_client_walks(sem):
-    # Every simulator witness has a schedule.  Synthesis never succeeds
-    # where no schedule exists; where one exists it may still miss it.
+    # Every simulator witness has a schedule, and synthesis succeeds
+    # exactly where the oracle over every move finds one.
     rng = random.Random(1)
-    scheduled = synthesized = 0
+    idle = scheduled = synthesized = 0
     for _ in range(200):
         h, x = random_well_fenced_run(rng, sem, clients=2, max_ops=3)
         for w in (x, is_gsc(h, sem).witness):
-            tokens = schedule_oracle(w, sem)
+            idle += schedule_oracle(w, sem) is not None
+            tokens = schedule_oracle(w, sem, open_moves)
             assert tokens is not None or w is not x
             if tokens is not None:
                 assert realizes(tokens, w, sem)
@@ -246,13 +280,14 @@ def test_oracle_bounds_synthesis_on_two_client_walks(sem):
             try:
                 synthesize_schedule(w, sem)
             except SynthesisError:
+                assert tokens is None
                 continue
             assert tokens is not None
             synthesized += 1
-    # The other 11 are least witnesses the laws accept but no schedule
-    # under today's grammar realizes (ROADMAP item 1).  Synthesis misses
-    # one schedule: the simulator witness of ``completeness_gap_run``.
-    assert (scheduled, synthesized) == (389, 388)
+    # The 11 witnesses that only the open moves schedule are least
+    # witnesses that need a push or pull inside an event's window, which
+    # ``explore`` does not yet walk (ROADMAP item 1).
+    assert (idle, scheduled, synthesized) == (389, 400, 400)
 
 
 def completeness_gap_run(sem):
@@ -272,36 +307,47 @@ def test_completeness_gap_history_is_producible(sem):
 
 
 def test_completeness_gap_least_witness_has_no_schedule(sem):
-    # Not a planner miss: under this witness's visibility and arbitration
-    # A:1 would have to be pushed inside its own call..ret window, which
-    # the grammar forbids (ROADMAP item 1).
+    # Under this witness's visibility and arbitration A:1 is pushed inside
+    # its own call..ret window: synthesis does so, while no schedule over
+    # the idle-only moves of ``explore`` exists (ROADMAP item 1).
     h, _ = completeness_gap_run(sem)
     x = is_gsc(h, sem).witness
-    with pytest.raises(SynthesisError):
-        synthesize_schedule(x, sem)
+    assert realizes(synthesize_schedule(x, sem).steps, x, sem)
     assert schedule_oracle(x, sem) is None
 
 
-# The protocol produced this witness, and the oracle finds a schedule for
-# it; synthesis still rejects it.  Drop the marker once
-# synthesis covers the case.
-@pytest.mark.parametrize("witness", [
-    pytest.param("simulator", marks=pytest.mark.xfail(
-        strict=True, raises=SynthesisError, reason="no legal point to push A:0")),
-])
+@pytest.mark.parametrize("witness", ["simulator", "least"])
 def test_completeness_gap_synthesizes(sem, witness):
     h, x = completeness_gap_run(sem)
-    assert realizes(schedule_oracle(x, sem), x, sem)
+    if witness == "least":
+        x = is_gsc(h, sem).witness
     got = extract_execution(run_to_quiescence(synthesize_schedule(x, sem), sem))
     assert got.history.canonical() == h.canonical()
+    assert got.vis == x.vis
+
+
+def test_synthesis_covers_least_witnesses_of_every_arbitration(sem):
+    # Every arbitration extending the required seed whose least visibility
+    # passes the laws is a witness, and each one synthesizes and replays.
+    rng = random.Random(5)
+    witnesses = 0
+    for _ in range(100):
+        h, _ = random_well_fenced_run(rng, sem, clients=3)
+        if len(h.events) > 6:
+            continue
+        for ar in linear_extensions(_required_ar_seed(h, None)[0]):
+            w = AbstractExecution(h, minimal_visibility(h, ar)[0], ar)
+            if check_axioms(w, sem).ok:
+                assert realizes(synthesize_schedule(w, sem).steps, w, sem)
+                witnesses += 1
+    assert witnesses == 1409
 
 
 def test_synthesis_carries_pending_through_flush(sem):
-    # The unfenced append A:0 must land on the server after B:0's entry,
-    # but its client is never idle late enough for a standalone push token:
-    # B:0's window overlaps both of A's, so B:0 returns (and pushes) only
-    # after A:1's call.  The only legal placement rides the pending-queue
-    # flush inside A:1's push-fenced body.
+    # The unfenced append A:0 must land on the server after B:0's entry.
+    # With pushes only between events, B:0's window (which overlaps both
+    # of A's) leaves A:0 no idle point late enough, and only the flush
+    # inside A:1's push-fenced body can carry it.
     events = [
         Event("A:0", "A", "x", Op("append", 1), None, frozenset()),
         Event("A:1", "A", "x", Op("read"), (2, 1), frozenset({"push", "pull"})),
