@@ -163,10 +163,10 @@ def _topological_order(succ: dict[Node, list[Node]]) -> list[Node]:
                 heapq.heappush(ready, v)
     if len(order) < len(succ):
         kinds = ("ret", "body", "push", "call", "pull")
-        stuck = [f"{kinds[kind]}({c + ', ' if c else '#'}{k})"
+        stuck = [f"{kinds[kind]}({c}, {k})" if c else f"{kinds[kind]}(ar[{k}])"
                  for kind, k, c in sorted(v for v, d in indeg.items() if d)]
         raise SynthesisError("no schedule realizes the witness: its token "
-                             f"constraints are cyclic among {', '.join(stuck[:6])}")
+                             f"constraints are cyclic; unplaced: {', '.join(stuck[:6])}")
     return order
 
 

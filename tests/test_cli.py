@@ -167,8 +167,8 @@ def test_synthesize_in_window_witness_replays(tmp_path, capsys, sem):
 
 
 def test_synthesis_error_is_exit_3(monkeypatch, capsys):
-    # A lawful witness always synthesizes, so a failed replay check is
-    # the only way to a SynthesisError; stand one in.
+    # Every lawful witness the tests draw synthesizes, so a stand-in
+    # SynthesisError reaches the exit-3 path.
     def fail(x, semantics):
         raise SynthesisError("replay arbitration differs")
     monkeypatch.setattr(cli, "synthesize_schedule", fail)

@@ -182,8 +182,12 @@ def test_synthesis_pushes_and_pulls_inside_windows(sem):
 
 
 def test_cyclic_token_graph_is_a_synthesis_error():
-    succ = {(0, 0, ""): [(1, 0, "")], (1, 0, ""): [(0, 0, "")], (4, 0, "A"): []}
-    with pytest.raises(SynthesisError, match=r"cyclic among ret\(#0\), body\(#0\)"):
+    # ret(ar[0]) and body(ar[0]) wait on each other; pull(A, 0) waits on
+    # the body.
+    succ = {(0, 0, ""): [(1, 0, "")], (1, 0, ""): [(0, 0, ""), (4, 0, "A")],
+            (4, 0, "A"): []}
+    unplaced = r"ret\(ar\[0\]\), body\(ar\[0\]\), pull\(A, 0\)"
+    with pytest.raises(SynthesisError, match=f"cyclic; unplaced: {unplaced}"):
         _topological_order(succ)
     assert isinstance(SynthesisError("x"), AssertionError)
 
