@@ -57,8 +57,21 @@ def _read(path: str):
         raise HistoryError(f"cannot read {path}: {err}") from err
 
 
-def _write(path: str, doc: dict) -> None:
-    pathlib.Path(path).write_text(dumps(doc))
+def _write(path: str, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text)
+    except OSError as err:
+        raise HistoryError(f"cannot write {path}: {err}") from err
+
+
+def _count(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
 
 
 def _load_history(path: str, args) -> tuple[History, str]:
@@ -118,8 +131,8 @@ def cmd_simulate(args) -> int:
     stem = pathlib.Path(args.schedule)
     hist_out = args.history_out or str(stem.with_suffix("")) + ".history.json"
     exec_out = args.execution_out or str(stem.with_suffix("")) + ".execution.json"
-    _write(hist_out, history_to_doc(h, semantics.name))
-    _write(exec_out, execution_to_doc(x, semantics.name))
+    _write(hist_out, dumps(history_to_doc(h, semantics.name)))
+    _write(exec_out, dumps(execution_to_doc(x, semantics.name)))
     print(f"events: {len(h.events)}")
     print(f"server log: {list(x.ar.sequence)}")
     for e in h.events:
@@ -134,7 +147,7 @@ def cmd_synthesize(args) -> int:
     semantics = get_semantics(args.semantics or sem_name)
     sched = synthesize_schedule(x, semantics)
     out = args.out or str(pathlib.Path(args.execution).with_suffix("")) + ".schedule.json"
-    _write(out, schedule_to_doc(sched))
+    _write(out, dumps(schedule_to_doc(sched)))
     print(f"schedule with {len(sched.steps)} steps; replay verified "
           f"(history, visibility, arbitration all reproduced)")
     print(f"wrote {out}")
@@ -155,7 +168,7 @@ def cmd_compose(args) -> int:
         per_object[objs[0]] = w
     x = compose(PerObjectWitnesses(h, per_object), semantics)
     out = args.out or str(pathlib.Path(args.history).with_suffix("")) + ".composed.json"
-    _write(out, execution_to_doc(x, semantics.name))
+    _write(out, dumps(execution_to_doc(x, semantics.name)))
     print(f"composed execution over {list(per_object)}")
     print(f"  arbitration: {' < '.join(x.ar.sequence)}")
     print(f"wrote {out}")
@@ -170,28 +183,30 @@ def cmd_equiv(args) -> int:
     if args.to in ("dual-tso", "both"):
         d = to_dual_tso(x, semantics)
         path = args.push_out or f"{stem}.push.json"
-        _write(path, execution_to_doc(d, semantics.name))
+        _write(path, dumps(execution_to_doc(d, semantics.name)))
         wrote.append(path)
     if args.to in ("tso", "both"):
         t = to_tso(x, semantics)
         path = args.pull_out or f"{stem}.pull.json"
-        _write(path, execution_to_doc(t, semantics.name))
+        _write(path, dumps(execution_to_doc(t, semantics.name)))
         wrote.append(path)
     for path in wrote:
         print(f"wrote {path}")
     return 0
 
 
-def _verdict(payload):
-    h_doc, sem_name, max_events = payload
-    h, _ = doc_to_history(h_doc)
+def _verdict(payload) -> bool:
+    h, sem_name, max_events = payload
     return is_gsc(h, get_semantics(sem_name), max_events=max_events).member
 
 
 def cmd_enumerate(args) -> int:
     semantics = get_semantics(args.semantics or "sequence")
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise HistoryError(f"cannot write {out_dir}: {err}") from err
     if args.sample:
         import random
 
@@ -207,20 +222,27 @@ def cmd_enumerate(args) -> int:
         for hist, _x in explore(programs, semantics, max_states=args.max_schedules):
             results.append(hist)
         results.sort(key=History.sort_key)
-    docs = [history_to_doc(hist, semantics.name) for hist in results]
-    payloads = [(doc, semantics.name, args.max_events) for doc in docs]
+    # One file per execution, so histories repeat: each distinct history is
+    # decided and serialized once.
+    distinct = list(dict.fromkeys(results))
+    payloads = [(hist, semantics.name, args.max_events) for hist in distinct]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             verdicts = list(pool.map(_verdict, payloads))
     else:
         verdicts = [_verdict(p) for p in payloads]
-    members = 0
-    for i, (hist, doc, member) in enumerate(zip(results, docs, verdicts)):
-        name = f"history-{i:04d}.json"
-        _write(str(out_dir / name), doc)
-        members += member
+    rows = {}
+    for hist, member in zip(distinct, verdicts):
         rvals = {e.id: e.rval for e in hist.events if e.rval is not None}
-        print(f"{name}  events={len(hist.events)}  member={member}  rvals={rvals}")
+        rows[hist] = (dumps(history_to_doc(hist, semantics.name)), member,
+                      f"events={len(hist.events)}  member={member}  rvals={rvals}")
+    members = 0
+    for i, hist in enumerate(results):
+        text, member, row = rows[hist]
+        name = f"history-{i:04d}.json"
+        _write(str(out_dir / name), text)
+        members += member
+        print(f"{name}  {row}")
     print(f"total: {len(results)} histories, {members} members -> {out_dir}")
     return 0
 
@@ -282,16 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("enumerate",
-                       help="write every reachable history of a history's programs")
+                       help="write the history of every reachable execution of a "
+                       "history's programs",
+                       description="Write one history file per distinct reachable "
+                       "execution, so a history repeats once per execution that has "
+                       "it (fig3a: 354 files, 89 distinct histories); each distinct "
+                       "history is checked for membership once.")
     p.add_argument("history", nargs="?",
                    help="history file whose programs to explore")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--max-schedules", type=int, default=2_000_000,
+    p.add_argument("--max-schedules", type=_count(1), default=2_000_000,
                    help="exploration state cap")
-    p.add_argument("--sample", type=int, default=0,
+    p.add_argument("--sample", type=_count(0), default=0,
                    help="emit N random well-fenced runs instead of exploring")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_count(1), default=1,
                    help="parallel workers for membership verdicts")
     common(p)
     p.set_defaults(fn=cmd_enumerate)

@@ -148,11 +148,15 @@ class History:
         return make_history(events, sessions, rt)
 
     def canonical(self) -> "History":
-        """Rename ids to the deterministic client:index scheme."""
-        mapping: dict[str, str] = {}
-        for client, ids in self.sessions:
-            for i, eid in enumerate(ids):
-                mapping[eid] = f"{client}:{i}"
+        """Rename ids to the deterministic client:index scheme.  A history
+        whose ids already follow it, with ``rt`` over exactly its ids, is
+        returned as it is, since renaming would rebuild an equal history;
+        every explored history is one."""
+        mapping = {eid: f"{client}:{i}"
+                   for client, ids in self.sessions for i, eid in enumerate(ids)}
+        if (mapping.keys() == self.ids == self.rt.domain
+                and all(eid == new for eid, new in mapping.items())):
+            return self
         return self.renamed(mapping)
 
     def sort_key(self):

@@ -447,13 +447,27 @@ def _local_body(world: World) -> list[Token]:
     return []
 
 
-def _finish(state: _State, semantics: ObjectSemantics) -> tuple[History, AbstractExecution]:
-    world = state.world
+def _finish(state: _State, semantics: ObjectSemantics,
+            histories: dict[tuple, History], emitted: set[tuple]
+            ) -> tuple[History, AbstractExecution] | None:
+    """Flush a terminal state's pushes and give its (history, execution)
+    pair, or None when ``emitted`` already holds its key (returned events,
+    rt, flushed server log).  The key and the pair determine each other:
+    ids are client:index, no view holds its own event, and the server log
+    is the arbitration.  ``histories`` keeps the history of each (returned
+    events, rt) already built."""
+    world, done, rt = state
     for token in flush_suffix(world):
         if token.kind == "push":
             world, _ = step(world, token, semantics)
-    h = _history(state.done, state.rt)
-    return h, _execution(h, state.done, world.server)
+    key = (done, rt, world.server)
+    if key in emitted:
+        return None
+    emitted.add(key)
+    h = histories.get((done, rt))
+    if h is None:
+        h = histories[done, rt] = _history(done, rt)
+    return h, _execution(h, done, world.server)
 
 
 def _target_tables(target: History | None):
@@ -488,7 +502,11 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     pending entries, returned events and rt), so deduplication by state
     flushes each distinct terminal once.  The flush applies only the pushes
     of ``flush_suffix``: the output reads the flushed server log alone, and
-    pulls never change it.
+    pulls never change it.  A flushed terminal is then deduplicated by its
+    key (returned events, rt, flushed server log), which hashes in C and
+    determines its pair, before anything is built; a new key builds only
+    its execution, since the walk builds one history per (returned events,
+    rt) and shares it between the executions that have it.
 
     Where some client's open event is unfenced and its body has not run,
     that body (of the first such client by name) is the state's only move,
@@ -516,16 +534,16 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     seen: set[_State] = {init}
     stack: list[_State] = [init]
     terminals = 0
-    emitted: set[tuple[History, AbstractExecution]] = set()
+    histories: dict[tuple, History] = {}
+    emitted: set[tuple] = set()
     while stack:
         state = stack.pop()
         world = state.world
         finished = _finished(world, programs)
         if len(finished) == len(world.names):
             terminals += 1
-            pair = _finish(state, semantics)
-            if pair not in emitted:
-                emitted.add(pair)
+            pair = _finish(state, semantics, histories, emitted)
+            if pair is not None:
                 yield pair
             continue
         for token in _local_body(world) or _moves(world, programs):

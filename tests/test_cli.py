@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand, every exit-code class,
 and determinism of the enumeration output."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -243,16 +244,21 @@ def read_dir(d):
     return {p.name: p.read_text() for p in sorted(pathlib.Path(d).iterdir())}
 
 
-def test_enumerate_explores_programs(tmp_path, capsys):
+def test_enumerate_explores_programs(tmp_path, capsys, monkeypatch):
+    verdicts = []
+    verdict = cli._verdict
+    monkeypatch.setattr(cli, "_verdict", lambda payload: verdicts.append(payload)
+                        or verdict(payload))
     out1 = tmp_path / "a"
     rc = main(["enumerate", fixture_path("fig3b"), "--out-dir", str(out1)])
     assert rc == 0
     text = capsys.readouterr().out
     # explore() yields one pair per distinct execution and enumerate writes
     # the history of each, so fig3b's 29 executions give 29 files over 12
-    # distinct histories; all are operationally produced and therefore
-    # members.
+    # distinct histories, each decided once; all are operationally produced
+    # and therefore members.
     assert "total: 29 histories, 29 members" in text
+    assert len(verdicts) == 12
     files = read_dir(out1)
     assert sorted(files) == [f"history-{i:04d}.json" for i in range(29)]
     # Deterministic: a second run reproduces every byte.
@@ -260,6 +266,27 @@ def test_enumerate_explores_programs(tmp_path, capsys):
     main(["enumerate", fixture_path("fig3b"), "--out-dir", str(out2)])
     capsys.readouterr()
     assert read_dir(out2) == files
+
+
+# sha256 of enumerate's standard output, with the output directory written
+# <out>, and of its files concatenated in name order; taken when enumerate
+# still decided and serialized the history of every execution on its own.
+ENUMERATE_DIGESTS = {
+    "fig3a": ("7554ae646a858fa3a745e6b9013f726c0ca72a49f7a45982be059ec3705c6b25",
+              "edbda9262b7f81efad76f31c599424aa1073c806a5a1fa7d1c038b71ade4e7b8"),
+    "fig3b": ("728eef547c437aba513c2ce6264487f4fd86e1305405bf49111cad6b2c557909",
+              "a3956895e8e0dfc73aa32855c5169e9013705ed2e34a1cb2a5df855f57a0a68f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert main(["enumerate", fixture_path(name), "--out-dir", str(out)]) == 0
+    text = capsys.readouterr().out.replace(str(out), "<out>")
+    files = b"".join(p.read_bytes() for p in sorted(out.iterdir()))
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(files).hexdigest()) == ENUMERATE_DIGESTS[name]
 
 
 def test_enumerate_jobs_do_not_change_output(tmp_path, capsys):
@@ -296,3 +323,44 @@ def test_enumerate_respects_state_cap(tmp_path, capsys):
                str(tmp_path / "c"), "--max-schedules", "5"])
     assert rc == 2
     assert "exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--sample", "-3"), ("--jobs", "0"),
+                                         ("--max-schedules", "-1")])
+def test_enumerate_rejects_bad_counts(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", fixture_path("fig3b"), "--out-dir", str(tmp_path / "c"),
+              flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+# -- write errors ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", str(FIXDIR / "fig3a-schedule.json"), "--history-out", "{blocked}/h.json"],
+    ["synthesize", str(FIXDIR / "fig3a-witness.json"), "-o", "{blocked}/s.json"],
+    ["equiv", str(FIXDIR / "fig3a-witness.json"), "--to", "tso",
+     "--pull-out", "{blocked}/q.json"],
+    ["enumerate", fixture_path("fig3b"), "--out-dir", "{blocked}"],
+    ["enumerate", fixture_path("fig3b"), "--out-dir", "{blocked}/c"],
+], ids=["simulate", "synthesize", "equiv", "enumerate-dir", "enumerate-parent"])
+def test_write_errors_are_exit_2(tmp_path, capsys, argv):
+    # A path below a regular file cannot be written, nor can a directory be
+    # made where a file is.
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    argv = [a.replace("{blocked}", str(blocked)) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocked}")
+
+
+def test_enumerate_file_write_error_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "history-0003.json").mkdir(parents=True)
+    assert main(["enumerate", fixture_path("fig3b"), "--out-dir", str(out)]) == 2
+    assert (capsys.readouterr().err.startswith(
+        f"error: cannot write {out / 'history-0003.json'}: "))

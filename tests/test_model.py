@@ -22,7 +22,7 @@ from gsclab import (
     set_all_fences,
     validate_history,
 )
-from gsclab.fixtures import fixture
+from gsclab.fixtures import FIXTURE_NAMES, fixture
 
 SEM = get_semantics("sequence")
 
@@ -83,6 +83,24 @@ def test_canonical_and_renamed():
     assert c.canonical() == c
     with pytest.raises(Exception):
         h.renamed({"e1": "z"})
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_canonical_equals_the_client_index_renaming(name):
+    # canonical() returns a history that already has its client:index ids
+    # as it is; every other history, including one whose ids are client:index
+    # names in the wrong places, is renamed.
+    def client_index(h):
+        return {eid: f"{c}:{i}" for c, ids in h.sessions for i, eid in enumerate(ids)}
+
+    h = fixture(name).history
+    c = h.canonical()
+    assert c == h.renamed(client_index(h))
+    assert c.canonical() is c
+    ids = sorted(c.ids)
+    for g in (c.renamed({eid: f"{eid}'" for eid in ids}),
+              c.renamed(dict(zip(ids, reversed(ids))))):
+        assert g.canonical() == g.renamed(client_index(g)) == c
 
 
 def test_project_restricts_everything():

@@ -303,8 +303,8 @@ def test_explore_emits_canonical_histories(sem):
     out = list(explore(progs, sem))
     assert out
     for h, x in out:
-        assert h.canonical() == h
-        assert x.history == h
+        assert h.canonical() is h
+        assert x.history is h
 
 
 def test_explore_rejects_bad_fences(sem):
@@ -385,6 +385,18 @@ def test_explore_drops_dead_state(sem, explored, name, states):
     assert list(explore(EXPLORED_PROGRAMS[name](), sem, max_states=states)) == explored(name)
 
 
+def test_explore_builds_one_history_per_returned_events_and_rt(sem, monkeypatch):
+    # fig5's 3,581 distinct terminal states flush to 2,434 distinct
+    # executions, and hold only 780 distinct (returned events, rt) keys.
+    built, flushed = [], []
+    history, flush = protocol._history, protocol.flush_suffix
+    monkeypatch.setattr(protocol, "_history", lambda *a: built.append(a) or history(*a))
+    monkeypatch.setattr(protocol, "flush_suffix", lambda w: flushed.append(w) or flush(w))
+    assert len(list(explore(EXPLORED_PROGRAMS["fig5"](), sem))) == 2_434
+    assert len(flushed) == 3_581
+    assert len(built) == len(set(built)) == 780
+
+
 def unreduced_explore(programs, sem):
     """The emitted pairs, in order, of a walk that takes every ``_moves``
     token through ``step`` (no body-first rule, no skipped pulls, no reset
@@ -392,13 +404,12 @@ def unreduced_explore(programs, sem):
     init = protocol._State(World.initial(programs), (), frozenset())
     seen = {init}
     stack = [init]
-    out, emitted = [], set()
+    out, histories, emitted = [], {}, set()
     while stack:
         state = stack.pop()
         if protocol._terminal(state.world, programs):
-            pair = protocol._finish(state, sem)
-            if pair not in emitted:
-                emitted.add(pair)
+            pair = protocol._finish(state, sem, histories, emitted)
+            if pair is not None:
                 out.append(pair)
             continue
         for token in protocol._moves(state.world, programs):
