@@ -345,8 +345,7 @@ def test_enumerate_rejects_bad_counts(tmp_path, capsys, flag, value):
     ["equiv", str(FIXDIR / "fig3a-witness.json"), "--to", "tso",
      "--pull-out", "{blocked}/q.json"],
     ["enumerate", fixture_path("fig3b"), "--out-dir", "{blocked}"],
-    ["enumerate", fixture_path("fig3b"), "--out-dir", "{blocked}/c"],
-], ids=["simulate", "synthesize", "equiv", "enumerate-dir", "enumerate-parent"])
+], ids=["simulate", "synthesize", "equiv", "enumerate"])
 def test_write_errors_are_exit_2(tmp_path, capsys, argv):
     # A path below a regular file cannot be written, nor can a directory be
     # made where a file is.
@@ -362,5 +361,5 @@ def test_enumerate_file_write_error_is_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "history-0003.json").mkdir(parents=True)
     assert main(["enumerate", fixture_path("fig3b"), "--out-dir", str(out)]) == 2
-    assert (capsys.readouterr().err.startswith(
-        f"error: cannot write {out / 'history-0003.json'}: "))
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'history-0003.json'}: ")
