@@ -19,26 +19,29 @@ model when all eight laws hold:
                  histories are finite)
 
 Membership (is there any visibility/arbitration pair making a history
-satisfy all laws) is decided two ways.  When return values pin down each
-observer's visible update set (sequence reads over distinct values), the
-forced edges are decoded directly and only arbitration is searched.
-Otherwise candidate visible-update sets are enumerated per observer.  Both
-paths rely on the laws RYW/MONOTONICVIEW/OBSERVEDVIS/PUSHEDVIS being
-monotone in vis: the least closure of the forced edges is contained in any
-witness, so rejecting a closure that breaks RETVAL or escapes the candidate
+satisfy all laws) is decided by one search over arbitrations.  When an
+observer's return value pins down its visible update set (a sequence read
+over distinct values), its forced edges are decoded up front.  Every other
+context-sensitive event is an open observer: when the search places it, it
+branches on the update subsets placed before it that explain its rval
+(vis inside ar, so every candidate is placed by then).  The search relies
+on the laws RYW/MONOTONICVIEW/OBSERVEDVIS/PUSHEDVIS being monotone in vis:
+the least closure of the forced edges is contained in any witness, so
+rejecting a closure that breaks RETVAL or escapes the candidate
 arbitration rejects every witness over that arbitration.
 
-The decoded path searches arbitrations as prefixes (after Wing & Gong 1993
-and Lowe 2017): it places events one at a time, depth first, keeping the
+The search builds arbitrations as prefixes (after Wing & Gong 1993 and
+Lowe 2017): it places events one at a time, depth first, keeping the
 closure over the prefix, and cuts a branch whose closure has (a) a
 conflict, (b) a pair (x, y) with y placed and x not placed before y, or
-(c) an update outside an observer's decoded exact set visible to it.  A
-prefix's closure is contained in the closure over every completion, and
+(c) an update outside an observer's decoded or chosen set visible to it.
+A prefix's closure is contained in the closure over every completion, and
 each of (a)-(c), once true, stays true, so no accepting arbitration is cut.
-A full arbitration that none of them cuts keeps the closure the search
+A full arbitration that none of them cuts keeps the closure the branch
 built: with every event placed it is the least visibility over that
-arbitration, (b) puts it inside arbitration and (c) with the seed gives each
-observer exactly its decoded updates, so only the laws are checked there.
+arbitration containing the branch's seed, (b) puts it inside arbitration
+and (c) with the seed gives each observer exactly its decoded or chosen
+updates, so only the laws are checked there.
 
 check_axioms decides each law's inclusion pair by pair over tables built
 once per call (arbitration positions, visibility predecessors, session and
@@ -342,7 +345,6 @@ def minimal_visibility(h: History, ar: TotalOrder,
     cl = Closure(h, ar.sequence, frozenset() if seed is None else seed.pairs)
     return cl.relation(), cl
 
-
 # -- decoding forced visibility from return values ----------------------------
 
 
@@ -354,14 +356,14 @@ class DecodedConstraints:
     exact: observer id -> the exact set of same-object updates it sees.
     chains: arbitration pairs forced by the order updates appear in an rval.
     unattainable: observers whose rval no update subset can produce.
-    ambiguous: True when some rval admits several decodings (fast path off).
+    An observer with several decodings gets no entry; the search branches
+    on its options when it places it.
     """
 
     edges: frozenset[tuple[str, str]]
     exact: tuple[tuple[str, frozenset[str]], ...]
     chains: frozenset[tuple[str, str]]
     unattainable: tuple[str, ...]
-    ambiguous: bool
 
     def exact_map(self) -> dict[str, frozenset[str]]:
         return dict(self.exact)
@@ -376,27 +378,21 @@ def decoded_visibility(h: History, semantics: ObjectSemantics) -> DecodedConstra
     exact: list[tuple[str, frozenset[str]]] = []
     chains: set[tuple[str, str]] = set()
     unattainable: list[str] = []
-    ambiguous = False
     for e in h.events:
         candidates = tuple(
             (f.id, f.op) for f in h.events
             if f.obj == e.obj and f.id != e.id and semantics.is_update(f.op)
         )
         options = semantics.decode_visibility(e.op, e.rval, candidates)
-        if options is None:
-            continue
-        if len(options) == 0:
+        if options is not None and not options:
             unattainable.append(e.id)
-            continue
-        if len(options) > 1:
-            ambiguous = True
-            continue
-        (order,) = options
-        exact.append((e.id, frozenset(order)))
-        edges.update((u, e.id) for u in order)
-        chains.update(zip(order, order[1:]))
+        elif options is not None and len(options) == 1:
+            (order,) = options
+            exact.append((e.id, frozenset(order)))
+            edges.update((u, e.id) for u in order)
+            chains.update(zip(order, order[1:]))
     return DecodedConstraints(frozenset(edges), tuple(exact), frozenset(chains),
-                              tuple(unattainable), ambiguous)
+                              tuple(unattainable))
 
 
 # -- membership ----------------------------------------------------------------
@@ -406,7 +402,6 @@ def decoded_visibility(h: History, semantics: ObjectSemantics) -> DecodedConstra
 class MembershipResult:
     member: bool
     witness: AbstractExecution | None
-    method: str
     stats: dict = field(compare=False, default_factory=dict)
     refutations: tuple[str, ...] = ()
 
@@ -518,27 +513,54 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
     return None, f"ar {list(ar.sequence)}: laws violated: {names}"
 
 
+def _options(h: History, e: Event, placed, pos, semantics: ObjectSemantics
+             ) -> list[frozenset[str]]:
+    """The visible-update sets observer e may have over an arbitration
+    prefix that places it: subsets of the same-object updates placed before
+    it that contain its same-object session predecessors and evaluate to
+    its rval in placement order, ordered by (size, sorted ids)."""
+    by_id = h.by_id
+    pool = [a for a in placed[: pos[e.id]]
+            if by_id[a].obj == e.obj and semantics.is_update(by_id[a].op)]
+    must = h.so.predecessors(e.id) & set(pool)
+    optional = sorted(set(pool) - must)
+    out = []
+    for k in range(len(optional) + 1):
+        for combo in itertools.combinations(optional, k):
+            chosen = must | set(combo)
+            ctx = tuple(by_id[a].op for a in pool if a in chosen)
+            if semantics.eval(ctx, e.op) == e.rval:
+                out.append(frozenset(chosen))
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
 def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
-                   exact: dict[str, frozenset[str]], semantics: ObjectSemantics,
-                   stats: dict) -> AbstractExecution | None:
-    """The witness over the lexicographically least accepting linear
-    extension of seed_ar, or None.  Places events one at a time, depth
-    first in lexicographic order, and cuts a prefix whose closure has a
-    conflict, a pair (x, y) with y placed and x not placed before it, or an
-    update an observer must not see.  Each of these stays true in the
-    closure of every completion, so no accepting arbitration is cut."""
+                   exact: dict[str, frozenset[str]], observers: list[Event],
+                   semantics: ObjectSemantics, stats: dict
+                   ) -> AbstractExecution | None:
+    """The witness over the least accepting linear extension of seed_ar,
+    or None.  Placing an open observer (one of observers) branches on its
+    options: a branch seeds the chosen updates as visible to it and hides
+    its other same-object updates.  The branches of one prefix advance
+    together, in the order of their options, so the first accepting branch
+    is the first accepting choice over the least accepting arbitration."""
     by_id = h.by_id
     order = sorted(h.ids)
     preds: dict[str, set[str]] = {a: set() for a in order}
     for a, b in seed_ar.pairs:
         if a != b:
             preds[b].add(a)
-    # (update, observer) pairs the observer's rval rules out
-    hidden = frozenset(
-        (e.id, obs) for obs, want in exact.items() for e in h.events
-        if e.obj == by_id[obs].obj and semantics.is_update(e.op) and e.id not in want)
+    open_ids = {e.id for e in observers}
 
-    def refuted(cl: Closure) -> bool:
+    def hide(wants) -> frozenset[tuple[str, str]]:
+        """The (update, observer) pairs outside each observer's wanted set
+        on its object."""
+        return frozenset(
+            (e.id, obs) for obs, want in wants for e in h.events
+            if e.obj == by_id[obs].obj and semantics.is_update(e.op) and e.id not in want)
+
+    def refuted(cl: Closure, hidden: frozenset) -> bool:
         if cl.conflict or not hidden.isdisjoint(cl.why):
             return True
         pos = cl.pos
@@ -548,78 +570,79 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
                 return True
         return False
 
-    def search(cl: Closure) -> AbstractExecution | None:
-        if refuted(cl):
-            stats["prunes"] += 1
+    def search(branches: list) -> AbstractExecution | None:
+        live = [(cl, hidden) for cl, hidden in branches if not refuted(cl, hidden)]
+        stats["prunes"] += len(branches) - len(live)
+        if not live:
             return None
-        if len(cl.placed) == len(order):
+        placed = live[0][0].pos
+        if len(placed) == len(order):
             # Not refuted with every event placed: no conflict, vis <= ar by
-            # (b), and each observer sees exactly its decoded updates by (c)
-            # and the seed, so only the laws are left to check.
+            # (b), and each observer sees exactly its decoded or chosen
+            # updates by the seed and the hidden pairs, so only the laws
+            # are left to check.
             stats["ars_tried"] += 1
-            x = AbstractExecution(h, cl.relation(), TotalOrder(tuple(cl.placed)))
-            return x if check_axioms(x, semantics).ok else None
+            ar = TotalOrder(tuple(live[0][0].placed))
+            for cl, _ in live:
+                x = AbstractExecution(h, cl.relation(), ar)
+                if check_axioms(x, semantics).ok:
+                    return x
+            return None
         for a in order:
-            if a not in cl.pos and all(p in cl.pos for p in preds[a]):
-                child = cl.copy()
-                child.place(a)
-                witness = search(child)
+            if a not in placed and all(p in placed for p in preds[a]):
+                children = []
+                for cl, hidden in live:
+                    child = cl.copy()
+                    child.place(a)
+                    if a not in open_ids:
+                        children.append((child, hidden))
+                        continue
+                    for chosen in _options(h, by_id[a], child.placed, child.pos, semantics):
+                        stats["assignments_tried"] += 1
+                        branch = child.copy()
+                        branch.close([(u, a) for u in sorted(chosen)
+                                      if branch.add(u, a, "seed")])
+                        children.append((branch, hidden | hide([(a, chosen)])))
+                witness = search(children)
                 if witness is not None:
                     return witness
         return None
 
-    return search(Closure(h, (), seed_vis))
+    return search([(Closure(h, (), seed_vis), hide(exact.items()))])
 
 
-def _candidate_sets(h: History, ar: TotalOrder, e: Event,
-                    semantics: ObjectSemantics) -> list[frozenset[str]]:
-    """Visible-update candidates for one observer under a fixed arbitration:
-    subsets of same-object updates arbitrated before it, containing its
-    same-object session predecessors, consistent with its rval."""
-    by_id = h.by_id
-    if semantics.classify is not None:
-        pool = [f for f in h.events
-                if f.obj == e.obj and f.id != e.id and semantics.is_update(f.op)
-                and ar.before(f.id, e.id)]
-    else:
-        pool = [f for f in h.events if f.obj == e.obj and f.id != e.id
-                and ar.before(f.id, e.id)]
-    pool_ids = {f.id for f in pool}
-    must = {a for a in h.so.predecessors(e.id) if a in pool_ids}
-    optional = sorted(pool_ids - must)
-    out = []
-    for k in range(len(optional) + 1):
-        for combo in itertools.combinations(optional, k):
-            chosen = must | set(combo)
-            ctx = tuple(by_id[a].op for a in sorted(chosen, key=ar.position))
-            if semantics.eval(ctx, e.op) == e.rval:
-                out.append(frozenset(chosen))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+def _narrate(h: History, ar: TotalOrder, seed_vis: frozenset,
+             exact: dict[str, frozenset[str]], observers: list[Event],
+             semantics: ObjectSemantics, stats: dict) -> str:
+    """Why no witness uses arbitration ar: the first open observer, in ar
+    order, with no options over it; else, with open observers, that every
+    choice breaks the laws; else the closure over ar, narrated."""
+    if not observers:
+        return _try_ar(h, ar, seed_vis, exact, semantics, stats)[1]
+    pos = {a: i for i, a in enumerate(ar.sequence)}
+    for e in sorted(observers, key=lambda e: pos[e.id]):
+        if not _options(h, e, ar.sequence, pos, semantics):
+            return (f"ar {list(ar.sequence)}: no visible-update set under "
+                    f"this arbitration lets {e.id} return {e.rval!r} (RETVAL)")
+    return (f"ar {list(ar.sequence)}: every RETVAL-consistent visibility "
+            f"assignment breaks the laws")
 
 
 def is_gsc(h: History, semantics: ObjectSemantics,
            max_events: int = DEFAULT_MAX_EVENTS) -> MembershipResult:
     """Decide whether any visibility/arbitration pair satisfies all laws.
 
-    Return-value decoding drives the fast path; otherwise visible-update
-    sets are enumerated per context-sensitive event.  The witness, when one
-    exists, uses the lexicographically least accepting arbitration and the
-    least visibility over it.
-
-    The fast path walks the linear extensions of the forced arbitration
-    order as a depth-first prefix search in lexicographic order.  It cuts a
-    prefix whose closure has a conflict, a visibility pair into a placed
-    event from one not placed before it, or an update an observer's rval
-    says it must not see; each stays true in every completion's closure, so
-    no accepting arbitration is lost.  A full arbitration reached keeps the
-    search's closure as its visibility and gets only the law check.  A
-    non-member's refutations narrate the first MAX_REFUTATIONS linear
-    extensions, each closed afresh.  stats: ars_tried counts the full
-    arbitrations reached, prunes the cut prefixes, closures the closures
-    built from scratch for one arbitration (the narrated refutations and
-    the enumerative path; the decoded search builds none), and
-    assignments_tried the enumerative visible-update choices.
+    One prefix search (see the module docstring) walks the linear
+    extensions of the forced arbitration order in lexicographic order and
+    branches on an open observer's options when it places it.  The
+    witness, when one exists, uses the least accepting arbitration and,
+    over it, the first accepting choice of options in arbitration order,
+    with the least visibility containing that choice.  A non-member's
+    refutations narrate the first MAX_REFUTATIONS linear extensions.
+    stats: ars_tried counts the full arbitrations reached, prunes the cut
+    branches, assignments_tried the options tried at open observers, and
+    closures the closures built from scratch for one arbitration (only
+    narrations build them).
     """
     problems = validate_history(h)
     if problems:
@@ -633,64 +656,24 @@ def is_gsc(h: History, semantics: ObjectSemantics,
     refutations: list[str] = []
 
     decoded = decoded_visibility(h, semantics)
-    if decoded is not None and decoded.unattainable:
+    if decoded and decoded.unattainable:
         for obs in decoded.unattainable[:MAX_REFUTATIONS]:
             e = h.by_id[obs]
             refutations.append(
                 f"{obs} returned {e.rval!r} but no subset of the other "
                 f"{e.obj} updates evaluates to that (RETVAL)")
-        return MembershipResult(False, None, "decoded", stats, tuple(refutations))
+        return MembershipResult(False, None, stats, tuple(refutations))
 
-    use_decoded = (decoded is not None and not decoded.ambiguous
-                   and semantics.rval_determines_visibility)
-
-    if use_decoded:
-        seed_ar, labels = _required_ar_seed(h, decoded)
-        exact = decoded.exact_map()
-        seed_vis = decoded.edges
-        if not seed_ar.is_acyclic():
-            refutations.append(_find_cycle_text(h, seed_ar, labels))
-            return MembershipResult(False, None, "decoded", stats, tuple(refutations))
-        witness = _prefix_search(h, seed_ar, seed_vis, exact, semantics, stats)
-        if witness is not None:
-            return MembershipResult(True, witness, "decoded", stats)
-        for ar in itertools.islice(linear_extensions(seed_ar), MAX_REFUTATIONS):
-            refutations.append(_try_ar(h, ar, seed_vis, exact, semantics, stats)[1])
-        return MembershipResult(False, None, "decoded", stats, tuple(refutations))
-
-    # enumerative path: search arbitrations, then exact visible-update sets
-    # per context-sensitive event
-    seed_ar, labels = _required_ar_seed(h, None)
+    seed_ar, labels = _required_ar_seed(h, decoded)
     if not seed_ar.is_acyclic():
         refutations.append(_find_cycle_text(h, seed_ar, labels))
-        return MembershipResult(False, None, "enumerative", stats, tuple(refutations))
-    observers = [e for e in h.events if semantics.context_sensitive(e.op)]
-    for ar in linear_extensions(seed_ar):
-        stats["ars_tried"] += 1
-        menus = []
-        feasible = True
-        for e in sorted(observers, key=lambda e: ar.position(e.id)):
-            sets = _candidate_sets(h, ar, e, semantics)
-            if not sets:
-                if len(refutations) < MAX_REFUTATIONS:
-                    refutations.append(
-                        f"ar {list(ar.sequence)}: no visible-update set under "
-                        f"this arbitration lets {e.id} return {e.rval!r} (RETVAL)")
-                feasible = False
-                break
-            menus.append((e.id, sets))
-        if not feasible:
-            continue
-        for choice in itertools.product(*(sets for _, sets in menus)):
-            stats["assignments_tried"] += 1
-            exact = {obs: chosen for (obs, _), chosen in zip(menus, choice)}
-            seed_vis = frozenset(
-                (u, obs) for obs, chosen in exact.items() for u in chosen)
-            witness, refutation = _try_ar(h, ar, seed_vis, exact, semantics, stats)
-            if witness is not None:
-                return MembershipResult(True, witness, "enumerative", stats)
-        if len(refutations) < MAX_REFUTATIONS:
-            refutations.append(
-                f"ar {list(ar.sequence)}: every RETVAL-consistent visibility "
-                f"assignment breaks the laws")
-    return MembershipResult(False, None, "enumerative", stats, tuple(refutations))
+        return MembershipResult(False, None, stats, tuple(refutations))
+    exact, seed_vis = (decoded.exact_map(), decoded.edges) if decoded else ({}, frozenset())
+    observers = [e for e in h.events
+                 if semantics.context_sensitive(e.op) and e.id not in exact]
+    witness = _prefix_search(h, seed_ar, seed_vis, exact, observers, semantics, stats)
+    if witness is not None:
+        return MembershipResult(True, witness, stats)
+    for ar in itertools.islice(linear_extensions(seed_ar), MAX_REFUTATIONS):
+        refutations.append(_narrate(h, ar, seed_vis, exact, observers, semantics, stats))
+    return MembershipResult(False, None, stats, tuple(refutations))

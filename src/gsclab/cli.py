@@ -13,7 +13,7 @@ import pathlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .axioms import is_gsc
+from .axioms import DEFAULT_MAX_EVENTS, is_gsc
 from .composition import PerObjectWitnesses, compose
 from .derived import check_lin, check_osc
 from .equivalence import to_dual_tso, to_tso
@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         if semantics:
             p.add_argument("--semantics", choices=("sequence", "register"),
                            help="override the document's object semantics")
-        p.add_argument("--max-events", type=int, default=9,
-                       help="membership search cap (default 9)")
+        p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS,
+                       help=f"membership search cap (default {DEFAULT_MAX_EVENTS})")
 
     p = sub.add_parser("check", help="decide membership of a history file")
     p.add_argument("history")

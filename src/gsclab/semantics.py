@@ -5,7 +5,8 @@ already applied to it to the return value of the next operation.  Two
 built-ins are provided: an append/read sequence object (reads return the
 full list of appended values) and a last-writer-wins register.  The sequence
 object additionally knows how to decode visibility from a read's return
-value, which enables the fast membership search.
+value, which lets the membership search seed a read's visible appends up
+front instead of branching on them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class ObjectSemantics:
     name: str
     eval: Callable[[Sequence[Op], Op], Rval]
     classify: Callable[[Op], str] | None = None
-    rval_determines_visibility: bool = False
     context_sensitive: Callable[[Op], bool] = lambda op: True
     decode_visibility: Decoder | None = None
 
@@ -107,7 +107,6 @@ SEQUENCE = ObjectSemantics(
     name="sequence",
     eval=eval_sequence,
     classify=classify_sequence,
-    rval_determines_visibility=True,
     context_sensitive=lambda op: op.kind == "read",
     decode_visibility=_decode_sequence,
 )
@@ -140,7 +139,6 @@ REGISTER = ObjectSemantics(
     name="register",
     eval=eval_register,
     classify=classify_register,
-    rval_determines_visibility=False,
     context_sensitive=lambda op: op.kind == "read",
 )
 

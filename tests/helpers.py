@@ -1,9 +1,11 @@
 """Builders that only the tests use: hand-made witnesses, fence-flipped
-variants of the litmus histories, and a seeded generator of unconstrained
-histories."""
+variants of the litmus histories, a seeded generator of unconstrained
+histories with its value-folded and register translations, and the
+enumerative membership search that criterion 9 checks is_gsc against."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from typing import Mapping
@@ -23,7 +25,9 @@ from gsclab import (
     project,
     validate_history,
 )
+from gsclab import axioms
 from gsclab.generators import FENCE_CHOICES
+from gsclab.relations import linear_extensions
 
 
 def with_fences(h: History, assignment: Mapping[str, frozenset[str] | set[str]]) -> History:
@@ -124,3 +128,82 @@ def random_history(rng: random.Random, max_events: int = 6) -> History:
     h = make_history(events, {c: ids for c, ids in sessions.items() if ids}, intervals)
     assert not validate_history(h)
     return h
+
+
+def fold_values(h: History) -> History:
+    """h with every append value, and every value a read returns, folded
+    onto {1, 2}: reads then decode ambiguously wherever two appends share a
+    value."""
+    def fold(v):
+        return 1 + (v - 1) % 2
+    events = [dataclasses.replace(e, op=Op("append", fold(e.op.value)))
+              if e.op.kind == "append" else
+              dataclasses.replace(e, rval=tuple(fold(v) for v in e.rval))
+              for e in h.events]
+    return make_history(events, dict(h.sessions), h.rt)
+
+
+def to_register(h: History) -> History:
+    """A sequence history as a register history: each append writes its
+    value and each read returns the last value it returned (None for
+    none)."""
+    events = [dataclasses.replace(e, op=Op("write", e.op.value))
+              if e.op.kind == "append" else
+              dataclasses.replace(e, rval=e.rval[-1] if e.rval else None)
+              for e in h.events]
+    return make_history(events, dict(h.sessions), h.rt)
+
+
+def candidate_sets(h: History, ar: TotalOrder, e: Event, semantics) -> list[frozenset[str]]:
+    """Visible-update candidates for one observer under a fixed arbitration:
+    subsets of same-object updates arbitrated before it, containing its
+    same-object session predecessors, consistent with its rval."""
+    by_id = h.by_id
+    pool_ids = {f.id for f in h.events if f.obj == e.obj and f.id != e.id
+                and semantics.is_update(f.op) and ar.before(f.id, e.id)}
+    must = {a for a in h.so.predecessors(e.id) if a in pool_ids}
+    optional = sorted(pool_ids - must)
+    out = []
+    for k in range(len(optional) + 1):
+        for combo in itertools.combinations(optional, k):
+            chosen = must | set(combo)
+            ctx = tuple(by_id[a].op for a in sorted(chosen, key=ar.position))
+            if semantics.eval(ctx, e.op) == e.rval:
+                out.append(frozenset(chosen))
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
+def enumerative_membership(h: History, semantics):
+    """Membership by enumeration, without return-value decoding: every
+    linear extension of the forced arbitration order in lexicographic
+    order, and over each the product of every context-sensitive event's
+    candidate sets (events in arbitration order), each closed from scratch.
+    Returns (member, witness, refutations), refutations narrating the first
+    axioms.MAX_REFUTATIONS arbitrations."""
+    seed_ar, labels = axioms._required_ar_seed(h, None)
+    if not seed_ar.is_acyclic():
+        return False, None, (axioms._find_cycle_text(h, seed_ar, labels),)
+    observers = [e for e in h.events if semantics.context_sensitive(e.op)]
+    refutations = []
+    for ar in linear_extensions(seed_ar):
+        menus = []
+        for e in sorted(observers, key=lambda e: ar.position(e.id)):
+            sets = candidate_sets(h, ar, e, semantics)
+            if not sets:
+                refutations.append(
+                    f"ar {list(ar.sequence)}: no visible-update set under "
+                    f"this arbitration lets {e.id} return {e.rval!r} (RETVAL)")
+                break
+            menus.append((e.id, sets))
+        else:
+            for choice in itertools.product(*(sets for _, sets in menus)):
+                exact = {obs: chosen for (obs, _), chosen in zip(menus, choice)}
+                seed_vis = frozenset((u, obs) for obs, chosen in exact.items() for u in chosen)
+                witness, _ = axioms._try_ar(h, ar, seed_vis, exact, semantics, {})
+                if witness is not None:
+                    return True, witness, ()
+            refutations.append(
+                f"ar {list(ar.sequence)}: every RETVAL-consistent visibility "
+                f"assignment breaks the laws")
+    return False, None, tuple(refutations[:axioms.MAX_REFUTATIONS])

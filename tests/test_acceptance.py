@@ -38,13 +38,17 @@ from gsclab import (
     to_tso,
 )
 from gsclab.generators import random_well_fenced_run
+from gsclab.semantics import REGISTER
 
 from helpers import (
     fig3a_pull_variant,
     fig3b_push_variant,
     fig3c_fence_variant,
     fig3d_projection_executions,
+    enumerative_membership,
+    fold_values,
     random_history,
+    to_register,
 )
 from test_composition import assert_identities, witnesses_of
 from test_derived import explains_by_prefixes
@@ -258,12 +262,27 @@ def test_criterion_8_derived_model_agreement(sem):
 
 
 def test_criterion_9_differential_membership(sem):
-    """The direct witness decoder and the enumerative search agree on
-    membership for 1,000 random histories with distinct append values."""
+    """is_gsc, with and without return-value decoding, agrees with the
+    enumerative reference search on 1,000 random histories with distinct
+    append values, on the same histories with their values folded onto
+    {1, 2}, and on the register translations of both: the same verdicts and
+    witnesses, and without a decoder the same refutations."""
     slow_sem = dataclasses.replace(sem, decode_visibility=None)
     rng = random.Random(20250809)
+    cases = []
     for _ in range(1000):
         h = random_history(rng, max_events=6)
-        fast = is_gsc(h, sem)
-        slow = is_gsc(h, slow_sem)
-        assert fast.member == slow.member, h
+        for hs in (h, fold_values(h)):
+            cases += [(hs, sem, sem), (hs, slow_sem, sem),
+                      (to_register(hs), REGISTER, REGISTER)]
+    members = 0
+    for h, semantics, reference_sem in cases:
+        got = is_gsc(h, semantics)
+        member, witness, refutations = enumerative_membership(h, reference_sem)
+        assert got.member == member, h
+        members += member
+        if member:
+            assert (got.witness.ar, got.witness.vis) == (witness.ar, witness.vis), h
+        elif semantics.decode_visibility is None:
+            assert got.refutations == refutations, h
+    assert len(cases) == 6000 and 0 < members < len(cases)

@@ -23,6 +23,7 @@ from gsclab import (
     run_to_quiescence,
 )
 from gsclab import cli
+from gsclab.axioms import DEFAULT_MAX_EVENTS
 from gsclab.cli import main
 from gsclab.generators import random_well_fenced_run
 from gsclab.serialization import (
@@ -34,6 +35,8 @@ from gsclab.serialization import (
     history_to_doc,
     loads,
 )
+
+from helpers import fig3b_push_variant, to_register
 
 FIXDIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -98,6 +101,34 @@ def test_check_list_valued_op_is_exit_2(tmp_path, capsys):
 def test_check_missing_file(capsys):
     assert main(["check", str(FIXDIR / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def register_document(h, tmp_path) -> str:
+    path = tmp_path / "register.json"
+    path.write_text(dumps(history_to_doc(to_register(h), "register")))
+    return str(path)
+
+
+def test_check_register_member(tmp_path, capsys):
+    # the register semantics has no decoder: every read is an open observer
+    assert main(["check", register_document(fixture("fig3a").history, tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "member\n"
+        "  arbitration: e1 < f1 < e2 < f2\n"
+        "  visibility:  [('e1', 'e2'), ('f1', 'e2'), ('f1', 'f2')]\n")
+
+
+def test_check_register_non_member_names_the_observer(tmp_path, capsys):
+    assert main(["check", register_document(fig3b_push_variant(), tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        "non-member\n"
+        "  ar ['e1', 'f1', 'f2']: no visible-update set under this arbitration "
+        "lets f2 return 1 (RETVAL)\n")
+
+
+def test_check_event_cap_defaults_to_the_search_cap():
+    args = cli.build_parser().parse_args(["check", fixture_path("fig3a")])
+    assert args.max_events == DEFAULT_MAX_EVENTS
 
 
 # -- simulate / synthesize -----------------------------------------------------------

@@ -21,7 +21,6 @@ def test_sequence_classify_and_context():
     assert not SEQUENCE.is_update(Op("read"))
     assert SEQUENCE.context_sensitive(Op("read"))
     assert not SEQUENCE.context_sensitive(Op("append", 1))
-    assert SEQUENCE.rval_determines_visibility
 
 
 def test_register_eval():
