@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         if semantics:
             p.add_argument("--semantics", choices=("sequence", "register"),
                            help="override the document's object semantics")
-        p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS,
+        p.add_argument("--max-events", type=_count(1), default=DEFAULT_MAX_EVENTS,
                        help=f"membership search cap (default {DEFAULT_MAX_EVENTS})")
 
     p = sub.add_parser("check", help="decide membership of a history file")

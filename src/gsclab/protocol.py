@@ -16,8 +16,10 @@ a malformed call, a phase out of order and a disabled transition are all
 ScheduleErrors, never no-ops.  ``run_schedule`` adds the two run-level
 checks: event ids are unique and no client ends with an open event.
 
-``explore`` walks fewer schedules than ``step`` accepts: it offers a push
-or pull only to a client with no open event (ROADMAP item 1).
+``explore`` walks fewer schedules than ``step`` accepts: a client pushes
+and pulls only while it has no open event (ROADMAP item 1), and its pulls
+are folded into its next call, which may pull any number of unseen server
+entries first.
 
 ``run_schedule`` and ``explore`` fold tokens the same way: each ``ret``
 yields an ``EventRecord`` and each ``call`` adds its returned-before pairs,
@@ -27,8 +29,10 @@ Every state type (``Token``, ``Frame``, ``ClientState``, ``World``,
 ``EventRecord`` and the run state ``_State``) is a named tuple, so the
 explorer hashes and compares states in C.  A ``World`` is the server log,
 the sorted client names (one tuple shared by a whole run) and the client
-states by position: a step finds its client with ``names.index`` and
-replaces one slot of ``states``.
+states by position: ``step`` finds its client with ``names.index`` and
+replaces one slot of ``states``.  ``explore`` names its moves by position
+and applies the transitions ``step`` is made of (``_called``, ``_body``,
+``_returned``, ``_pushed``, ``_pulled``) without building tokens.
 """
 
 from __future__ import annotations
@@ -152,9 +156,6 @@ class World(NamedTuple):
     def client(self, name: str) -> ClientState:
         return self.states[self.names.index(name)]
 
-    def replace_client(self, name: str, st: ClientState) -> "World":
-        return _with(self, self.server, self.names.index(name), st)
-
     def quiescent(self) -> bool:
         return all(
             st.frame is None and not st.pending and st.known_len == len(self.server)
@@ -219,6 +220,24 @@ def _body(server: tuple[Entry, ...], st: ClientState, semantics: ObjectSemantics
     return server, st
 
 
+def _check_fences(client: str, fences: frozenset[str]) -> None:
+    if not fences <= _FENCES:
+        raise ScheduleError(f"call({client}) with unknown fences {sorted(fences - _FENCES)}")
+
+
+def _called(st: ClientState, event_id: str, obj: str, op: Op, fences: frozenset[str]
+            ) -> ClientState:
+    return ClientState(st.known_len, st.unacked, st.pending,
+                       Frame(event_id, obj, op, fences), st.next_index + 1)
+
+
+def _returned(st: ClientState, client: str) -> tuple[ClientState, EventRecord]:
+    fr = st.frame
+    record = EventRecord(fr.event_id, client, fr.obj, fr.op, fr.fences, fr.rval, fr.view,
+                         st.next_index - 1)
+    return ClientState(st.known_len, st.unacked, st.pending, None, st.next_index), record
+
+
 def step(world: World, token: Token, semantics: ObjectSemantics
          ) -> tuple[World, EventRecord | None]:
     """Apply one token; a ``ret`` also gives the record of the event it
@@ -253,20 +272,15 @@ def step(world: World, token: Token, semantics: ObjectSemantics
             raise ScheduleError(f"call({c}) while an exec is in progress")
         if token.obj is None or token.op is None:
             raise ScheduleError("call without obj/op")
-        if not token.fences <= _FENCES:
-            raise ScheduleError(f"call({c}) with unknown fences {sorted(token.fences - _FENCES)}")
+        _check_fences(c, token.fences)
         event_id = token.id if token.id is not None else f"{c}:{st.next_index}"
-        fr = Frame(event_id, token.obj, token.op, token.fences)
-        return _with(world, server, i, ClientState(st.known_len, st.unacked, st.pending, fr,
-                                                   st.next_index + 1)), None
+        st = _called(st, event_id, token.obj, token.op, token.fences)
+        return _with(world, server, i, st), None
     if kind == "ret":
-        fr = st.frame
-        if fr is None or not fr.done:
+        if st.frame is None or not st.frame.done:
             raise ScheduleError(f"ret({c}) without an evaluated body")
-        record = EventRecord(fr.event_id, c, fr.obj, fr.op, fr.fences, fr.rval, fr.view,
-                             st.next_index - 1)
-        return _with(world, server, i, ClientState(st.known_len, st.unacked, st.pending, None,
-                                                   st.next_index)), record
+        st, record = _returned(st, c)
+        return _with(world, server, i, st), record
     raise ScheduleError(f"unknown token kind {kind!r}")
 
 
@@ -405,23 +419,21 @@ def programs_of(h: History) -> dict[str, Program]:
     }
 
 
-def _finished(world: World, programs: Mapping[str, Program]) -> set[str]:
-    """The clients that have returned their last program event."""
-    return {c for c, st in zip(world.names, world.states)
-            if st.frame is None and st.next_index == len(programs[c])}
-
-
 def _terminal(world: World, programs: Mapping[str, Program]) -> bool:
     """Whether every client has returned its last program event."""
-    return len(_finished(world, programs)) == len(world.names)
+    return all(st.frame is None and st.next_index == len(programs[c])
+               for c, st in zip(world.names, world.states))
 
 
 def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
-    """The tokens ``explore`` offers, client by client: the open event's
+    """The unreduced token-level moves, client by client: the open event's
     body or return, else the next call, a push of pending work and a pull
     of unseen server entries.  A client with an open event is offered no
-    push or pull, although ``step`` accepts them, so the walk covers only
-    schedules whose clients communicate between events (ROADMAP item 1)."""
+    push or pull, although ``step`` accepts them, so a walk over these
+    moves covers only schedules whose clients communicate between events
+    (ROADMAP item 1).  ``generators._random_walk`` and the reference walks
+    of the tests draw from it; ``explore`` walks the same executions with
+    moves of its own (``_explore_moves``)."""
     out: list[Token] = []
     for c, st in zip(world.names, world.states):
         if st.frame is not None:
@@ -437,14 +449,40 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
     return out
 
 
-def _local_body(world: World) -> list[Token]:
-    """The body of the first client, in name order, whose open event is
-    unfenced and has not run; empty when there is none."""
-    for c, st in zip(world.names, world.states):
+def _explore_moves(world: World, programs: tuple[Program, ...]
+                   ) -> list[tuple[int, str, int]]:
+    """The moves ``explore`` takes from a world, as (client position, kind,
+    j) with ``programs`` by position; none when every client has returned
+    its last program event (a terminal world).  When some client's open
+    event is unfenced and its body has not run, the body of the first such
+    client is the only move.  Otherwise, client by client: the open event's
+    body or ret; or, for an idle client, its next call after pulling j
+    unseen server entries (only j = 0 before a pull-fenced call), and a push
+    of its pending work."""
+    server_len = len(world.server)
+    out: list[tuple[int, str, int]] = []
+    terminal = True
+    for i, st in enumerate(world.states):
         fr = st.frame
-        if fr is not None and not fr.done and not fr.fences:
-            return [body(c)]
-    return []
+        if fr is not None:
+            if fr.done:
+                out.append((i, "ret", 0))
+            elif fr.fences:
+                out.append((i, "body", 0))
+            else:
+                return [(i, "body", 0)]
+            terminal = False
+            continue
+        program = programs[i]
+        if st.next_index < len(program):
+            terminal = False
+            if PULL in program[st.next_index][2]:
+                out.append((i, "call", 0))
+            else:
+                out.extend((i, "call", j) for j in range(server_len - st.known_len + 1))
+        if st.pending:
+            out.append((i, "push", 0))
+    return [] if terminal else out
 
 
 def _finish(state: _State, semantics: ObjectSemantics,
@@ -482,19 +520,36 @@ def _target_tables(target: History | None):
 def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             max_states: int = 2_000_000, target: History | None = None
             ) -> Iterator[tuple[History, AbstractExecution]]:
-    """Depth-first walk of the schedules of the given programs that
-    ``_moves`` offers (pushes and pulls only between a client's events),
-    deduplicated by reachable state.  Each terminal state is driven to quiescence by a
+    """Depth-first walk of the schedules of the given programs in which
+    each client pushes and pulls only between its events, deduplicated by
+    reachable state.  Each terminal state is driven to quiescence by a
     deterministic flush; yields one (history, execution) pair per distinct
     execution, in the order the walk first reaches it.
 
-    The walk takes no pull of a finished client (no open event, program
-    exhausted).  Such a client runs no more bodies, so nothing that reaches
-    the output reads its known prefix or its unacked entries.  States keep
-    only what the output and the future moves read:
+    The walk takes the moves of ``_explore_moves`` and applies them to the
+    position-indexed ``World`` through the transitions ``step`` is made of
+    (``_called``, ``_body``, ``_returned``, ``_pushed``, ``_pulled``); it
+    builds no token and calls neither ``_apply`` nor ``step``.  Program
+    fences are checked once, before the walk.
+
+    Pulls are not moves: an idle client's call is "pull j entries, then
+    call", for j from 0 to the server entries the client has not pulled.
+    This loses no execution of the walk with pull moves (``_moves``).  A
+    pull changes only its own client's known prefix and unacked entries,
+    and unacked is fixed by the known prefix and the server log (the
+    client's own entries past that prefix).  Only the client's next body
+    reads them, and no pull is offered between a call and its body.  The
+    server log only grows, so a pull reads the same entry however late it
+    runs, and any pull can wait until just before its client's next call:
+    every move it passes commutes with it (Godefroid 1996).  A pull-fenced
+    body pulls to the end of the server log itself, so its call is offered
+    with j = 0 only; a finished client has no next call, so its pulls reach
+    no output and are never taken.
+
+    States keep only what the output and the future moves read:
 
     - a finished client is reset to its pending entries after each of its
-      moves, since no body and no enabled move reads its other logs;
+      moves, since no body and no move reads its other logs;
     - the returned events are kept sorted by id, since the rt rule and the
       output read them as a set.
 
@@ -510,27 +565,34 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
 
     Where some client's open event is unfenced and its body has not run,
     that body (of the first such client by name) is the state's only move,
-    a singleton persistent set (Godefroid 1996).  The body reads only its
-    own client's logs, including the server prefix it has already pulled,
-    and writes only its own pending log and frame, so every other client's
-    move commutes with it and none disables it; its client has no other
-    move, and a state with an open event is never terminal.  Fenced bodies
-    read or write the server and stay interleaved.
+    a singleton persistent set.  The body reads only its own client's logs,
+    including the server prefix it has already pulled, and writes only its
+    own pending log and frame, so every other client's move commutes with
+    it and none disables it; its client has no other move, and a state
+    with an open event is never terminal.  Fenced bodies read or write the
+    server and stay interleaved.
 
     With ``target`` (canonical client:index ids) the walk prunes branches
     that provably cannot reproduce the target history: a wrong return value,
     an rt pair outside the target's, or a required rt pair already missed.
     All three conditions are monotone along a run, so pruning is sound, and
-    the body-first rule keeps it so: a body's return value is fixed by the
-    state it is taken from.
+    both reductions keep it so: a call's pairs do not depend on the pulls
+    folded into it, and a body's return value is fixed by the state it is
+    taken from.
 
     Raises EnumerationCapError, with the states seen, (distinct) terminal
     states reached and pairs emitted so far, once more than ``max_states``
     states are seen, and ScheduleError when a program call has fences other
     than push and pull.
     """
+    init = _State(World.initial(programs), (), frozenset())
+    names = init.world.names
+    progs = tuple(programs[c] for c in names)
+    for c, program in zip(names, progs):
+        for _, _, fences in program:
+            _check_fences(c, fences)
+    ids = tuple(tuple(f"{c}:{k}" for k in range(len(p))) for c, p in zip(names, progs))
     tables = _target_tables(target)
-    init = _State(World.initial(programs.keys()), (), frozenset())
     seen: set[_State] = {init}
     stack: list[_State] = [init]
     terminals = 0
@@ -538,29 +600,47 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     emitted: set[tuple] = set()
     while stack:
         state = stack.pop()
-        world = state.world
-        finished = _finished(world, programs)
-        if len(finished) == len(world.names):
+        world, done, rt = state
+        moves = _explore_moves(world, progs)
+        if not moves:
             terminals += 1
             pair = _finish(state, semantics, histories, emitted)
             if pair is not None:
                 yield pair
             continue
-        for token in _local_body(world) or _moves(world, programs):
-            if token.kind == "pull" and token.client in finished:
-                continue
-            nxt = _apply(state, token, semantics)
-            c = token.client
-            st = nxt.world.client(c)
-            if st.frame is None and st.next_index == len(programs[c]):
-                reset = ClientState(0, (), st.pending, None, st.next_index)
-                nxt = _State(nxt.world.replace_client(c, reset), nxt.done, nxt.rt)
-            if tables is not None and not _target_compatible(nxt, token, tables):
-                continue
-            if nxt in seen:
-                continue
+        server, states = world.server, world.states
+        for i, kind, j in moves:
+            st = states[i]
+            nserver, ndone, nrt = server, done, rt
+            if kind == "call":
+                for _ in range(j):
+                    st = _pulled(server, st)
+                eid = ids[i][st.next_index]
+                obj, op, fences = progs[i][st.next_index]
+                st = _called(st, eid, obj, op, fences)
+                if done:
+                    nrt = rt | frozenset((d.id, eid) for d in done)
+                if tables is not None and not _call_fits(tables, eid, nrt, done):
+                    continue
+            elif kind == "body":
+                nserver, st = _body(server, st, semantics)
+                if tables is not None and not _body_fits(tables, st.frame):
+                    continue
+            else:
+                if kind == "ret":
+                    st, record = _returned(st, names[i])
+                    # Ids are unique, so the records sort by id alone.
+                    ndone = tuple(sorted(done + (record,)))
+                else:
+                    nserver, st = _pushed(server, st)
+                if st.frame is None and st.next_index == len(progs[i]):
+                    st = ClientState(0, (), st.pending, None, st.next_index)
+            nxt = _State(_with(world, nserver, i, st), ndone, nrt)
+            before = len(seen)
             seen.add(nxt)
-            if len(seen) > max_states:
+            if len(seen) == before:
+                continue
+            if before >= max_states:
                 raise EnumerationCapError(
                     f"exploration exceeded {max_states} states: {len(seen)} states seen, "
                     f"{terminals} terminal states reached, {len(emitted)} distinct "
@@ -568,26 +648,30 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             stack.append(nxt)
 
 
-def _target_compatible(state: _State, token: Token, tables) -> bool:
-    """Check the state right after ``token`` against the target tables.
-
-    Returned-before pairs only ever get added when an event is called, so a
-    call whose required predecessors have not all returned, or that pairs up
-    with something the target does not, can never lead to the target."""
+def _call_fits(tables, event_id: str, rt: frozenset[tuple[str, str]],
+               done: tuple[EventRecord, ...]) -> bool:
+    """Whether a call of ``event_id`` that gives the run ``rt`` can still
+    lead to the target.  Returned-before pairs only ever get added when an
+    event is called, so a call whose required predecessors have not all
+    returned, or that pairs up with something the target does not, cannot."""
     rvals, rt_pairs, preds = tables
+    return (event_id in rvals and rt <= rt_pairs
+            and preds[event_id] <= {d.id for d in done})
+
+
+def _body_fits(tables, fr: Frame) -> bool:
+    rvals = tables[0]
+    return fr.event_id in rvals and fr.rval == rvals[fr.event_id]
+
+
+def _target_compatible(state: _State, token: Token, tables) -> bool:
+    """Check the state right after a ``call`` or ``body`` token against the
+    target tables (``_call_fits`` and ``_body_fits``)."""
+    fr = state.world.client(token.client).frame
     if token.kind == "call":
-        fr = state.world.client(token.client).frame
-        if fr.event_id not in rvals:
-            return False
-        if not state.rt <= rt_pairs:
-            return False
-        returned = {d.id for d in state.done}
-        if not preds[fr.event_id] <= returned:
-            return False
-    elif token.kind == "body":
-        fr = state.world.client(token.client).frame
-        if fr.event_id not in rvals or fr.rval != rvals[fr.event_id]:
-            return False
+        return _call_fits(tables, fr.event_id, state.rt, state.done)
+    if token.kind == "body":
+        return _body_fits(tables, fr)
     return True
 
 
@@ -601,8 +685,11 @@ def enumerate_histories(programs: Mapping[str, Program], semantics: ObjectSemant
 
 def can_produce(h: History, semantics: ObjectSemantics, max_states: int = 2_000_000) -> bool:
     """Whether some schedule of h's own programs that ``explore`` walks
-    (pushes and pulls only between a client's events) reproduces h
-    exactly (canonical ids).  Exhaustive up to the state cap."""
+    (pushes and pulls only between a client's events, pulls folded into
+    the next call) reproduces h exactly (canonical ids).  Exhaustive up to
+    the state cap.  ``explore``'s target pruning judges a call by the rt
+    pairs it adds, which the pulls folded into it do not change, and a body
+    by its return value."""
     target = h.canonical()
     programs = programs_of(target)
     for hist, _ in explore(programs, semantics, max_states, target=target):

@@ -131,6 +131,14 @@ def test_check_event_cap_defaults_to_the_search_cap():
     assert args.max_events == DEFAULT_MAX_EVENTS
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_check_rejects_event_cap_below_one(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", fixture_path("fig3a"), "--max-events", value])
+    assert exc.value.code == 2
+    assert f"argument --max-events: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 # -- simulate / synthesize -----------------------------------------------------------
 
 

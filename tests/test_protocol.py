@@ -344,14 +344,15 @@ def explored(sem):
 
 
 # sha256 over the canonical JSON of each emitted execution, in emission
-# order, taken from the explorer before it skipped finished clients' pulls
-# and flushed each distinct terminal once.  The corpus samples every 53rd
-# execution and keeps the first witness per history, so both rest on it.
+# order.  The corpus samples every 53rd execution and keeps the first
+# witness per history, so both rest on it.  Folding pulls into calls
+# changed the order of fig3a, fig5 and sampled27 (not their sets, see
+# SET_DIGESTS); fig3b's order stayed.
 EMISSION_DIGESTS = {
-    "fig3a": "7bb3f582dc096b6d49b206decd362975a21bc88112624cf14f713dbf88383266",
+    "fig3a": "d00d957265145f86a6158cd63105b49c61576de673b7cfd4e6108c18fd592b4a",
     "fig3b": "4ad6a732ac6721a0889c289795ec916c1a25c67a43f55e680011d0b34227623b",
-    "fig5": "65fc3922bb177176f2624d3ad836c1f7f7a5cb7d6dbbf43de278e0b678022529",
-    "sampled27": "97c4016a5e8da063d2f02de43e117fda4aa532731448d0dea4960d407eabfe40",
+    "fig5": "9745e8b4c4a3c7794850be1ed3e19a2fd6c12059c2c2b710217b3364b8f02431",
+    "sampled27": "23ee5541cfac33f654b6423009c4f811947f5752a2dde02c1bcc705696f65f2c",
 }
 
 
@@ -361,6 +362,29 @@ def test_explore_emission_order_is_pinned(explored, name):
     for _, x in explored(name):
         digest.update(dumps(execution_to_doc(x, "sequence")).encode())
     assert digest.hexdigest() == EMISSION_DIGESTS[name]
+
+
+def execution_set(pairs):
+    """The sorted canonical JSON of each emitted execution."""
+    return sorted(dumps(execution_to_doc(x, "sequence")) for _, x in pairs)
+
+
+# sha256 over the newline-joined sorted canonical JSON of the emitted
+# executions, taken from the explorer that still offered pulls as moves.
+SET_DIGESTS = {
+    "fig3a": (354, "8435256baef3683a1859f36a1227bcf7e21516d45988d9481e3275f384a74835"),
+    "fig3b": (29, "bd93881d21756b93d2719b1bcec8077d0a20e6768d9b7a3bf9e1e3d0e8d0c0d5"),
+    "fig5": (2_434, "a57cb21012c9d287596218f9ae074ad7b2a265cd8a4b8e2bfd66b01af191d236"),
+    "sampled27": (313, "70f851b9d681705016d36157743b68cf3ab48ae8cd8faf855619b2b60f770daa"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_DIGESTS))
+def test_explore_execution_sets_are_pinned(explored, name):
+    docs = execution_set(explored(name))
+    assert len(set(docs)) == len(docs)
+    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert (len(docs), digest) == SET_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig5", "sampled27"])
@@ -375,13 +399,14 @@ def test_explore_is_complete_against_random_walks(sem, explored, name):
         assert (extract_history(run), extract_execution(run)) in found
 
 
-@pytest.mark.parametrize("name, states", [("fig3a", 3_597), ("fig5", 17_189)])
+@pytest.mark.parametrize("name, states", [("fig3a", 2_907), ("fig5", 12_314)])
 def test_explore_drops_dead_state(sem, explored, name, states):
-    # A finished client's known prefix and unacked entries, and the order in
-    # which events returned, are no part of the explored state, and an open
-    # unfenced body is the only move taken from its state: without the
-    # first, these programs need 8,501 and 30,015 states, and without the
-    # second 4,317 and 19,546.
+    # What each reduction saves, as the states these programs need without
+    # it and with the others kept: folding pulls into the next call, 3,597
+    # and 17,189; resetting a finished client to its pending entries, 4,593
+    # and 14,154; keeping the returned events sorted by id, 3,874 and
+    # 17,118; taking an open unfenced body as its state's only move, 3,593
+    # and 14,305.
     assert list(explore(EXPLORED_PROGRAMS[name](), sem, max_states=states)) == explored(name)
 
 
@@ -399,7 +424,7 @@ def test_explore_builds_one_history_per_returned_events_and_rt(sem, monkeypatch)
 
 def unreduced_explore(programs, sem):
     """The emitted pairs, in order, of a walk that takes every ``_moves``
-    token through ``step`` (no body-first rule, no skipped pulls, no reset
+    token through ``step`` (no body-first rule, pulls as moves, no reset
     of finished clients), deduplicated by state, with explore's flush."""
     init = protocol._State(World.initial(programs), (), frozenset())
     seen = {init}
@@ -423,7 +448,9 @@ def unreduced_explore(programs, sem):
 REDUCTION_PROGRAMS = {
     # Grid kinds A: append, read and B: append, read, under each fence choice.
     **{f"grid{i}": lambda i=i: soundness_grid_programs()[i] for i in range(20, 24)},
+    "fig3a": EXPLORED_PROGRAMS["fig3a"],
     "fig3b": EXPLORED_PROGRAMS["fig3b"],
+    "sampled27": EXPLORED_PROGRAMS["sampled27"],
     "three_clients": lambda: {
         "A": (("x", Op("append", 1), frozenset()),),
         "B": (("x", Op("append", 2), frozenset({"push"})),),
@@ -438,9 +465,14 @@ def test_explore_matches_unreduced_walk(sem, name):
     # reads and writes only its own client's logs, so every other move
     # commutes with it.  A fenced body touches the server and must stay
     # interleaved: taking a push- or pull-fenced body alone loses executions
-    # of the fenced programs here.
+    # of the fenced programs here.  Folding pulls into the next call keeps
+    # the set but not the order in which the walk reaches it, so the sets
+    # are compared; fig3a and sampled27 mix pull-fenced and unfenced calls.
     programs = REDUCTION_PROGRAMS[name]()
-    assert list(explore(programs, sem)) == unreduced_explore(programs, sem)
+    reduced = execution_set(explore(programs, sem))
+    unreduced = execution_set(unreduced_explore(programs, sem))
+    assert len(set(reduced)) == len(reduced)
+    assert reduced == unreduced
 
 
 @pytest.mark.parametrize("cls", [Op, Token, protocol.Frame, protocol.ClientState, World,
@@ -462,6 +494,15 @@ def test_enumerate_histories_fig3b_programs(sem):
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig5"])
 def test_can_produce_member(sem, name):
     assert can_produce(fixture(name).history, sem)
+
+
+@pytest.mark.parametrize("name", ["fig3b", "grid20", "grid21", "grid22", "grid23"])
+def test_can_produce_every_explored_history(sem, name):
+    # can_produce's target pruning runs on calls with pulls folded into
+    # them: every history the unpruned walk emits must survive it.
+    histories = {h for h, _ in explore(REDUCTION_PROGRAMS[name](), sem)}
+    assert histories
+    assert all(can_produce(h, sem) for h in histories)
 
 
 def test_can_produce_rejects_long_fork(sem):
