@@ -529,8 +529,8 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     The walk takes the moves of ``_explore_moves`` and applies them to the
     position-indexed ``World`` through the transitions ``step`` is made of
     (``_called``, ``_body``, ``_returned``, ``_pushed``, ``_pulled``); it
-    builds no token and calls neither ``_apply`` nor ``step``.  Program
-    fences are checked once, before the walk.
+    builds no token and calls neither ``_apply`` nor ``step`` for them.
+    Program fences are checked once, before the walk.
 
     Pulls are not moves: an idle client's call is "pull j entries, then
     call", for j from 0 to the server entries the client has not pulled.

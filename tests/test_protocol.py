@@ -345,9 +345,8 @@ def explored(sem):
 
 # sha256 over the canonical JSON of each emitted execution, in emission
 # order.  The corpus samples every 53rd execution and keeps the first
-# witness per history, so both rest on it.  Folding pulls into calls
-# changed the order of fig3a, fig5 and sampled27 (not their sets, see
-# SET_DIGESTS); fig3b's order stayed.
+# witness per history, so both rest on it; SET_DIGESTS pins the sets apart
+# from their order.
 EMISSION_DIGESTS = {
     "fig3a": "d00d957265145f86a6158cd63105b49c61576de673b7cfd4e6108c18fd592b4a",
     "fig3b": "4ad6a732ac6721a0889c289795ec916c1a25c67a43f55e680011d0b34227623b",
