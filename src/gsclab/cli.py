@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .axioms import DEFAULT_MAX_EVENTS, is_gsc
 from .composition import PerObjectWitnesses, compose
@@ -195,11 +194,6 @@ def cmd_equiv(args) -> int:
     return 0
 
 
-def _verdict(payload) -> bool:
-    h, sem_name, max_events = payload
-    return is_gsc(h, get_semantics(sem_name), max_events=max_events).member
-
-
 def cmd_enumerate(args) -> int:
     semantics = get_semantics(args.semantics or "sequence")
     out_dir = pathlib.Path(args.out_dir)
@@ -211,28 +205,16 @@ def cmd_enumerate(args) -> int:
         import random
 
         rng = random.Random(args.seed)
-        results = []
-        for _ in range(args.sample):
-            h, _x = random_well_fenced_run(rng, semantics)
-            results.append(h)
+        results = [random_well_fenced_run(rng, semantics)[0] for _ in range(args.sample)]
     else:
         h, sem_name = _load_history(args.history, args)
-        programs = programs_of(h)
-        results = []
-        for hist, _x in explore(programs, semantics, max_states=args.max_schedules):
-            results.append(hist)
-        results.sort(key=History.sort_key)
+        explored = explore(programs_of(h), semantics, max_states=args.max_schedules)
+        results = sorted((hist for hist, _ in explored), key=History.sort_key)
     # One file per execution, so histories repeat: each distinct history is
     # decided and serialized once.
-    distinct = list(dict.fromkeys(results))
-    payloads = [(hist, semantics.name, args.max_events) for hist in distinct]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(pool.map(_verdict, payloads))
-    else:
-        verdicts = [_verdict(p) for p in payloads]
     rows = {}
-    for hist, member in zip(distinct, verdicts):
+    for hist in dict.fromkeys(results):
+        member = is_gsc(hist, semantics, max_events=args.max_events).member
         rvals = {e.id: e.rval for e in hist.events if e.rval is not None}
         rows[hist] = (dumps(history_to_doc(hist, semantics.name)), member,
                       f"events={len(hist.events)}  member={member}  rvals={rvals}")
@@ -256,10 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, semantics=True):
-        if semantics:
-            p.add_argument("--semantics", choices=("sequence", "register"),
-                           help="override the document's object semantics")
+    def common(p):
+        p.add_argument("--semantics", choices=("sequence", "register"),
+                       help="override the document's object semantics")
+
+    def max_events(p):
         p.add_argument("--max-events", type=_count(1), default=DEFAULT_MAX_EVENTS,
                        help=f"membership search cap (default {DEFAULT_MAX_EVENTS})")
 
@@ -269,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apply-preset", action="store_true",
                    help="rewrite fences to the model's preset before checking")
     common(p)
+    max_events(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("simulate", help="replay a schedule file")
@@ -318,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=_count(0), default=0,
                    help="emit N random well-fenced runs instead of exploring")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_count(1), default=1,
-                   help="parallel workers for membership verdicts")
     common(p)
+    max_events(p)
     p.set_defaults(fn=cmd_enumerate)
     return parser
 

@@ -16,15 +16,14 @@ from typing import Iterator, Mapping
 from .model import PULL, PUSH, Op
 from .protocol import (
     Program,
-    Schedule,
-    SimRun,
+    Run,
     World,
+    _apply,
     _moves,
+    _quiesce,
     _terminal,
     extract_execution,
     extract_history,
-    run_to_quiescence,
-    step,
 )
 from .semantics import ObjectSemantics
 
@@ -99,16 +98,13 @@ def _well_fenced_program(rng: random.Random, counter: Iterator[int],
 
 
 def _random_walk(programs: Mapping[str, Program], semantics: ObjectSemantics,
-                 rng: random.Random) -> SimRun:
+                 rng: random.Random) -> Run:
     """Drive the simulator with uniformly random enabled tokens until every
     program is exhausted, then flush to quiescence."""
-    world = World.initial(programs.keys())
-    tokens = []
-    while not _terminal(world, programs):
-        token = rng.choice(_moves(world, programs))
-        world, _ = step(world, token, semantics)
-        tokens.append(token)
-    return run_to_quiescence(Schedule(tuple(tokens)), semantics)
+    run = Run(World.initial(programs.keys()), (), frozenset())
+    while not _terminal(run.world, programs):
+        run = _apply(run, rng.choice(_moves(run.world, programs)), semantics)
+    return _quiesce(run)
 
 
 def random_well_fenced_run(rng: random.Random, semantics: ObjectSemantics,

@@ -21,17 +21,20 @@ and pulls only while it has no open event (ROADMAP item 1), and its pulls
 are folded into its next call, which may pull any number of unseen server
 entries first.
 
-``run_schedule`` and ``explore`` fold tokens the same way: each ``ret``
-yields an ``EventRecord`` and each ``call`` adds its returned-before pairs,
-and one builder turns the records into a history and an execution.
+``run_schedule``, ``explore`` and the random walk of ``generators`` fold
+into one run type, ``Run(world, events, rt)``: each ``ret`` adds an
+``EventRecord`` and each ``call`` adds its returned-before pairs, and one
+builder turns the records into a history and an execution.  Each walk is
+flushed once, at its end, with the pushes of ``flush_suffix`` made on the
+world itself (``_flushed``; ``_quiesce`` adds the pulls).
 
 Every state type (``Token``, ``Frame``, ``ClientState``, ``World``,
-``EventRecord`` and the run state ``_State``) is a named tuple, so the
-explorer hashes and compares states in C.  A ``World`` is the server log,
-the sorted client names (one tuple shared by a whole run) and the client
-states by position: ``step`` finds its client with ``names.index`` and
-replaces one slot of ``states``.  ``explore`` names its moves by position
-and applies the transitions ``step`` is made of (``_called``, ``_body``,
+``EventRecord`` and ``Run``) is a named tuple, so the explorer hashes and
+compares states in C.  A ``World`` is the server log, the sorted client
+names (one tuple shared by a whole run) and the client states by
+position: ``step`` finds its client with ``names.index`` and replaces one
+slot of ``states``.  ``explore`` names its moves by position and applies
+the transitions ``step`` is made of (``_called``, ``_body``,
 ``_returned``, ``_pushed``, ``_pulled``) without building tokens.
 """
 
@@ -287,25 +290,25 @@ def step(world: World, token: Token, semantics: ObjectSemantics
 # -- runs and their output -----------------------------------------------------
 
 
-class _State(NamedTuple):
+class Run(NamedTuple):
     """A run so far: the world, the returned events sorted by id, and the
     returned-before pairs, each added when its later event is called."""
 
     world: World
-    done: tuple[EventRecord, ...]
+    events: tuple[EventRecord, ...]
     rt: frozenset[tuple[str, str]]
 
 
-def _apply(state: _State, token: Token, semantics: ObjectSemantics) -> _State:
-    world, record = step(state.world, token, semantics)
-    done, rt = state.done, state.rt
+def _apply(run: Run, token: Token, semantics: ObjectSemantics) -> Run:
+    world, record = step(run.world, token, semantics)
+    events, rt = run.events, run.rt
     if token.kind == "call":
         new_id = world.client(token.client).frame.event_id
-        rt = rt | frozenset((d.id, new_id) for d in done)
+        rt = rt | frozenset((r.id, new_id) for r in events)
     elif record is not None:
         # Ids are unique, so the records sort by id alone.
-        done = tuple(sorted(done + (record,)))
-    return _State(world, done, rt)
+        events = tuple(sorted(events + (record,)))
+    return Run(world, events, rt)
 
 
 def _history(events: tuple[EventRecord, ...], rt: frozenset[tuple[str, str]]) -> History:
@@ -325,19 +328,7 @@ def _execution(h: History, events: tuple[EventRecord, ...],
     return AbstractExecution(h, vis, TotalOrder(tuple(eid for eid, _, _ in server)))
 
 
-@dataclass(frozen=True)
-class SimRun:
-    """A schedule's run: its returned events sorted by id, the final world,
-    and the returned-before pairs (a ret earlier in the schedule than a
-    call)."""
-
-    schedule: Schedule
-    events: tuple[EventRecord, ...]
-    world: World
-    rt: frozenset[tuple[str, str]]
-
-
-def run_schedule(schedule: Schedule, semantics: ObjectSemantics) -> SimRun:
+def run_schedule(schedule: Schedule, semantics: ObjectSemantics) -> Run:
     """Fold a schedule over the initial world of the clients its tokens name.
 
     Raises ScheduleError with the offending step index at the first token
@@ -345,30 +336,30 @@ def run_schedule(schedule: Schedule, semantics: ObjectSemantics) -> SimRun:
     without an explicit id takes ``client:index``), and names any client
     the schedule leaves with an open event.
     """
-    state = _State(World.initial({t.client for t in schedule}), (), frozenset())
+    run = Run(World.initial({t.client for t in schedule}), (), frozenset())
     ids: set[str] = set()
     for i, token in enumerate(schedule):
         try:
-            state = _apply(state, token, semantics)
+            run = _apply(run, token, semantics)
         except ScheduleError as exc:
             raise ScheduleError(f"step {i}: {exc}") from None
         if token.kind == "call":
-            eid = state.world.client(token.client).frame.event_id
+            eid = run.world.client(token.client).frame.event_id
             if eid in ids:
                 kind = "explicit event id" if token.id is not None else "event id"
                 raise ScheduleError(f"step {i}: duplicate {kind} {eid}")
             ids.add(eid)
-    for c, st in zip(state.world.names, state.world.states):
+    for c, st in zip(run.world.names, run.world.states):
         if st.frame is not None:
             raise ScheduleError(f"client {c} left mid-execution")
-    return SimRun(schedule, state.done, state.world, state.rt)
+    return run
 
 
-def extract_history(run: SimRun) -> History:
+def extract_history(run: Run) -> History:
     return _history(run.events, run.rt)
 
 
-def extract_execution(run: SimRun) -> AbstractExecution:
+def extract_execution(run: Run) -> AbstractExecution:
     """History plus the visibility witnessed by each body and the final
     server-log arbitration.  Requires a quiescent final world."""
     if not run.world.quiescent():
@@ -379,30 +370,40 @@ def extract_execution(run: SimRun) -> AbstractExecution:
 def flush_suffix(world: World) -> list[Token]:
     """Tokens that drive a world to quiescence: round-robin pushes over the
     sorted clients (FIFO within each), then pulls client by client."""
-    out: list[Token] = []
-    pend = {c: len(st.pending) for c, st in zip(world.names, world.states)}
-    while any(pend.values()):
-        for c in sorted(pend):
-            if pend[c]:
-                out.append(push(c))
-                pend[c] -= 1
-    total = len(world.server) + sum(len(st.pending) for st in world.states)
+    pending = [len(st.pending) for st in world.states]
+    out = [push(c) for k in range(max(pending, default=0))
+           for c, n in zip(world.names, pending) if k < n]
+    total = len(world.server) + sum(pending)
     for c, st in zip(world.names, world.states):
         out.extend([pull(c)] * (total - st.known_len))
     return out
 
 
-def run_to_quiescence(schedule: Schedule, semantics: ObjectSemantics) -> SimRun:
-    """``run_schedule`` followed by the ``flush_suffix`` of its final world;
-    the run's schedule includes the flush tokens."""
-    run = run_schedule(schedule, semantics)
-    extra = flush_suffix(run.world)
-    if not extra:
-        return run
+def _flushed(world: World) -> tuple[Entry, ...]:
+    """The server log after the pushes of ``flush_suffix``: pending entries
+    appended round-robin over the clients by position, FIFO within each."""
+    pending = [st.pending for st in world.states]
+    server = list(world.server)
+    for k in range(max(map(len, pending), default=0)):
+        server.extend(p[k] for p in pending if k < len(p))
+    return tuple(server)
+
+
+def _quiesce(run: Run) -> Run:
+    """``run`` after the ``flush_suffix`` of its world: every client has
+    pushed its pending entries and pulled the whole server log, which holds
+    its own pushed entries too, so none is left unacked."""
     world = run.world
-    for token in extra:
-        world, _ = step(world, token, semantics)
-    return SimRun(Schedule(schedule.steps + tuple(extra)), run.events, world, run.rt)
+    server = _flushed(world)
+    states = tuple(ClientState(len(server), (), (), st.frame, st.next_index)
+                   for st in world.states)
+    return Run(World(server, world.names, states), run.events, run.rt)
+
+
+def run_to_quiescence(schedule: Schedule, semantics: ObjectSemantics) -> Run:
+    """``run_schedule`` followed by the ``flush_suffix`` of its final world.
+    The quiescent schedule itself is ``schedule`` plus that suffix."""
+    return _quiesce(run_schedule(schedule, semantics))
 
 
 # -- bounded exhaustive exploration --------------------------------------------
@@ -485,27 +486,24 @@ def _explore_moves(world: World, programs: tuple[Program, ...]
     return [] if terminal else out
 
 
-def _finish(state: _State, semantics: ObjectSemantics,
-            histories: dict[tuple, History], emitted: set[tuple]
+def _finish(run: Run, histories: dict[tuple, History], emitted: set[tuple]
             ) -> tuple[History, AbstractExecution] | None:
-    """Flush a terminal state's pushes and give its (history, execution)
+    """Flush a terminal run's pushes and give its (history, execution)
     pair, or None when ``emitted`` already holds its key (returned events,
     rt, flushed server log).  The key and the pair determine each other:
     ids are client:index, no view holds its own event, and the server log
     is the arbitration.  ``histories`` keeps the history of each (returned
     events, rt) already built."""
-    world, done, rt = state
-    for token in flush_suffix(world):
-        if token.kind == "push":
-            world, _ = step(world, token, semantics)
-    key = (done, rt, world.server)
+    _, events, rt = run
+    server = _flushed(run.world)
+    key = (events, rt, server)
     if key in emitted:
         return None
     emitted.add(key)
-    h = histories.get((done, rt))
+    h = histories.get((events, rt))
     if h is None:
-        h = histories[done, rt] = _history(done, rt)
-    return h, _execution(h, done, world.server)
+        h = histories[events, rt] = _history(events, rt)
+    return h, _execution(h, events, server)
 
 
 def _target_tables(target: History | None):
@@ -528,8 +526,9 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
 
     The walk takes the moves of ``_explore_moves`` and applies them to the
     position-indexed ``World`` through the transitions ``step`` is made of
-    (``_called``, ``_body``, ``_returned``, ``_pushed``, ``_pulled``); it
-    builds no token and calls neither ``_apply`` nor ``step`` for them.
+    (``_called``, ``_body``, ``_returned``, ``_pushed``, ``_pulled``), and
+    its flush appends entries to the server log directly: the walk builds
+    no token and calls neither ``_apply``, ``step`` nor ``flush_suffix``.
     Program fences are checked once, before the walk.
 
     Pulls are not moves: an idle client's call is "pull j entries, then
@@ -555,13 +554,14 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
 
     A terminal state then holds exactly what its output reads (server log,
     pending entries, returned events and rt), so deduplication by state
-    flushes each distinct terminal once.  The flush applies only the pushes
-    of ``flush_suffix``: the output reads the flushed server log alone, and
-    pulls never change it.  A flushed terminal is then deduplicated by its
-    key (returned events, rt, flushed server log), which hashes in C and
-    determines its pair, before anything is built; a new key builds only
-    its execution, since the walk builds one history per (returned events,
-    rt) and shares it between the executions that have it.
+    flushes each distinct terminal once.  The flush makes only the pushes
+    of ``flush_suffix`` (``_flushed``): the output reads the flushed server
+    log alone, and pulls never change it.  A flushed terminal is then
+    deduplicated by its key (returned events, rt, flushed server log),
+    which hashes in C and determines its pair, before anything is built; a
+    new key builds only its execution, since the walk builds one history
+    per (returned events, rt) and shares it between the executions that
+    have it.
 
     Where some client's open event is unfenced and its body has not run,
     that body (of the first such client by name) is the state's only move,
@@ -585,7 +585,7 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     states are seen, and ScheduleError when a program call has fences other
     than push and pull.
     """
-    init = _State(World.initial(programs), (), frozenset())
+    init = Run(World.initial(programs), (), frozenset())
     names = init.world.names
     progs = tuple(programs[c] for c in names)
     for c, program in zip(names, progs):
@@ -593,34 +593,34 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             _check_fences(c, fences)
     ids = tuple(tuple(f"{c}:{k}" for k in range(len(p))) for c, p in zip(names, progs))
     tables = _target_tables(target)
-    seen: set[_State] = {init}
-    stack: list[_State] = [init]
+    seen: set[Run] = {init}
+    stack: list[Run] = [init]
     terminals = 0
     histories: dict[tuple, History] = {}
     emitted: set[tuple] = set()
     while stack:
-        state = stack.pop()
-        world, done, rt = state
+        run = stack.pop()
+        world, events, rt = run
         moves = _explore_moves(world, progs)
         if not moves:
             terminals += 1
-            pair = _finish(state, semantics, histories, emitted)
+            pair = _finish(run, histories, emitted)
             if pair is not None:
                 yield pair
             continue
         server, states = world.server, world.states
         for i, kind, j in moves:
             st = states[i]
-            nserver, ndone, nrt = server, done, rt
+            nserver, nevents, nrt = server, events, rt
             if kind == "call":
                 for _ in range(j):
                     st = _pulled(server, st)
                 eid = ids[i][st.next_index]
                 obj, op, fences = progs[i][st.next_index]
                 st = _called(st, eid, obj, op, fences)
-                if done:
-                    nrt = rt | frozenset((d.id, eid) for d in done)
-                if tables is not None and not _call_fits(tables, eid, nrt, done):
+                if events:
+                    nrt = rt | frozenset((r.id, eid) for r in events)
+                if tables is not None and not _call_fits(tables, eid, nrt, events):
                     continue
             elif kind == "body":
                 nserver, st = _body(server, st, semantics)
@@ -630,12 +630,12 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
                 if kind == "ret":
                     st, record = _returned(st, names[i])
                     # Ids are unique, so the records sort by id alone.
-                    ndone = tuple(sorted(done + (record,)))
+                    nevents = tuple(sorted(events + (record,)))
                 else:
                     nserver, st = _pushed(server, st)
                 if st.frame is None and st.next_index == len(progs[i]):
                     st = ClientState(0, (), st.pending, None, st.next_index)
-            nxt = _State(_with(world, nserver, i, st), ndone, nrt)
+            nxt = Run(_with(world, nserver, i, st), nevents, nrt)
             before = len(seen)
             seen.add(nxt)
             if len(seen) == before:
@@ -649,30 +649,19 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
 
 
 def _call_fits(tables, event_id: str, rt: frozenset[tuple[str, str]],
-               done: tuple[EventRecord, ...]) -> bool:
+               events: tuple[EventRecord, ...]) -> bool:
     """Whether a call of ``event_id`` that gives the run ``rt`` can still
     lead to the target.  Returned-before pairs only ever get added when an
     event is called, so a call whose required predecessors have not all
     returned, or that pairs up with something the target does not, cannot."""
     rvals, rt_pairs, preds = tables
     return (event_id in rvals and rt <= rt_pairs
-            and preds[event_id] <= {d.id for d in done})
+            and preds[event_id] <= {r.id for r in events})
 
 
 def _body_fits(tables, fr: Frame) -> bool:
     rvals = tables[0]
     return fr.event_id in rvals and fr.rval == rvals[fr.event_id]
-
-
-def _target_compatible(state: _State, token: Token, tables) -> bool:
-    """Check the state right after a ``call`` or ``body`` token against the
-    target tables (``_call_fits`` and ``_body_fits``)."""
-    fr = state.world.client(token.client).frame
-    if token.kind == "call":
-        return _call_fits(tables, fr.event_id, state.rt, state.done)
-    if token.kind == "body":
-        return _body_fits(tables, fr)
-    return True
 
 
 def enumerate_histories(programs: Mapping[str, Program], semantics: ObjectSemantics,

@@ -1,7 +1,8 @@
 """Source hygiene: every module under ``src/gsclab`` and ``tests`` reads
-each name it imports, and every attribute the benchmark tracer wraps still
-exists.  No linter ships with the project, so the check walks the syntax
-trees with ``ast`` alone."""
+each name it imports, every private function in ``src/gsclab`` has a
+caller there, and every attribute the benchmark tracer wraps still exists.
+No linter ships with the project, so the check walks the syntax trees with
+``ast`` alone."""
 
 import ast
 import importlib.util
@@ -40,6 +41,33 @@ def test_no_unused_imports():
     problems = [p for path in modules if path != package / "__init__.py"
                 for p in unused_imports(path)]
     assert problems == []
+
+
+def private_functions_without_callers(package: pathlib.Path) -> list[str]:
+    """Functions named ``_name`` (not dunders) in ``package`` that no code
+    of ``package`` outside their own definition names, as a variable or as
+    an attribute."""
+    defs: dict[str, list[tuple[pathlib.Path, int, int]]] = {}
+    refs: list[tuple[str, pathlib.Path, int]] = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defs.setdefault(node.name, []).append((path, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, path, node.lineno))
+    called = {name for name, path, line in refs if name in defs
+              and not any(p == path and first <= line <= last for p, first, last in defs[name])}
+    return [f"{path.relative_to(ROOT)}:{first}: {name}"
+            for name, sites in sorted(defs.items()) if name not in called
+            for path, first, _ in sites]
+
+
+def test_private_functions_have_src_callers():
+    # A private helper that only tests call belongs in the tests.
+    assert private_functions_without_callers(ROOT / "src" / "gsclab") == []
 
 
 def test_tracer_patches_name_existing_attributes():

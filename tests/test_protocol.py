@@ -230,9 +230,11 @@ def test_extract_execution_vis_and_ar(sem):
 
 
 def test_flush_suffix_reaches_quiescence(sem):
-    base = run_schedule(Schedule(tuple(
+    # run_to_quiescence flushes without tokens, to the world the tokens reach.
+    sched = Schedule(tuple(
         exec_tokens("a", "x", Op("append", 1)) + exec_tokens("b", "x", Op("append", 2))
-    )), sem)
+    ))
+    base = run_schedule(sched, sem)
     assert not base.world.quiescent()
     world = base.world
     assert flush_suffix(world) == [push("a"), push("b"), pull("a"), pull("a"),
@@ -240,6 +242,7 @@ def test_flush_suffix_reaches_quiescence(sem):
     for token in flush_suffix(world):
         world, _ = step(world, token, sem)
     assert world.quiescent()
+    assert world == run_to_quiescence(sched, sem).world
 
 
 def test_run_to_quiescence_no_op_when_quiescent(sem):
@@ -247,7 +250,7 @@ def test_run_to_quiescence_no_op_when_quiescent(sem):
         exec_tokens("a", "x", Op("append", 1), fences=("push",)) + [pull("a")]
     ))
     run = run_to_quiescence(sched, sem)
-    assert run.schedule == sched
+    assert run == run_schedule(sched, sem)
 
 
 def test_programs_of_round_trip(sem):
@@ -413,31 +416,41 @@ def test_explore_builds_one_history_per_returned_events_and_rt(sem, monkeypatch)
     # fig5's 3,581 distinct terminal states flush to 2,434 distinct
     # executions, and hold only 780 distinct (returned events, rt) keys.
     built, flushed = [], []
-    history, flush = protocol._history, protocol.flush_suffix
+    history, finish = protocol._history, protocol._finish
     monkeypatch.setattr(protocol, "_history", lambda *a: built.append(a) or history(*a))
-    monkeypatch.setattr(protocol, "flush_suffix", lambda w: flushed.append(w) or flush(w))
+    monkeypatch.setattr(protocol, "_finish", lambda *a: flushed.append(a) or finish(*a))
     assert len(list(explore(EXPLORED_PROGRAMS["fig5"](), sem))) == 2_434
     assert len(flushed) == 3_581
     assert len(built) == len(set(built)) == 780
+
+
+def test_explore_touches_no_token(sem, monkeypatch):
+    # explore applies its moves and flushes its terminals on the world
+    # itself, so neither the token judge nor the token flush runs.
+    def refuse(*args):
+        raise AssertionError("explore went through the token layer")
+    monkeypatch.setattr(protocol, "step", refuse)
+    monkeypatch.setattr(protocol, "flush_suffix", refuse)
+    assert len(list(explore(EXPLORED_PROGRAMS["fig5"](), sem))) == 2_434
 
 
 def unreduced_explore(programs, sem):
     """The emitted pairs, in order, of a walk that takes every ``_moves``
     token through ``step`` (no body-first rule, pulls as moves, no reset
     of finished clients), deduplicated by state, with explore's flush."""
-    init = protocol._State(World.initial(programs), (), frozenset())
+    init = protocol.Run(World.initial(programs), (), frozenset())
     seen = {init}
     stack = [init]
     out, histories, emitted = [], {}, set()
     while stack:
-        state = stack.pop()
-        if protocol._terminal(state.world, programs):
-            pair = protocol._finish(state, sem, histories, emitted)
+        run = stack.pop()
+        if protocol._terminal(run.world, programs):
+            pair = protocol._finish(run, histories, emitted)
             if pair is not None:
                 out.append(pair)
             continue
-        for token in protocol._moves(state.world, programs):
-            nxt = protocol._apply(state, token, sem)
+        for token in protocol._moves(run.world, programs):
+            nxt = protocol._apply(run, token, sem)
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -475,7 +488,7 @@ def test_explore_matches_unreduced_walk(sem, name):
 
 
 @pytest.mark.parametrize("cls", [Op, Token, protocol.Frame, protocol.ClientState, World,
-                                 protocol.EventRecord, protocol._State])
+                                 protocol.EventRecord, protocol.Run])
 def test_explored_state_types_hash_in_c(cls):
     # explore's ``seen`` set hashes these on every move; a dataclass's
     # generated __hash__ runs in Python and costs the explorer its speed.

@@ -234,24 +234,24 @@ def schedule_oracle(x, sem, moves=protocol._moves):
     sees = {name[e]: frozenset(name[v] for v in x.vis.predecessors(e)) for e in h.ids}
     programs = protocol.programs_of(target)
     tables = protocol._target_tables(target)
-    init = protocol._State(World.initial(programs), (), frozenset())
+    init = protocol.Run(World.initial(programs), (), frozenset())
     seen = {init}
     stack = [(init, ())]
     while stack:
-        state, path = stack.pop()
-        if len(state.world.server) == len(ar) and protocol._terminal(state.world, programs):
+        run, path = stack.pop()
+        if len(run.world.server) == len(ar) and protocol._terminal(run.world, programs):
             return path
-        for token in moves(state.world, programs):
-            nxt = protocol._apply(state, token, sem)
+        for token in moves(run.world, programs):
+            nxt = protocol._apply(run, token, sem)
             log = tuple(eid for eid, _, _ in nxt.world.server)
             if log != ar[:len(log)]:
                 continue
-            if token.kind == "body":
-                fr = nxt.world.client(token.client).frame
-                if fr.view != sees[fr.event_id]:
-                    continue
-            if token.kind in ("call", "body") and not protocol._target_compatible(
-                    nxt, token, tables):
+            fr = nxt.world.client(token.client).frame
+            if token.kind == "call" and not protocol._call_fits(
+                    tables, fr.event_id, nxt.rt, nxt.events):
+                continue
+            if token.kind == "body" and (fr.view != sees[fr.event_id]
+                                         or not protocol._body_fits(tables, fr)):
                 continue
             if nxt not in seen:
                 seen.add(nxt)
