@@ -195,7 +195,11 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    semantics = get_semantics(args.semantics or "sequence")
+    if args.sample:
+        semantics = get_semantics(args.semantics or "sequence")
+    else:
+        h, sem_name = _load_history(args.history, args)
+        semantics = get_semantics(sem_name)
     out_dir = pathlib.Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,7 +211,6 @@ def cmd_enumerate(args) -> int:
         rng = random.Random(args.seed)
         results = [random_well_fenced_run(rng, semantics)[0] for _ in range(args.sample)]
     else:
-        h, sem_name = _load_history(args.history, args)
         explored = explore(programs_of(h), semantics, max_states=args.max_schedules)
         results = sorted((hist for hist, _ in explored), key=History.sort_key)
     # One file per execution, so histories repeat: each distinct history is

@@ -21,21 +21,30 @@ and pulls only while it has no open event (ROADMAP item 1), and its pulls
 are folded into its next call, which may pull any number of unseen server
 entries first.
 
-``run_schedule``, ``explore`` and the random walk of ``generators`` fold
-into one run type, ``Run(world, events, rt)``: each ``ret`` adds an
+``run_schedule`` and the random walk of ``generators`` fold tokens into
+one run type, ``Run(world, events, rt)``: each ``ret`` adds an
 ``EventRecord`` and each ``call`` adds its returned-before pairs, and one
-builder turns the records into a history and an execution.  Each walk is
-flushed once, at its end, with the pushes of ``flush_suffix`` made on the
-world itself (``_flushed``; ``_quiesce`` adds the pulls).
+builder (``_history``, ``_execution``) turns the records into a history
+and an execution.  Each run is flushed once, at its end, with the pushes
+of ``flush_suffix`` made on the world itself (``_flushed``; ``_quiesce``
+adds the pulls).  The token-level types (``Token``, ``Frame``,
+``ClientState``, ``World``, ``EventRecord`` and ``Run``) are named tuples.
+A ``World`` is the server log, the sorted client names (one tuple shared
+by a whole run) and the client states by position: ``step`` finds its
+client with ``names.index`` and replaces one slot of ``states``.
 
-Every state type (``Token``, ``Frame``, ``ClientState``, ``World``,
-``EventRecord`` and ``Run``) is a named tuple, so the explorer hashes and
-compares states in C.  A ``World`` is the server log, the sorted client
-names (one tuple shared by a whole run) and the client states by
-position: ``step`` finds its client with ``names.index`` and replaces one
-slot of ``states``.  ``explore`` names its moves by position and applies
-the transitions ``step`` is made of (``_called``, ``_body``,
-``_returned``, ``_pushed``, ``_pulled``) without building tokens.
+``explore`` keeps none of those types in its states.  It numbers the
+events of its programs and walks compact states (``_Walk``): exact tuples
+of ints, None and such tuples, with ids, ops and fences looked up from
+per-walk tables.  It keeps every state it reaches in its ``seen`` set for
+the whole walk, so the states are made atomic for CPython's cyclic
+collector: a collection untracks an exact tuple whose items are all
+untracked, and later collections stop rescanning it, while a named tuple,
+or any tuple that holds an ``Op`` or a frozenset, stays tracked and is
+rescanned by every full collection.  Only a terminal state with a new key
+becomes ``EventRecord``s for the one builder.  ``step``, ``World``,
+``Run`` and the token walks stay the reference ``explore`` is tested
+against.
 """
 
 from __future__ import annotations
@@ -433,8 +442,8 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
     push or pull, although ``step`` accepts them, so a walk over these
     moves covers only schedules whose clients communicate between events
     (ROADMAP item 1).  ``generators._random_walk`` and the reference walks
-    of the tests draw from it; ``explore`` walks the same executions with
-    moves of its own (``_explore_moves``)."""
+    of the tests draw from it; ``explore`` walks the same executions over
+    compact states of its own (``_Walk.successors``)."""
     out: list[Token] = []
     for c, st in zip(world.names, world.states):
         if st.frame is not None:
@@ -450,69 +459,185 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
     return out
 
 
-def _explore_moves(world: World, programs: tuple[Program, ...]
-                   ) -> list[tuple[int, str, int]]:
-    """The moves ``explore`` takes from a world, as (client position, kind,
-    j) with ``programs`` by position; none when every client has returned
-    its last program event (a terminal world).  When some client's open
-    event is unfenced and its body has not run, the body of the first such
-    client is the only move.  Otherwise, client by client: the open event's
-    body or ret; or, for an idle client, its next call after pulling j
-    unseen server entries (only j = 0 before a pull-fenced call), and a push
-    of its pending work."""
-    server_len = len(world.server)
-    out: list[tuple[int, str, int]] = []
-    terminal = True
-    for i, st in enumerate(world.states):
-        fr = st.frame
-        if fr is not None:
-            if fr.done:
-                out.append((i, "ret", 0))
-            elif fr.fences:
-                out.append((i, "body", 0))
-            else:
-                return [(i, "body", 0)]
-            terminal = False
-            continue
-        program = programs[i]
-        if st.next_index < len(program):
-            terminal = False
-            if PULL in program[st.next_index][2]:
-                out.append((i, "call", 0))
-            else:
-                out.extend((i, "call", j) for j in range(server_len - st.known_len + 1))
-        if st.pending:
-            out.append((i, "push", 0))
-    return [] if terminal else out
+class _Walk:
+    """The per-walk tables of one ``explore`` call and its moves over
+    compact states.
 
+    Events are numbered by client position, then session index: client
+    ``i``'s event ``k`` is ``offsets[i] + k``, and a set of events is a
+    bitmask over those numbers.  A state is an exact tuple
+    ``(server, clients, bodies, rts, returned)``:
 
-def _finish(run: Run, histories: dict[tuple, History], emitted: set[tuple]
-            ) -> tuple[History, AbstractExecution] | None:
-    """Flush a terminal run's pushes and give its (history, execution)
-    pair, or None when ``emitted`` already holds its key (returned events,
-    rt, flushed server log).  The key and the pair determine each other:
-    ids are client:index, no view holds its own event, and the server log
-    is the arbitration.  ``histories`` keeps the history of each (returned
-    events, rt) already built."""
-    _, events, rt = run
-    server = _flushed(run.world)
-    key = (events, rt, server)
-    if key in emitted:
-        return None
-    emitted.add(key)
-    h = histories.get((events, rt))
-    if h is None:
-        h = histories[events, rt] = _history(events, rt)
-    return h, _execution(h, events, server)
+    - ``server``: the server log as event numbers;
+    - ``clients``: per client position (known, pushed, called, phase): the
+      server prefix it has pulled, how many of its own entries it has
+      pushed, how many of its events it has called, and whether its last
+      called event is closed (0), called (1) or past its body (2);
+    - ``bodies``: per event None until its body runs, then its return
+      value and view mask;
+    - ``rts``: per event the mask of events that had returned when it was
+      called (0 until it is);
+    - ``returned``: the mask of returned events, which ``clients`` fixes;
+      it is kept so that a call reads it directly.
 
+    Everything else a ``World`` and ``Run`` hold is looked up from the
+    tables: ids, ops and fences by event number; a client's pending
+    entries are its events from ``pushed`` to its last body, and its
+    unacked entries are its own events on the server past ``known``.
+    """
 
-def _target_tables(target: History | None):
-    if target is None:
-        return None
-    rvals = {e.id: e.rval for e in target.events}
-    rt_pairs = target.rt.pairs
-    preds = {e.id: target.rt.predecessors(e.id) for e in target.events}
-    return rvals, rt_pairs, preds
+    def __init__(self, programs: Mapping[str, Program], semantics: ObjectSemantics,
+                 target: History | None) -> None:
+        names = tuple(sorted(programs))
+        progs = tuple(programs[c] for c in names)
+        for c, program in zip(names, progs):
+            for _, _, fences in program:
+                _check_fences(c, fences)
+        self.names = names
+        self.sizes = tuple(map(len, progs))
+        self.offsets = tuple(sum(self.sizes[:i]) for i in range(len(names)))
+        self.client = tuple(i for i, p in enumerate(progs) for _ in p)
+        self.index = tuple(k for p in progs for k in range(len(p)))
+        self.ids = ids = tuple(f"{c}:{k}" for c, p in zip(names, progs) for k in range(len(p)))
+        self.objs = tuple(obj for p in progs for obj, _, _ in p)
+        self.ops = tuple(op for p in progs for _, op, _ in p)
+        self.fences = tuple(fences for p in progs for _, _, fences in p)
+        self.pulls = tuple(PULL in f for f in self.fences)
+        self.pushes = tuple(PUSH in f for f in self.fences)
+        self.order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
+        self.eval = semantics.eval
+        self.evaluated: dict[tuple, tuple] = {}
+        # With a target: per event the returned mask its call needs (-1
+        # when no call of it fits) and the return value its body needs.
+        # A body runs only after its call fits, so every event whose body
+        # runs is in the target.
+        self.target = None
+        if target is not None:
+            number = {eid: e for e, eid in enumerate(ids)}
+            rvals = {e.id: e.rval for e in target.events}
+            preds = [-1] * len(ids)
+            for e, eid in enumerate(ids):
+                if eid in rvals:
+                    before = target.rt.predecessors(eid)
+                    if before <= number.keys():
+                        preds[e] = sum(1 << number[p] for p in before)
+            self.target = (tuple(preds), tuple(rvals.get(eid) for eid in ids))
+        self.initial = ((), ((0, 0, 0, 0),) * len(names), (None,) * len(ids),
+                        (0,) * len(ids), 0)
+
+    def body(self, state: tuple, i: int) -> tuple | None:
+        """``state`` after client ``i`` runs its open event's body, or None
+        when the target rules its return value out.  A pull-fenced body
+        first pulls the whole server log, and a push-fenced body then
+        pushes every pending entry.  Bodies are memoized by the event, the
+        known length and the server log, which fix the client's logs: its
+        own entries on the server are the ones it has pushed."""
+        server, clients, bodies, rts, returned = state
+        known, pushed, called, _ = clients[i]
+        first = self.offsets[i]
+        e = first + called - 1
+        if self.pulls[e]:
+            known = len(server)
+        key = (e, known, server)
+        result = self.evaluated.get(key)
+        if result is None:
+            last = first + self.sizes[i]
+            logs = (server[:known] + tuple(x for x in server[known:] if first <= x < last)
+                    + tuple(range(first + pushed, e)))
+            obj, objs, ops = self.objs[e], self.objs, self.ops
+            result = self.evaluated[key] = (
+                self.eval(tuple(ops[x] for x in logs if objs[x] == obj), ops[e]),
+                sum(1 << x for x in logs))
+        if self.target is not None and result[0] != self.target[1][e]:
+            return None
+        if self.pushes[e]:
+            server = server + tuple(range(first + pushed, e + 1))
+            pushed = called
+        return (server, clients[:i] + ((known, pushed, called, 2),) + clients[i + 1:],
+                bodies[:e] + (result,) + bodies[e + 1:], rts, returned)
+
+    def successors(self, state: tuple) -> list[tuple] | None:
+        """The states ``explore`` moves to from ``state``, in the order it
+        pushes them on its stack, or None when every client has returned
+        its last program event (a terminal state).  When some client's
+        open event is unfenced and its body has not run, the body of the
+        first such client is the only move.  Otherwise, client by client:
+        the open event's body or ret; or, for an idle client, its next call
+        after pulling j unseen server entries (only j = 0 before a
+        pull-fenced call), then a push of its pending work."""
+        server, clients, bodies, rts, returned = state
+        offsets, sizes, pulls, target, body = (
+            self.offsets, self.sizes, self.pulls, self.target, self.body)
+        for i, (_, _, called, phase) in enumerate(clients):
+            if phase == 1 and not self.fences[offsets[i] + called - 1]:
+                nxt = body(state, i)
+                return [] if nxt is None else [nxt]
+        out = []
+        terminal = True
+        size = len(server)
+        for i, (known, pushed, called, phase) in enumerate(clients):
+            if phase == 1:
+                terminal = False
+                nxt = body(state, i)
+                if nxt is not None:
+                    out.append(nxt)
+                continue
+            head, tail = clients[:i], clients[i + 1:]
+            e = offsets[i] + called
+            if phase == 2:
+                terminal = False
+                # A finished client is reset to known 0: nothing reads it.
+                top = 0 if called == sizes[i] else known
+                out.append((server, head + ((top, pushed, called, 0),) + tail,
+                            bodies, rts, returned | (1 << (e - 1))))
+                continue
+            if called < sizes[i]:
+                terminal = False
+                if target is None or target[0][e] == returned:
+                    nrts = rts[:e] + (returned,) + rts[e + 1:]
+                    for k in range(known, known + 1 if pulls[e] else size + 1):
+                        out.append((server, head + ((k, pushed, called + 1, 1),) + tail,
+                                    bodies, nrts, returned))
+            if pushed < called:
+                out.append((server + (offsets[i] + pushed,),
+                            head + ((known, pushed + 1, called, 0),) + tail,
+                            bodies, rts, returned))
+        return None if terminal else out
+
+    def flushed(self, state: tuple) -> tuple:
+        """A terminal state's key: the server log after the pushes of
+        ``flush_suffix`` (each client's pending entries, round-robin over
+        the clients by position, FIFO within each), the bodies and the
+        rts masks."""
+        server, clients, bodies, rts, _ = state
+        pending = [range(first + pushed, first + called)
+                   for first, (_, pushed, called, _) in zip(self.offsets, clients)]
+        log = list(server)
+        for k in range(max(map(len, pending), default=0)):
+            log.extend(p[k] for p in pending if k < len(p))
+        return tuple(log), bodies, rts
+
+    def pair(self, key: tuple, histories: dict[tuple, tuple]
+             ) -> tuple[History, AbstractExecution]:
+        """The (history, execution) of a terminal key, through ``_history``
+        and ``_execution``.  ``histories`` keeps the history and records of
+        each (bodies, rts) already built."""
+        server, bodies, rts = key
+        built = histories.get((bodies, rts))
+        if built is None:
+            ids, n = self.ids, len(self.ids)
+            records = tuple(
+                EventRecord(ids[e], self.names[self.client[e]], self.objs[e], self.ops[e],
+                            self.fences[e], bodies[e][0],
+                            frozenset(ids[x] for x in range(n) if bodies[e][1] >> x & 1),
+                            self.index[e])
+                for e in self.order)
+            rt = frozenset((ids[x], ids[e]) for e in range(n) for x in range(n)
+                           if rts[e] >> x & 1)
+            built = histories[bodies, rts] = (_history(records, rt), records)
+        h, records = built
+        ids, objs, ops = self.ids, self.objs, self.ops
+        return h, _execution(h, records, tuple((ids[e], objs[e], ops[e]) for e in server))
 
 
 def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
@@ -524,118 +649,97 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     deterministic flush; yields one (history, execution) pair per distinct
     execution, in the order the walk first reaches it.
 
-    The walk takes the moves of ``_explore_moves`` and applies them to the
-    position-indexed ``World`` through the transitions ``step`` is made of
-    (``_called``, ``_body``, ``_returned``, ``_pushed``, ``_pulled``), and
-    its flush appends entries to the server log directly: the walk builds
-    no token and calls neither ``_apply``, ``step`` nor ``flush_suffix``.
-    Program fences are checked once, before the walk.
+    States are the compact tuples of ``_Walk``: the server log as event
+    numbers; per client its known length, own entries pushed, events
+    called and the phase of its last call; per event its body's return
+    value and view mask and its call's returned-before mask; and the mask
+    of returned events.  The rest of a ``Run`` follows from them and the
+    per-walk tables.  Pushes are FIFO and the server log only grows, so a
+    client's pending entries are its events from the pushed count to its
+    last body, and its unacked entries are its own events on the server
+    past its known length.  Two states are therefore equal exactly when the
+    runs ``step`` would reach are, with the reductions below, so the
+    encoding changes neither the deduplication nor the order of the walk.
+    The walk builds no token and calls neither ``step`` nor
+    ``flush_suffix``.  Program fences are checked once, before the walk.
 
     Pulls are not moves: an idle client's call is "pull j entries, then
-    call", for j from 0 to the server entries the client has not pulled.
-    This loses no execution of the walk with pull moves (``_moves``).  A
-    pull changes only its own client's known prefix and unacked entries,
-    and unacked is fixed by the known prefix and the server log (the
-    client's own entries past that prefix).  Only the client's next body
-    reads them, and no pull is offered between a call and its body.  The
-    server log only grows, so a pull reads the same entry however late it
-    runs, and any pull can wait until just before its client's next call:
-    every move it passes commutes with it (Godefroid 1996).  A pull-fenced
-    body pulls to the end of the server log itself, so its call is offered
-    with j = 0 only; a finished client has no next call, so its pulls reach
-    no output and are never taken.
+    call", for j from 0 to the server entries the client has not pulled,
+    and raises its known length by j.  This loses no execution of the walk
+    with pull moves (``_moves``).  A pull changes only its own client's
+    known length, and with it the unacked entries.  Only the client's next
+    body reads them, and no pull is offered between a call and its body.
+    The server log only grows, so a pull reads the same entry however late
+    it runs, and any pull can wait until just before its client's next
+    call: every move it passes commutes with it (Godefroid 1996).  A
+    pull-fenced body sets its known length to the whole server log itself,
+    so its call is offered with j = 0 only; a finished client has no next
+    call, so its pulls reach no output and are never taken.
 
     States keep only what the output and the future moves read:
 
-    - a finished client is reset to its pending entries after each of its
-      moves, since no body and no move reads its other logs;
-    - the returned events are kept sorted by id, since the rt rule and the
-      output read them as a set.
+    - a finished client's known length is reset to 0 after each of its
+      moves, since no body and no move reads its known prefix or the
+      unacked entries that prefix fixes; its pushed count still fixes its
+      pending entries;
+    - the returned events are a mask, and so are each call's
+      returned-before events, since the rt rule and the output read them
+      as sets.
 
     A terminal state then holds exactly what its output reads (server log,
-    pending entries, returned events and rt), so deduplication by state
-    flushes each distinct terminal once.  The flush makes only the pushes
-    of ``flush_suffix`` (``_flushed``): the output reads the flushed server
-    log alone, and pulls never change it.  A flushed terminal is then
-    deduplicated by its key (returned events, rt, flushed server log),
-    which hashes in C and determines its pair, before anything is built; a
-    new key builds only its execution, since the walk builds one history
-    per (returned events, rt) and shares it between the executions that
-    have it.
+    pending entries, bodies and rts), so deduplication by state flushes
+    each distinct terminal once.  The flush makes only the pushes of
+    ``flush_suffix`` (``_Walk.flushed``): the output reads the flushed
+    server log alone, and pulls never change it.  A flushed terminal is
+    then deduplicated by its key (flushed server log, bodies, rts), a
+    plain tuple that determines its pair before anything is built: ids are
+    client:index, no view holds its own event, and the server log is the
+    arbitration.  A new key builds only its execution, since the walk
+    builds one history per (bodies, rts) and shares it between the
+    executions that have it.
 
     Where some client's open event is unfenced and its body has not run,
     that body (of the first such client by name) is the state's only move,
-    a singleton persistent set.  The body reads only its own client's logs,
-    including the server prefix it has already pulled, and writes only its
-    own pending log and frame, so every other client's move commutes with
-    it and none disables it; its client has no other move, and a state
-    with an open event is never terminal.  Fenced bodies read or write the
-    server and stay interleaved.
+    a singleton persistent set.  The body reads only its own client's
+    known prefix, unacked and pending entries, and writes only its event's
+    body and its client's phase, so every other client's move commutes
+    with it and none disables it; its client has no other move, and a
+    state with an open event is never terminal.  Fenced bodies read or
+    write the server and stay interleaved.
 
     With ``target`` (canonical client:index ids) the walk prunes branches
-    that provably cannot reproduce the target history: a wrong return value,
-    an rt pair outside the target's, or a required rt pair already missed.
-    All three conditions are monotone along a run, so pruning is sound, and
-    both reductions keep it so: a call's pairs do not depend on the pulls
-    folded into it, and a body's return value is fixed by the state it is
-    taken from.
+    that provably cannot reproduce the target history: a wrong return
+    value, an rt pair outside the target's, or a required rt pair already
+    missed.  A call adds the pairs from every returned event, so it fits
+    exactly when the returned mask equals the target's rt predecessors of
+    the called event.  All three conditions are monotone along a run, so
+    pruning is sound, and both reductions keep it so: a call's pairs do
+    not depend on the pulls folded into it, and a body's return value is
+    fixed by the state it is taken from.
 
     Raises EnumerationCapError, with the states seen, (distinct) terminal
     states reached and pairs emitted so far, once more than ``max_states``
     states are seen, and ScheduleError when a program call has fences other
     than push and pull.
     """
-    init = Run(World.initial(programs), (), frozenset())
-    names = init.world.names
-    progs = tuple(programs[c] for c in names)
-    for c, program in zip(names, progs):
-        for _, _, fences in program:
-            _check_fences(c, fences)
-    ids = tuple(tuple(f"{c}:{k}" for k in range(len(p))) for c, p in zip(names, progs))
-    tables = _target_tables(target)
-    seen: set[Run] = {init}
-    stack: list[Run] = [init]
+    walk = _Walk(programs, semantics, target)
+    seen = {walk.initial}
+    stack = [walk.initial]
     terminals = 0
-    histories: dict[tuple, History] = {}
+    histories: dict[tuple, tuple] = {}
     emitted: set[tuple] = set()
+    successors = walk.successors
     while stack:
-        run = stack.pop()
-        world, events, rt = run
-        moves = _explore_moves(world, progs)
-        if not moves:
+        state = stack.pop()
+        nexts = successors(state)
+        if nexts is None:
             terminals += 1
-            pair = _finish(run, histories, emitted)
-            if pair is not None:
-                yield pair
+            key = walk.flushed(state)
+            if key not in emitted:
+                emitted.add(key)
+                yield walk.pair(key, histories)
             continue
-        server, states = world.server, world.states
-        for i, kind, j in moves:
-            st = states[i]
-            nserver, nevents, nrt = server, events, rt
-            if kind == "call":
-                for _ in range(j):
-                    st = _pulled(server, st)
-                eid = ids[i][st.next_index]
-                obj, op, fences = progs[i][st.next_index]
-                st = _called(st, eid, obj, op, fences)
-                if events:
-                    nrt = rt | frozenset((r.id, eid) for r in events)
-                if tables is not None and not _call_fits(tables, eid, nrt, events):
-                    continue
-            elif kind == "body":
-                nserver, st = _body(server, st, semantics)
-                if tables is not None and not _body_fits(tables, st.frame):
-                    continue
-            else:
-                if kind == "ret":
-                    st, record = _returned(st, names[i])
-                    # Ids are unique, so the records sort by id alone.
-                    nevents = tuple(sorted(events + (record,)))
-                else:
-                    nserver, st = _pushed(server, st)
-                if st.frame is None and st.next_index == len(progs[i]):
-                    st = ClientState(0, (), st.pending, None, st.next_index)
-            nxt = Run(_with(world, nserver, i, st), nevents, nrt)
+        for nxt in nexts:
             before = len(seen)
             seen.add(nxt)
             if len(seen) == before:
@@ -646,22 +750,6 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
                     f"{terminals} terminal states reached, {len(emitted)} distinct "
                     f"executions emitted")
             stack.append(nxt)
-
-
-def _call_fits(tables, event_id: str, rt: frozenset[tuple[str, str]],
-               events: tuple[EventRecord, ...]) -> bool:
-    """Whether a call of ``event_id`` that gives the run ``rt`` can still
-    lead to the target.  Returned-before pairs only ever get added when an
-    event is called, so a call whose required predecessors have not all
-    returned, or that pairs up with something the target does not, cannot."""
-    rvals, rt_pairs, preds = tables
-    return (event_id in rvals and rt <= rt_pairs
-            and preds[event_id] <= {r.id for r in events})
-
-
-def _body_fits(tables, fr: Frame) -> bool:
-    rvals = tables[0]
-    return fr.event_id in rvals and fr.rval == rvals[fr.event_id]
 
 
 def enumerate_histories(programs: Mapping[str, Program], semantics: ObjectSemantics,

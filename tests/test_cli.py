@@ -338,6 +338,25 @@ def test_enumerate_output_is_pinned(tmp_path, capsys, name):
             hashlib.sha256(files).hexdigest()) == ENUMERATE_DIGESTS[name]
 
 
+def test_enumerate_uses_the_documents_semantics(tmp_path, capsys):
+    # A register document explores and writes under register without
+    # --semantics, as check decides it.
+    out = tmp_path / "r"
+    path = register_document(fixture("fig3a").history, tmp_path)
+    assert main(["enumerate", path, "--out-dir", str(out)]) == 0
+    assert "total: 354 histories, 354 members" in capsys.readouterr().out
+    files = read_dir(out)
+    assert len(files) == 354
+    assert all(doc_to_history(loads(text))[1] == "register" for text in files.values())
+
+
+def test_enumerate_semantics_flag_overrides_the_document(tmp_path, capsys):
+    path = register_document(fixture("fig3a").history, tmp_path)
+    rc = main(["enumerate", path, "--semantics", "sequence", "--out-dir", str(tmp_path / "s")])
+    assert rc == 2
+    assert "sequence object does not implement 'write'" in capsys.readouterr().err
+
+
 def test_enumerate_sampling_is_seeded(tmp_path, capsys):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"

@@ -2,6 +2,7 @@
 step mechanics, extraction, golden replays of the bundled schedules, and
 the bounded exhaustive exploration."""
 
+import gc
 import hashlib
 import random
 
@@ -416,9 +417,9 @@ def test_explore_builds_one_history_per_returned_events_and_rt(sem, monkeypatch)
     # fig5's 3,581 distinct terminal states flush to 2,434 distinct
     # executions, and hold only 780 distinct (returned events, rt) keys.
     built, flushed = [], []
-    history, finish = protocol._history, protocol._finish
+    history, key = protocol._history, protocol._Walk.flushed
     monkeypatch.setattr(protocol, "_history", lambda *a: built.append(a) or history(*a))
-    monkeypatch.setattr(protocol, "_finish", lambda *a: flushed.append(a) or finish(*a))
+    monkeypatch.setattr(protocol._Walk, "flushed", lambda *a: flushed.append(a) or key(*a))
     assert len(list(explore(EXPLORED_PROGRAMS["fig5"](), sem))) == 2_434
     assert len(flushed) == 3_581
     assert len(built) == len(set(built)) == 780
@@ -434,10 +435,28 @@ def test_explore_touches_no_token(sem, monkeypatch):
     assert len(list(explore(EXPLORED_PROGRAMS["fig5"](), sem))) == 2_434
 
 
+def reference_finish(run, histories, emitted):
+    """Flush a terminal run's pushes and give its (history, execution)
+    pair, or None when ``emitted`` already holds its key (returned events,
+    rt, flushed server log).  ``histories`` keeps the history of each
+    (returned events, rt) already built."""
+    _, events, rt = run
+    server = protocol._flushed(run.world)
+    key = (events, rt, server)
+    if key in emitted:
+        return None
+    emitted.add(key)
+    h = histories.get((events, rt))
+    if h is None:
+        h = histories[events, rt] = protocol._history(events, rt)
+    return h, protocol._execution(h, events, server)
+
+
 def unreduced_explore(programs, sem):
     """The emitted pairs, in order, of a walk that takes every ``_moves``
     token through ``step`` (no body-first rule, pulls as moves, no reset
-    of finished clients), deduplicated by state, with explore's flush."""
+    of finished clients), deduplicated by ``Run``, with the flush of
+    ``flush_suffix``'s pushes."""
     init = protocol.Run(World.initial(programs), (), frozenset())
     seen = {init}
     stack = [init]
@@ -445,7 +464,7 @@ def unreduced_explore(programs, sem):
     while stack:
         run = stack.pop()
         if protocol._terminal(run.world, programs):
-            pair = protocol._finish(run, histories, emitted)
+            pair = reference_finish(run, histories, emitted)
             if pair is not None:
                 out.append(pair)
             continue
@@ -490,10 +509,47 @@ def test_explore_matches_unreduced_walk(sem, name):
 @pytest.mark.parametrize("cls", [Op, Token, protocol.Frame, protocol.ClientState, World,
                                  protocol.EventRecord, protocol.Run])
 def test_explored_state_types_hash_in_c(cls):
-    # explore's ``seen`` set hashes these on every move; a dataclass's
-    # generated __hash__ runs in Python and costs the explorer its speed.
+    # ``explore`` no longer hashes these: its states are plain tuples (see
+    # the next test).  The token-level walks still build and compare them,
+    # and the reference walk above keeps ``Run``s in its ``seen`` set; a
+    # dataclass's generated __hash__ would run in Python.
     assert issubclass(cls, tuple)
     assert cls.__hash__ is tuple.__hash__
+
+
+def test_explored_states_are_untracked_by_the_collector(sem):
+    # explore keeps its states in ``seen`` for the whole walk.  Each is an
+    # exact tuple of ints, None and such tuples, and a collection untracks
+    # every exact tuple whose items are untracked, so later collections stop
+    # rescanning it.  Tuples nest four deep (state, bodies, a body, its
+    # return value), so four collections untrack them whatever order the
+    # collector visits them in.
+    walk = protocol._Walk(EXPLORED_PROGRAMS["fig5"](), sem, None)
+    seen, stack = {walk.initial}, [walk.initial]
+    while stack:
+        for nxt in walk.successors(stack.pop()) or ():
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    assert len(seen) == 12_314
+    assert any(type(b[0]) is tuple for state in seen for b in state[2] if b is not None)
+    for _ in range(4):
+        gc.collect()
+    assert [s for s in seen if gc.is_tracked(s)] == []
+
+
+@pytest.mark.parametrize("name, cap, message", [
+    ("fig3d", 20_000, "20001 states seen, 5272 terminal states reached, "
+     "3424 distinct executions emitted"),
+    ("fig5", 5_000, "5001 states seen, 1475 terminal states reached, "
+     "1056 distinct executions emitted"),
+])
+def test_explore_cap_counts_on_larger_programs(sem, name, cap, message):
+    # The counts at the cap pin the dedup partition and the walk order past
+    # the first few states: taken from the explorer over named-tuple runs.
+    programs = programs_of(fixture(name).history.canonical())
+    with pytest.raises(EnumerationCapError, match=f"exceeded {cap} states: {message}$"):
+        list(explore(programs, sem, max_states=cap))
 
 
 def test_enumerate_histories_fig3b_programs(sem):

@@ -216,6 +216,28 @@ def open_moves(world, programs):
     return out
 
 
+def target_tables(target):
+    """The target's return values, rt pairs and rt predecessors by id."""
+    rvals = {e.id: e.rval for e in target.events}
+    preds = {e.id: target.rt.predecessors(e.id) for e in target.events}
+    return rvals, target.rt.pairs, preds
+
+
+def call_fits(tables, event_id, rt, events):
+    """Whether a call of ``event_id`` that gives the run ``rt`` can still
+    lead to the target.  Returned-before pairs only ever get added when an
+    event is called, so a call whose required predecessors have not all
+    returned, or that pairs up with something the target does not, cannot."""
+    rvals, rt_pairs, preds = tables
+    return (event_id in rvals and rt <= rt_pairs
+            and preds[event_id] <= {r.id for r in events})
+
+
+def body_fits(tables, fr):
+    rvals = tables[0]
+    return fr.event_id in rvals and fr.rval == rvals[fr.event_id]
+
+
 def schedule_oracle(x, sem, moves=protocol._moves):
     """Exhaustive search for a schedule whose run realizes the witness ``x``
     exactly (history, visibility and arbitration, ids renamed to the
@@ -233,7 +255,7 @@ def schedule_oracle(x, sem, moves=protocol._moves):
     ar = tuple(name[e] for e in x.ar.sequence)
     sees = {name[e]: frozenset(name[v] for v in x.vis.predecessors(e)) for e in h.ids}
     programs = protocol.programs_of(target)
-    tables = protocol._target_tables(target)
+    tables = target_tables(target)
     init = protocol.Run(World.initial(programs), (), frozenset())
     seen = {init}
     stack = [(init, ())]
@@ -247,11 +269,11 @@ def schedule_oracle(x, sem, moves=protocol._moves):
             if log != ar[:len(log)]:
                 continue
             fr = nxt.world.client(token.client).frame
-            if token.kind == "call" and not protocol._call_fits(
+            if token.kind == "call" and not call_fits(
                     tables, fr.event_id, nxt.rt, nxt.events):
                 continue
             if token.kind == "body" and (fr.view != sees[fr.event_id]
-                                         or not protocol._body_fits(tables, fr)):
+                                         or not body_fits(tables, fr)):
                 continue
             if nxt not in seen:
                 seen.add(nxt)
