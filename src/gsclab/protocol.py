@@ -502,6 +502,7 @@ class _Walk:
         self.objs = tuple(obj for p in progs for obj, _, _ in p)
         self.ops = tuple(op for p in progs for _, op, _ in p)
         self.fences = tuple(fences for p in progs for _, _, fences in p)
+        self.entries = tuple(zip(ids, self.objs, self.ops))
         self.pulls = tuple(PULL in f for f in self.fences)
         self.pushes = tuple(PUSH in f for f in self.fences)
         self.order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
@@ -636,8 +637,7 @@ class _Walk:
                            if rts[e] >> x & 1)
             built = histories[bodies, rts] = (_history(records, rt), records)
         h, records = built
-        ids, objs, ops = self.ids, self.objs, self.ops
-        return h, _execution(h, records, tuple((ids[e], objs[e], ops[e]) for e in server))
+        return h, _execution(h, records, tuple(map(self.entries.__getitem__, server)))
 
 
 def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
