@@ -195,11 +195,10 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.sample:
-        semantics = get_semantics(args.semantics or "sequence")
-    else:
+    sem_name = args.semantics or "sequence"
+    if not args.sample:
         h, sem_name = _load_history(args.history, args)
-        semantics = get_semantics(sem_name)
+    semantics = get_semantics(sem_name)
     out_dir = pathlib.Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -653,7 +653,10 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     numbers; per client its known length, own entries pushed, events
     called and the phase of its last call; per event its body's return
     value and view mask and its call's returned-before mask; and the mask
-    of returned events.  The rest of a ``Run`` follows from them and the
+    of returned events.  They hold no op, id, fence set or named tuple, only
+    ints, None and exact tuples, because ``seen`` keeps every state for the
+    whole walk: a collection untracks such a tuple, and later collections
+    stop rescanning it.  The rest of a ``Run`` follows from them and the
     per-walk tables.  Pushes are FIFO and the server log only grows, so a
     client's pending entries are its events from the pushed count to its
     last body, and its unacked entries are its own events on the server
