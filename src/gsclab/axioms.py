@@ -43,9 +43,12 @@ arbitration containing the branch's seed, (b) puts it inside arbitration
 and (c) with the seed gives each observer exactly its decoded or chosen
 updates, so only the laws are checked there.
 
-check_axioms decides each law's inclusion pair by pair over tables built
-once per call (arbitration positions, visibility predecessors, session and
-real-time successors) instead of composing relations.
+check_axioms decides each law's inclusion over rows of bitmasks indexed by
+arbitration position, built on every call and cached nowhere: per event
+the masks of its visibility, session-order and real-time predecessors,
+plus the masks of the pushing and pulling events.  A law's missing pairs
+are one mask per target event, and become sorted id pairs only when the
+law fails; a passing verdict is a shared constant.
 
 Enumerating update subsets only (when the semantics classifies operations)
 is justified by the read-only law: eval ignores read-only context entries,
@@ -58,6 +61,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .model import (
+    PULL,
+    PUSH,
     AbstractExecution,
     Event,
     History,
@@ -136,80 +141,109 @@ def _successors(pairs) -> dict[str, list[str]]:
     return out
 
 
-def _unseen(reach: dict[str, int], seq, vis) -> set[tuple[str, str]]:
-    """The pairs (a, b) outside vis with a at or before position reach[b]
-    of the arbitration seq."""
-    return {(a, b) for b, i in reach.items() for a in seq[: i + 1] if (a, b) not in vis}
+_RETVAL_NOTE = "rval must equal eval over visible same-object context"
+# A passing verdict carries nothing of its execution, so one object serves
+# every report.
+_HOLDS = {name: AxiomVerdict(name, True) for name in AXIOM_NAMES}
+_HOLDS["RETVAL"] = AxiomVerdict("RETVAL", True, (), _RETVAL_NOTE)
+_HOLDS["EVENTUAL"] = AxiomVerdict("EVENTUAL", True, (),
+                                  "vacuously true: histories here are finite")
+
+
+def _verdict(name: str, missing: list[int], seq: tuple[str, ...]) -> AxiomVerdict:
+    """The verdict of a law whose missing pairs are missing[i], the mask of
+    the positions j with (seq[j], seq[i]) missing."""
+    if not any(missing):
+        return _HOLDS[name]
+    return AxiomVerdict(name, False, _limit(
+        (seq[j], seq[i]) for i, m in enumerate(missing)
+        for j in range(m.bit_length()) if m >> j & 1))
 
 
 def check_axioms(x: AbstractExecution, semantics: ObjectSemantics) -> AxiomReport:
-    """Evaluate all eight laws against a concrete execution.  Each law's
-    relational inclusion is checked pair by pair over tables built once per
-    call: arbitration positions, visibility predecessors, session and
-    real-time successors."""
-    structural = tuple(x.structural_violations())
-    if structural:
-        return AxiomReport((), structural)
-    h = x.history
-    by_id = h.by_id
-    seq = x.ar.sequence
+    """Evaluate all eight laws against a concrete execution, over rows of
+    bitmasks built once per call and indexed by arbitration position: per
+    event the masks of its visibility, session-order and real-time
+    predecessors.  Each law's missing pairs are one mask per target event,
+    and become sorted id pairs only when the law fails."""
+    h, seq = x.history, x.ar.sequence
+    n = len(seq)
     pos = {a: i for i, a in enumerate(seq)}
-    vis, so, rt = x.vis.pairs, h.so.pairs, h.rt.pairs
-    pushers, pullers = h.pushers(), h.pullers()
-    preds: dict[str, list[str]] = {e.id: [] for e in h.events}
-    for a, b in vis:
-        preds[b].append(a)
-    so_succ, rt_succ = _successors(so), _successors(rt)
-    rt_pull_succ = _successors(p for p in rt if p[1] in pullers)
-    vis_not_so = [p for p in vis if p not in so]
+    # What structural_violations checks, read off the rows; it runs only
+    # to word a violation.  A valid history's rt is over its ids.
+    if validate_history(h) or not x.vis.domain == h.rt.domain == pos.keys():
+        return AxiomReport((), tuple(x.structural_violations()))
+    vis, so, rt = [0] * n, [0] * n, [0] * n
+    for a, b in x.vis.pairs:
+        vis[pos[b]] |= 1 << pos[a]
+    if any(v >> i for i, v in enumerate(vis)):  # a pair not forward in ar
+        return AxiomReport((), tuple(x.structural_violations()))
+    so_pairs = [(pos[a], pos[b]) for a, b in h.so.pairs]
+    rt_pairs = [(pos[a], pos[b]) for a, b in h.rt.pairs]
+    for i, j in so_pairs:
+        so[j] |= 1 << i
+    for i, j in rt_pairs:
+        rt[j] |= 1 << i
+    at: list = [None] * n  # the event at each position
+    for e in h.events:
+        at[pos[e.id]] = e
+    pushers = pullers = 0
+    same: dict[str, list] = {}  # per object its (bit, op) in arbitration order
+    for i, e in enumerate(at):
+        bit = 1 << i
+        if PUSH in e.fences:
+            pushers |= bit
+        if PULL in e.fences:
+            pullers |= bit
+        same.setdefault(e.obj, []).append((bit, e.op))
     verdicts = []
 
     bad = []
-    for e in h.events:
-        ctx = tuple(ev.op for ev in _context(e, preds[e.id], by_id, pos.__getitem__))
-        got = semantics.eval(ctx, e.op)
+    for e, m in zip(at, vis):
+        got = semantics.eval(tuple(op for bit, op in same[e.obj] if m & bit), e.op)
         if got != e.rval:
             bad.append((e.id, got))
-    verdicts.append(AxiomVerdict("RETVAL", not bad, _limit(bad),
-                                 "rval must equal eval over visible same-object context"))
+    verdicts.append(AxiomVerdict("RETVAL", False, _limit(bad), _RETVAL_NOTE)
+                    if bad else _HOLDS["RETVAL"])
 
-    missing = so - vis
-    verdicts.append(AxiomVerdict("RYW", not missing, _limit(missing)))
+    verdicts.append(_verdict("RYW", [s & ~v for s, v in zip(so, vis)], seq))
 
     # vis ; so <= vis
-    missing = {(a, c) for a, b in vis for c in so_succ.get(b, ()) if (a, c) not in vis}
-    verdicts.append(AxiomVerdict("MONOTONICVIEW", not missing, _limit(missing)))
+    seen = [0] * n
+    for i, j in so_pairs:
+        seen[j] |= vis[i]
+    verdicts.append(_verdict("MONOTONICVIEW", [s & ~v for s, v in zip(seen, vis)], seq))
 
-    # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis: for (a, b) in vis \ so,
-    # the arbitration prefix up to a must see b and b's pulling rt successors
-    reach: dict[str, int] = {}
-    for a, b in vis_not_so:
-        for right in (b, *rt_pull_succ.get(b, ())):
-            if pos[a] > reach.get(right, -1):
-                reach[right] = pos[a]
-    missing = _unseen(reach, seq, vis)
-    verdicts.append(AxiomVerdict("OBSERVEDVIS", not missing, _limit(missing)))
+    # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis: a target must see the
+    # arbitration prefix up to its last source, where its sources are its
+    # own vis \ so predecessors and, when it pulls, those of its rt
+    # predecessors
+    observed = [v & ~s for v, s in zip(vis, so)]
+    via = [0] * n  # (vis \ so) ; rt
+    for i, j in rt_pairs:
+        via[j] |= observed[i]
+    missing = []
+    for i in range(n):
+        src = observed[i] | via[i] if pullers >> i & 1 else observed[i]
+        missing.append((1 << src.bit_length()) - 1 & ~vis[i])
+    verdicts.append(_verdict("OBSERVEDVIS", missing, seq))
 
-    # ar? ; (rt? & EPush x EPull) <= vis?: a puller b must see every other
+    # ar? ; (rt? & EPush x EPull) <= vis?: a puller must see every other
     # event up to the last-arbitrated pusher at or rt-before it
-    reach = {b: pos[b] for b in pushers & pullers}
-    for a, b in rt:
-        if a in pushers and b in pullers and pos[a] > reach.get(b, -1):
-            reach[b] = pos[a]
-    missing = {p for p in _unseen(reach, seq, vis) if p[0] != p[1]}
-    verdicts.append(AxiomVerdict("PUSHEDVIS", not missing, _limit(missing)))
+    missing = []
+    for i in range(n):
+        src = (rt[i] | 1 << i) & pushers if pullers >> i & 1 else 0
+        missing.append((1 << src.bit_length()) - 1 & ~vis[i] & ~(1 << i))
+    verdicts.append(_verdict("PUSHEDVIS", missing, seq))
 
     # (vis \ so) ; rt <= ar
-    missing = {(a, c) for a, b in vis_not_so for c in rt_succ.get(b, ())
-               if pos[a] >= pos[c]}
-    verdicts.append(AxiomVerdict("OBSERVEDAR", not missing, _limit(missing)))
+    verdicts.append(_verdict("OBSERVEDAR", [v >> i << i for i, v in enumerate(via)], seq))
 
     # rt & (EPush x E) <= ar
-    missing = {(a, b) for a, b in rt if a in pushers and pos[a] >= pos[b]}
-    verdicts.append(AxiomVerdict("PUSHEDAR", not missing, _limit(missing)))
+    verdicts.append(_verdict("PUSHEDAR", [(r & pushers) >> i << i for i, r in enumerate(rt)],
+                             seq))
 
-    verdicts.append(AxiomVerdict("EVENTUAL", True, (),
-                                 "vacuously true: histories here are finite"))
+    verdicts.append(_HOLDS["EVENTUAL"])
     return AxiomReport(tuple(verdicts))
 
 

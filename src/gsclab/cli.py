@@ -29,7 +29,6 @@ from .protocol import (
     ScheduleError,
     explore,
     extract_execution,
-    extract_history,
     programs_of,
     run_to_quiescence,
 )
@@ -124,9 +123,8 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     sched = doc_to_schedule(_read(args.schedule))
     semantics = get_semantics(args.semantics or "sequence")
-    run = run_to_quiescence(sched, semantics)
-    h = extract_history(run)
-    x = extract_execution(run)
+    x = extract_execution(run_to_quiescence(sched, semantics))
+    h = x.history
     stem = pathlib.Path(args.schedule)
     hist_out = args.history_out or str(stem.with_suffix("")) + ".history.json"
     exec_out = args.execution_out or str(stem.with_suffix("")) + ".execution.json"

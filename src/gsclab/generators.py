@@ -23,7 +23,6 @@ from .protocol import (
     _quiesce,
     _terminal,
     extract_execution,
-    extract_history,
 )
 from .semantics import ObjectSemantics
 
@@ -117,5 +116,5 @@ def random_well_fenced_run(rng: random.Random, semantics: ObjectSemantics,
         c: _well_fenced_program(rng, counter, rng.randint(1, max_ops))
         for c in names
     }
-    run = _random_walk(programs, semantics, rng)
-    return extract_history(run), extract_execution(run)
+    x = extract_execution(_random_walk(programs, semantics, rng))
+    return x.history, x

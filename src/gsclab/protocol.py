@@ -42,9 +42,10 @@ collector: a collection untracks an exact tuple whose items are all
 untracked, and later collections stop rescanning it, while a named tuple,
 or any tuple that holds an ``Op`` or a frozenset, stays tracked and is
 rescanned by every full collection.  Only a terminal state with a new key
-becomes ``EventRecord``s for the one builder.  ``step``, ``World``,
-``Run`` and the token walks stay the reference ``explore`` is tested
-against.
+becomes an output: a new (return values, rts) becomes ``EventRecord``s for
+``_history``, and the execution's visibility comes straight from the view
+masks.  ``step``, ``World``, ``Run`` and the token walks stay the
+reference ``explore`` is tested against.
 """
 
 from __future__ import annotations
@@ -499,10 +500,10 @@ class _Walk:
         self.client = tuple(i for i, p in enumerate(progs) for _ in p)
         self.index = tuple(k for p in progs for k in range(len(p)))
         self.ids = ids = tuple(f"{c}:{k}" for c, p in zip(names, progs) for k in range(len(p)))
+        self.domain = frozenset(ids)
         self.objs = tuple(obj for p in progs for obj, _, _ in p)
         self.ops = tuple(op for p in progs for _, op, _ in p)
         self.fences = tuple(fences for p in progs for _, _, fences in p)
-        self.entries = tuple(zip(ids, self.objs, self.ops))
         self.pulls = tuple(PULL in f for f in self.fences)
         self.pushes = tuple(PUSH in f for f in self.fences)
         self.order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
@@ -618,26 +619,30 @@ class _Walk:
             log.extend(p[k] for p in pending if k < len(p))
         return tuple(log), bodies, rts
 
-    def pair(self, key: tuple, histories: dict[tuple, tuple]
+    def pair(self, key: tuple, histories: dict[tuple, History]
              ) -> tuple[History, AbstractExecution]:
-        """The (history, execution) of a terminal key, through ``_history``
-        and ``_execution``.  ``histories`` keeps the history and records of
-        each (bodies, rts) already built."""
+        """The (history, execution) of a terminal key.  ``histories`` keeps
+        the history of each (return values, rts) already built, through
+        ``_history``: the views are not part of a history, so every
+        execution with the same return values and rts shares one.  The
+        visibility comes straight from the view masks in ``bodies``."""
         server, bodies, rts = key
-        built = histories.get((bodies, rts))
-        if built is None:
-            ids, n = self.ids, len(self.ids)
+        ids, n = self.ids, len(self.ids)
+        rvals = tuple(rval for rval, _ in bodies)
+        h = histories.get((rvals, rts))
+        if h is None:
+            # A history reads no view, so the records carry none.
             records = tuple(
                 EventRecord(ids[e], self.names[self.client[e]], self.objs[e], self.ops[e],
-                            self.fences[e], bodies[e][0],
-                            frozenset(ids[x] for x in range(n) if bodies[e][1] >> x & 1),
-                            self.index[e])
+                            self.fences[e], rvals[e], frozenset(), self.index[e])
                 for e in self.order)
             rt = frozenset((ids[x], ids[e]) for e in range(n) for x in range(n)
                            if rts[e] >> x & 1)
-            built = histories[bodies, rts] = (_history(records, rt), records)
-        h, records = built
-        return h, _execution(h, records, tuple(map(self.entries.__getitem__, server)))
+            h = histories[rvals, rts] = _history(records, rt)
+        vis = frozenset((ids[x], ids[e]) for e, (_, view) in enumerate(bodies)
+                        for x in range(n) if view >> x & 1)
+        return h, AbstractExecution(h, Relation(self.domain, vis),
+                                    TotalOrder(tuple(ids[e] for e in server)))
 
 
 def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
@@ -698,8 +703,8 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     plain tuple that determines its pair before anything is built: ids are
     client:index, no view holds its own event, and the server log is the
     arbitration.  A new key builds only its execution, since the walk
-    builds one history per (bodies, rts) and shares it between the
-    executions that have it.
+    builds one history per (return values, rts), the views being no part
+    of a history, and shares it between the executions that have it.
 
     Where some client's open event is unfenced and its body has not run,
     that body (of the first such client by name) is the state's only move,
@@ -729,7 +734,7 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     seen = {walk.initial}
     stack = [walk.initial]
     terminals = 0
-    histories: dict[tuple, tuple] = {}
+    histories: dict[tuple, History] = {}
     emitted: set[tuple] = set()
     successors = walk.successors
     while stack:

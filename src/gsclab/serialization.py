@@ -10,9 +10,10 @@ Three document shapes, all JSON-compatible and human-diffable:
 ``rt`` is either {kind: "intervals", map: {id: [start, end]}} or
 {kind: "pairs", pairs: [[before, after], ...]}.  Emission is canonical:
 sorted keys, sorted pair lists, intervals normalized to pairs, so parse
-after emit is the identity on canonical documents.  Parse errors raise
-HistoryError (ScheduleError for schedules) with a message naming the
-offending field.
+after emit is the identity on canonical documents.  An ``append`` or
+``write`` op carries an integer value and a ``read`` op none.  Parse
+errors raise HistoryError (ScheduleError for schedules) with a message
+naming the offending field.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .relations import Relation, TotalOrder
 from .semantics import SEMANTICS
 
 _FENCES = (PUSH, PULL)
+_UPDATES = ("append", "write")  # the op kinds that carry a value
 _TOKENS = {"body": body, "ret": ret, "push": push, "pull": pull}
 
 
@@ -62,7 +64,11 @@ def _op_from(doc: Any, where: str) -> Op:
     _require(not extra, f"{where}: unknown op fields {sorted(extra)}")
     _require("value" not in doc or _is_int(doc["value"]),
              f"{where}: op value must be an integer")
-    return Op(doc["kind"], doc.get("value"))
+    kind, value = doc["kind"], doc.get("value")
+    _require(value is not None or kind not in _UPDATES,
+             f"{where}: op value missing: {kind} needs an integer value")
+    _require(value is None or kind != "read", f"{where}: op value given: read takes none")
+    return Op(kind, value)
 
 
 def _fences_from(doc: Mapping, where: str) -> frozenset[str]:

@@ -35,7 +35,7 @@ import heapq
 from .axioms import check_axioms
 from .model import PULL, PUSH, AbstractExecution, HistoryError
 from .protocol import Schedule, Token, body, call, pull, push, ret
-from .protocol import extract_execution, extract_history, run_schedule
+from .protocol import extract_execution, run_schedule
 from .relations import CycleError, Relation, TotalOrder, extend_to_total
 from .semantics import ObjectSemantics
 
@@ -210,11 +210,9 @@ def synthesize_schedule(x: AbstractExecution, semantics: ObjectSemantics) -> Sch
             tokens.append(ret(c))
     sched = Schedule(tuple(tokens))
 
-    run = run_schedule(sched, semantics)
-    got_h = extract_history(run)
-    if got_h.canonical() != h.canonical():
+    got_x = extract_execution(run_schedule(sched, semantics))
+    if got_x.history.canonical() != h.canonical():
         raise SynthesisError("replay produced a different history")
-    got_x = extract_execution(run)
     if got_x.vis != x.vis:
         raise SynthesisError(
             f"replay visibility differs: {sorted(got_x.vis.pairs ^ x.vis.pairs)}"

@@ -1,7 +1,9 @@
 """Builders that only the tests use: hand-made witnesses, fence-flipped
 variants of the litmus histories, a seeded generator of unconstrained
-histories with its value-folded and register translations, and the
-enumerative membership search that criterion 9 checks is_gsc against."""
+histories with its value-folded and register translations, the
+enumerative membership search that criterion 9 checks is_gsc against, and
+the pair-by-pair law check that the bitmask check_axioms is checked
+against."""
 
 from __future__ import annotations
 
@@ -207,3 +209,87 @@ def enumerative_membership(h: History, semantics):
                 f"ar {list(ar.sequence)}: every RETVAL-consistent visibility "
                 f"assignment breaks the laws")
     return False, None, tuple(refutations[:axioms.MAX_REFUTATIONS])
+
+
+def _successors(pairs) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return out
+
+
+def _unseen(reach: dict[str, int], seq, vis) -> set[tuple[str, str]]:
+    """The pairs (a, b) outside vis with a at or before position reach[b]
+    of the arbitration seq."""
+    return {(a, b) for b, i in reach.items() for a in seq[: i + 1] if (a, b) not in vis}
+
+
+def pairwise_check_axioms(x: AbstractExecution, semantics) -> axioms.AxiomReport:
+    """check_axioms law by law, pair by pair over id-keyed tables:
+    arbitration positions, visibility predecessors, session and real-time
+    successors."""
+    structural = tuple(x.structural_violations())
+    if structural:
+        return axioms.AxiomReport((), structural)
+    h = x.history
+    by_id = h.by_id
+    seq = x.ar.sequence
+    pos = {a: i for i, a in enumerate(seq)}
+    vis, so, rt = x.vis.pairs, h.so.pairs, h.rt.pairs
+    pushers, pullers = h.pushers(), h.pullers()
+    preds: dict[str, list[str]] = {e.id: [] for e in h.events}
+    for a, b in vis:
+        preds[b].append(a)
+    so_succ, rt_succ = _successors(so), _successors(rt)
+    rt_pull_succ = _successors(p for p in rt if p[1] in pullers)
+    vis_not_so = [p for p in vis if p not in so]
+    limit, verdict = axioms._limit, axioms.AxiomVerdict
+    verdicts = []
+
+    bad = []
+    for e in h.events:
+        same = sorted((by_id[a] for a in preds[e.id] if by_id[a].obj == e.obj),
+                      key=lambda ev: pos[ev.id])
+        got = semantics.eval(tuple(ev.op for ev in same), e.op)
+        if got != e.rval:
+            bad.append((e.id, got))
+    verdicts.append(verdict("RETVAL", not bad, limit(bad),
+                            "rval must equal eval over visible same-object context"))
+
+    missing = so - vis
+    verdicts.append(verdict("RYW", not missing, limit(missing)))
+
+    # vis ; so <= vis
+    missing = {(a, c) for a, b in vis for c in so_succ.get(b, ()) if (a, c) not in vis}
+    verdicts.append(verdict("MONOTONICVIEW", not missing, limit(missing)))
+
+    # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis: for (a, b) in vis \ so,
+    # the arbitration prefix up to a must see b and b's pulling rt successors
+    reach: dict[str, int] = {}
+    for a, b in vis_not_so:
+        for right in (b, *rt_pull_succ.get(b, ())):
+            if pos[a] > reach.get(right, -1):
+                reach[right] = pos[a]
+    missing = _unseen(reach, seq, vis)
+    verdicts.append(verdict("OBSERVEDVIS", not missing, limit(missing)))
+
+    # ar? ; (rt? & EPush x EPull) <= vis?: a puller b must see every other
+    # event up to the last-arbitrated pusher at or rt-before it
+    reach = {b: pos[b] for b in pushers & pullers}
+    for a, b in rt:
+        if a in pushers and b in pullers and pos[a] > reach.get(b, -1):
+            reach[b] = pos[a]
+    missing = {p for p in _unseen(reach, seq, vis) if p[0] != p[1]}
+    verdicts.append(verdict("PUSHEDVIS", not missing, limit(missing)))
+
+    # (vis \ so) ; rt <= ar
+    missing = {(a, c) for a, b in vis_not_so for c in rt_succ.get(b, ())
+               if pos[a] >= pos[c]}
+    verdicts.append(verdict("OBSERVEDAR", not missing, limit(missing)))
+
+    # rt & (EPush x E) <= ar
+    missing = {(a, b) for a, b in rt if a in pushers and pos[a] >= pos[b]}
+    verdicts.append(verdict("PUSHEDAR", not missing, limit(missing)))
+
+    verdicts.append(verdict("EVENTUAL", True, (), "vacuously true: histories here are finite"))
+    return axioms.AxiomReport(tuple(verdicts))

@@ -40,7 +40,12 @@ from gsclab.generators import random_well_fenced_run
 from gsclab.model import MODELS
 from gsclab.relations import extend_to_total, linear_extensions
 
-from helpers import fig3a_pull_variant, fig3b_push_variant, fig3c_fence_variant
+from helpers import (
+    fig3a_pull_variant,
+    fig3b_push_variant,
+    fig3c_fence_variant,
+    pairwise_check_axioms,
+)
 
 
 def three_singletons(vis_pairs, ar_seq, fences=None, rvals=None, kinds=None):
@@ -538,6 +543,29 @@ def test_check_axioms_matches_relational_reference(sem):
     assert failed == set(AXIOM_NAMES) - {"EVENTUAL"}
     assert structural == {"vis cyclic", "vis not contained in ar"}
     assert len(executions) > 2000
+
+
+def test_check_axioms_matches_pairwise_reference_on_explored_grid(corpus):
+    # The corpus checks every execution explore emits for the grid
+    # programs with both checkers (criterion 3 asserts that they pass).
+    assert corpus.reference_mismatches == []
+    assert corpus.reference_checked > 20_000
+
+
+def test_check_axioms_matches_pairwise_reference_on_perturbed_runs(sem):
+    rng = random.Random(3)
+    executions = []
+    for _ in range(400):
+        _, x = random_well_fenced_run(rng, sem, clients=3, max_ops=3)
+        executions.append(x)
+        executions.extend(perturbed(x, rng))
+    failed = set()
+    for x in executions:
+        got = check_axioms(x, sem)
+        assert got == pairwise_check_axioms(x, sem)
+        failed.update(got.failed())
+    assert failed == set(AXIOM_NAMES) - {"EVENTUAL"}
+    assert len(executions) >= 2000
 
 
 FIXTURE_VERDICTS = """

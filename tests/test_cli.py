@@ -98,6 +98,19 @@ def test_check_list_valued_op_is_exit_2(tmp_path, capsys):
     assert "events[0]: op value must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index, op, field", [
+    (0, {"kind": "append"}, "events[0]: op value missing: append needs an integer value"),
+    (1, {"kind": "read", "value": 2}, "events[1]: op value given: read takes none"),
+], ids=["append-no-value", "read-with-value"])
+def test_check_op_value_mismatch_is_exit_2(tmp_path, capsys, index, op, field):
+    doc = history_to_doc(fixture("fig3a").history, "sequence")
+    doc["events"][index]["op"] = op
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(doc))
+    assert main(["check", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_check_missing_file(capsys):
     assert main(["check", str(FIXDIR / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -180,6 +193,23 @@ def test_simulate_colliding_event_ids_is_exit_2(tmp_path, capsys):
     path.write_text(dumps({"steps": steps}))
     assert main(["simulate", str(path)]) == 2
     assert "step 3: duplicate event id b:0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step, op, field", [
+    (0, {"kind": "append"}, "steps[0]: op value missing: append needs an integer value"),
+    (10, {"kind": "read", "value": 2}, "steps[10]: op value given: read takes none"),
+], ids=["append-no-value", "read-with-value"])
+def test_simulate_op_value_mismatch_is_exit_2(tmp_path, capsys, step, op, field):
+    # Such a schedule once simulated into a history whose read returned
+    # [null, 2], which check then rejected.
+    doc = loads((FIXDIR / "fig3a-schedule.json").read_text())
+    assert doc["steps"][step]["kind"] == "call"
+    doc["steps"][step]["op"] = op
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(doc))
+    assert main(["simulate", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_synthesize_then_simulate_round_trip(tmp_path, capsys):

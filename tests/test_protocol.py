@@ -415,14 +415,14 @@ def test_explore_drops_dead_state(sem, explored, name, states):
 
 def test_explore_builds_one_history_per_returned_events_and_rt(sem, monkeypatch):
     # fig5's 3,581 distinct terminal states flush to 2,434 distinct
-    # executions, and hold only 780 distinct (returned events, rt) keys.
+    # executions, which hold only 135 distinct (return values, rt) keys.
     built, flushed = [], []
     history, key = protocol._history, protocol._Walk.flushed
     monkeypatch.setattr(protocol, "_history", lambda *a: built.append(a) or history(*a))
     monkeypatch.setattr(protocol._Walk, "flushed", lambda *a: flushed.append(a) or key(*a))
     assert len(list(explore(EXPLORED_PROGRAMS["fig5"](), sem))) == 2_434
     assert len(flushed) == 3_581
-    assert len(built) == len(set(built)) == 780
+    assert len(built) == len(set(built)) == 135
 
 
 def test_explore_touches_no_token(sem, monkeypatch):

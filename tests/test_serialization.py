@@ -194,10 +194,21 @@ def _schedule_step(**changes):
     (doc_to_history, _fig3a_event(1, rval={"a": 1}), HistoryError, r"events\[1\]: rval"),
     (doc_to_history, _fig3a_event(1, rval=[1, "2"]), HistoryError, r"events\[1\]: rval"),
     (doc_to_history, _fig3a_event(0, fences=[["push"]]), HistoryError, r"events\[0\]: fences"),
+    (doc_to_history, _fig3a_event(0, op={"kind": "append"}), HistoryError,
+     r"events\[0\]: op value missing: append"),
+    (doc_to_history, _fig3a_event(0, op={"kind": "write"}), HistoryError,
+     r"events\[0\]: op value missing: write"),
+    (doc_to_history, _fig3a_event(1, op={"kind": "read", "value": 2}), HistoryError,
+     r"events\[1\]: op value given: read"),
+    (doc_to_schedule, _schedule_step(op={"kind": "append"}), ScheduleError,
+     r"steps\[0\]: op value missing: append"),
+    (doc_to_schedule, _schedule_step(op={"kind": "read", "value": 1}), ScheduleError,
+     r"steps\[0\]: op value given: read"),
 ], ids=["events-int", "session-int", "interval-one-bound", "id-list", "steps-int",
         "fences-null", "objects-int", "rt-pairs-int", "vis-short-pair", "client-list",
         "step-id-list", "op-value-list", "op-value-string", "rval-object",
-        "rval-mixed-list", "fences-nested-list"])
+        "rval-mixed-list", "fences-nested-list", "append-no-value", "write-no-value",
+        "read-with-value", "step-append-no-value", "step-read-with-value"])
 def test_malformed_documents_name_the_field(parse, doc, error, field):
     with pytest.raises(error, match=field):
         parse(doc)
