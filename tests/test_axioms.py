@@ -1,8 +1,9 @@
 """Law checker and membership tests: per-law verdicts on known-good and
 deliberately broken executions, the frozen verdict table over all fence
 presets, refutation narratives, agreement with and without return-value
-decoding, the law check against its literal relational definition, and
-verdicts that do not depend on the hash seed."""
+decoding, the law check against its literal relational definition and
+against the pair-by-pair reference, and verdicts that do not depend on the
+hash seed."""
 
 import dataclasses
 import os
