@@ -31,10 +31,12 @@ rejecting a closure that breaks RETVAL or escapes the candidate
 arbitration rejects every witness over that arbitration.
 
 The search builds arbitrations as prefixes (after Wing & Gong 1993 and
-Lowe 2017): it places events one at a time, depth first, keeping the
-closure over the prefix, and cuts a branch whose closure has (a) a
-conflict, (b) a pair (x, y) with y placed and x not placed before y, or
-(c) an update outside an observer's decoded or chosen set visible to it.
+Lowe 2017) on the walk ``relations.extensions``, which refuses a cyclic
+forced order before it places anything.  Its state is the list of live
+branches, each keeping the closure over the prefix; placing an event
+advances every branch and drops one whose closure has (a) a conflict, (b)
+a pair (x, y) with y placed and x not placed before y, or (c) an update
+outside an observer's decoded or chosen set visible to it.
 A prefix's closure is contained in the closure over every completion, and
 each of (a)-(c), once true, stays true, so no accepting arbitration is cut.
 A full arbitration that none of them cuts keeps the closure the branch
@@ -69,7 +71,7 @@ from .model import (
     HistoryError,
     validate_history,
 )
-from .relations import Relation, TotalOrder, linear_extensions
+from .relations import CycleError, Relation, TotalOrder, extensions, linear_extensions
 from .semantics import ObjectSemantics
 
 AXIOM_NAMES = (
@@ -574,17 +576,12 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
                    semantics: ObjectSemantics, stats: dict
                    ) -> AbstractExecution | None:
     """The witness over the least accepting linear extension of seed_ar,
-    or None.  Placing an open observer (one of observers) branches on its
-    options: a branch seeds the chosen updates as visible to it and hides
-    its other same-object updates.  The branches of one prefix advance
-    together, in the order of their options, so the first accepting branch
-    is the first accepting choice over the least accepting arbitration."""
+    or None; CycleError if seed_ar is cyclic.  Placing an open observer
+    (one of observers) branches on its options: a branch seeds the chosen
+    updates as visible to it and hides its other same-object updates.  The branches of one prefix advance together, in
+    the order of their options, so the first accepting branch is the first
+    accepting choice over the least accepting arbitration."""
     by_id = h.by_id
-    order = sorted(h.ids)
-    preds: dict[str, set[str]] = {a: set() for a in order}
-    for a, b in seed_ar.pairs:
-        if a != b:
-            preds[b].add(a)
     open_ids = {e.id for e in observers}
 
     def hide(wants) -> frozenset[tuple[str, str]]:
@@ -604,45 +601,42 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
                 return True
         return False
 
-    def search(branches: list) -> AbstractExecution | None:
-        live = [(cl, hidden) for cl, hidden in branches if not refuted(cl, hidden)]
-        stats["prunes"] += len(branches) - len(live)
-        if not live:
-            return None
-        placed = live[0][0].pos
-        if len(placed) == len(order):
-            # Not refuted with every event placed: no conflict, vis <= ar by
-            # (b), and each observer sees exactly its decoded or chosen
-            # updates by the seed and the hidden pairs, so only the laws
-            # are left to check.
-            stats["ars_tried"] += 1
-            ar = TotalOrder(tuple(live[0][0].placed))
-            for cl, _ in live:
-                x = AbstractExecution(h, cl.relation(), ar)
-                if check_axioms(x, semantics).ok:
-                    return x
-            return None
-        for a in order:
-            if a not in placed and all(p in placed for p in preds[a]):
-                children = []
-                for cl, hidden in live:
-                    child = cl.copy()
-                    child.place(a)
-                    if a not in open_ids:
-                        children.append((child, hidden))
-                        continue
-                    for chosen in _options(h, by_id[a], child.placed, child.pos, semantics):
-                        stats["assignments_tried"] += 1
-                        branch = child.copy()
-                        branch.close([(u, a) for u in sorted(chosen)
-                                      if branch.add(u, a, "seed")])
-                        children.append((branch, hidden | hide([(a, chosen)])))
-                witness = search(children)
-                if witness is not None:
-                    return witness
-        return None
+    def advance(branches: list, a: str) -> list | None:
+        """a placed on every live branch, refuted children dropped."""
+        children = []
+        for cl, hidden in branches:
+            child = cl.copy()
+            child.place(a)
+            if a not in open_ids:
+                children.append((child, hidden))
+                continue
+            for chosen in _options(h, by_id[a], child.placed, child.pos, semantics):
+                stats["assignments_tried"] += 1
+                branch = child.copy()
+                branch.close([(u, a) for u in sorted(chosen)
+                              if branch.add(u, a, "seed")])
+                children.append((branch, hidden | hide([(a, chosen)])))
+        live = [(cl, hidden) for cl, hidden in children if not refuted(cl, hidden)]
+        stats["prunes"] += len(children) - len(live)
+        return live or None
 
-    return search([(Closure(h, (), seed_vis), hide(exact.items()))])
+    root = (Closure(h, (), seed_vis), hide(exact.items()))
+    walk = extensions(seed_ar, advance, [root])
+    if refuted(*root):
+        stats["prunes"] += 1
+        return None
+    for seq, branches in walk:
+        # Not refuted with every event placed: no conflict, vis <= ar by
+        # (b), and each observer sees exactly its decoded or chosen updates
+        # by the seed and the hidden pairs, so only the laws are left to
+        # check.
+        stats["ars_tried"] += 1
+        ar = TotalOrder(seq)
+        for cl, _ in branches:
+            x = AbstractExecution(h, cl.relation(), ar)
+            if check_axioms(x, semantics).ok:
+                return x
+    return None
 
 
 def _narrate(h: History, ar: TotalOrder, seed_vis: frozenset,
@@ -687,10 +681,10 @@ def is_gsc(h: History, semantics: ObjectSemantics,
             f"raise max_events explicitly for larger inputs")
     stats: dict = {"ars_tried": 0, "closures": 0, "assignments_tried": 0,
                    "prunes": 0}
-    refutations: list[str] = []
 
     decoded = decoded_visibility(h, semantics)
     if decoded and decoded.unattainable:
+        refutations = []
         for obs in decoded.unattainable[:MAX_REFUTATIONS]:
             e = h.by_id[obs]
             refutations.append(
@@ -699,15 +693,15 @@ def is_gsc(h: History, semantics: ObjectSemantics,
         return MembershipResult(False, None, stats, tuple(refutations))
 
     seed_ar, labels = _required_ar_seed(h, decoded)
-    if not seed_ar.is_acyclic():
-        refutations.append(_find_cycle_text(h, seed_ar, labels))
-        return MembershipResult(False, None, stats, tuple(refutations))
     exact, seed_vis = (decoded.exact_map(), decoded.edges) if decoded else ({}, frozenset())
     observers = [e for e in h.events
                  if semantics.context_sensitive(e.op) and e.id not in exact]
-    witness = _prefix_search(h, seed_ar, seed_vis, exact, observers, semantics, stats)
+    try:
+        witness = _prefix_search(h, seed_ar, seed_vis, exact, observers, semantics, stats)
+    except CycleError:
+        return MembershipResult(False, None, stats, (_find_cycle_text(h, seed_ar, labels),))
     if witness is not None:
         return MembershipResult(True, witness, stats)
-    for ar in itertools.islice(linear_extensions(seed_ar), MAX_REFUTATIONS):
-        refutations.append(_narrate(h, ar, seed_vis, exact, observers, semantics, stats))
-    return MembershipResult(False, None, stats, tuple(refutations))
+    return MembershipResult(False, None, stats, tuple(
+        _narrate(h, ar, seed_vis, exact, observers, semantics, stats)
+        for ar in itertools.islice(linear_extensions(seed_ar), MAX_REFUTATIONS)))

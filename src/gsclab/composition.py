@@ -32,7 +32,7 @@ from .model import (
     project,
     validate_history,
 )
-from .relations import Relation, extend_to_total
+from .relations import CycleError, Relation, extend_to_total
 from .semantics import ObjectSemantics
 
 
@@ -151,12 +151,11 @@ def compose(w: PerObjectWitnesses, semantics: ObjectSemantics) -> AbstractExecut
     so0, vis0, ar0 = union_relations(w)
     prec = composition_precedence(h, vis0, so0)
     constraints = arbitration_constraints(h, vis0, ar0, prec)
-    if not constraints.is_acyclic():
-        raise AssertionError(
-            "arbitration constraints cyclic on a well-fenced input; "
-            "an upstream invariant is broken"
-        )
-    ar = extend_to_total(constraints, tie_break=sorted(h.ids))
+    try:
+        ar = extend_to_total(constraints)
+    except CycleError as err:
+        raise AssertionError("arbitration constraints cyclic on a well-fenced input; "
+                             "an upstream invariant is broken") from err
     vis, cl = minimal_visibility(h, ar, seed=vis0)
     if cl.conflict:
         raise AssertionError(f"visibility closure over the composed arbitration "

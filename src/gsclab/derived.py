@@ -9,11 +9,11 @@ When every event pushes and every update also pulls, reads may trail behind
 but updates still serialize: the real-time requirement weakens to edges that
 end in an update.
 
-Both checkers search for such a total order directly (desk scale), so they
-can serve as independent cross-checks of the axiomatic membership test
-under the corresponding fence presets.  The converters translate between
-the two witness shapes: a linearization of an all-fenced history and a
-full visibility/arbitration execution.
+Both checkers walk the linear extensions of that order (relations.extensions,
+desk scale), so they can serve as independent cross-checks of the axiomatic
+membership test under the corresponding fence presets.  The converters
+translate between the two witness shapes: a linearization of an all-fenced
+history and a full visibility/arbitration execution.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (
     HistoryError,
     validate_history,
 )
-from .relations import Relation, TotalOrder, extend_to_total
+from .relations import CycleError, Relation, TotalOrder, extend_to_total, extensions
 from .semantics import ObjectSemantics
 
 
@@ -54,46 +54,22 @@ class LinearizationResult:
 def _prefix_search(h: History, semantics: ObjectSemantics, base: Relation) -> TotalOrder | None:
     """Smallest (by id at each step) linear extension of ``base`` in which
     every event's return value matches evaluation of the same-object prefix
-    placed before it.  Placement order is exactly the evaluation context, so
-    a value mismatch prunes the whole branch."""
+    placed before it, or None.  The walk's state is that prefix's operations
+    per object, exactly the evaluation context, so a mismatch cuts the branch."""
     events = h.by_id
-    ids = sorted(events)
-    order: list[str] = []
-    placed: set[str] = set()
-    prefix_ops: dict[str, list] = {}
-    preds: dict[str, list[str]] = {eid: [] for eid in ids}
-    for a, b in base.pairs:
-        preds[b].append(a)
 
-    def feasible(eid: str) -> bool:
+    def place(prefix_ops: dict, eid: str) -> dict | None:
         e = events[eid]
-        ctx = tuple(prefix_ops.get(e.obj, ()))
-        return semantics.eval(ctx, e.op) == e.rval
+        ctx = prefix_ops.get(e.obj, ())
+        if semantics.eval(ctx, e.op) != e.rval:
+            return None
+        return {**prefix_ops, e.obj: ctx + (e.op,)}
 
-    def rec() -> bool:
-        if len(order) == len(ids):
-            return True
-        for eid in ids:
-            if eid in placed:
-                continue
-            if any(p not in placed for p in preds[eid]):
-                continue
-            if not feasible(eid):
-                continue
-            e = events[eid]
-            placed.add(eid)
-            order.append(eid)
-            prefix_ops.setdefault(e.obj, []).append(e.op)
-            if rec():
-                return True
-            prefix_ops[e.obj].pop()
-            order.pop()
-            placed.remove(eid)
-        return False
-
-    if not base.is_acyclic():
+    try:
+        walk = extensions(base, place, {})
+    except CycleError:
         return None
-    return TotalOrder(tuple(order)) if rec() else None
+    return next((TotalOrder(seq) for seq, _ in walk), None)
 
 
 def _validated(h: History) -> None:
@@ -166,23 +142,15 @@ def lin_from_osc_execution(
     h = x.history
     if semantics.classify is None:
         raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
-    updates = [i for i in x.ar.sequence if semantics.is_update(h.event(i).op)]
-    groups: dict[str | None, list[str]] = {None: []}
-    for u in updates:
-        groups[u] = []
-    for eid in x.ar.sequence:
-        if semantics.is_update(h.event(eid).op):
-            continue
-        anchor: str | None = None
-        for u in updates:
-            if (u, eid) in x.vis:
-                anchor = u
-        groups[anchor].append(eid)
-    seq: list[str] = list(groups[None])
-    for u in updates:
-        seq.append(u)
-        seq.extend(groups[u])
-    return Linearization(h, TotalOrder(tuple(seq)))
+    rank = {u: k for k, u in enumerate(
+        (i for i in x.ar.sequence if semantics.is_update(h.event(i).op)), 1)}
+
+    def slot(eid: str) -> tuple[int, int]:  # a read sorts after the last update it saw
+        if eid in rank:
+            return rank[eid], 0
+        return max((k for u, k in rank.items() if (u, eid) in x.vis), default=0), 1
+
+    return Linearization(h, TotalOrder(tuple(sorted(x.ar.sequence, key=slot))))
 
 
 def osc_execution_from_lin(

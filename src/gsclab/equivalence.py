@@ -34,10 +34,9 @@ def _checked_fence_free(x: AbstractExecution, semantics: ObjectSemantics) -> Non
         raise HistoryError(
             f"transformation requires a fence-free history; fenced: {fenced}"
         )
-    errs = x.structural_violations()
-    if errs:
-        raise HistoryError("; ".join(errs))
     rep = check_axioms(x, semantics)
+    if rep.structural:
+        raise HistoryError("; ".join(rep.structural))
     if not rep.ok:
         raise HistoryError(f"input fails axioms: {', '.join(rep.failed())}")
 
@@ -71,7 +70,7 @@ def to_tso(x: AbstractExecution, semantics: ObjectSemantics) -> AbstractExecutio
     image = _refenced(x, frozenset({PULL}), x.history.rt)
     prec = scheduling_precedence(image)
     try:
-        rt2 = extend_to_total(x.vis | prec, tie_break=sorted(x.history.ids))
+        rt2 = extend_to_total(x.vis | prec)
     except CycleError as err:
         raise AssertionError(
             f"visibility and scheduling precedence cyclic (checker bug): {err}"

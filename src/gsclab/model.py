@@ -147,11 +147,28 @@ class History:
         rt = Relation(dom, frozenset((mapping[a], mapping[b]) for a, b in self.rt.pairs))
         return make_history(events, sessions, rt)
 
+    def _in_client_index_layout(self) -> bool:
+        """make_history's layout of a canonical history, checked without a
+        set: clients increasing (so the ids are distinct), session c listing
+        c:0, c:1, ..., the events in that order, and rt over exactly them."""
+        events, domain, last = iter(self.events), self.rt.domain, ""
+        for client, ids in self.sessions:
+            if client <= last:
+                return False
+            last = client
+            for i, eid in enumerate(ids):
+                e = next(events, None)
+                if e is None or e.id != eid or eid != f"{client}:{i}" or eid not in domain:
+                    return False
+        return next(events, None) is None and len(domain) == len(self.events)
+
     def canonical(self) -> "History":
         """Rename ids to the deterministic client:index scheme.  A history
         whose ids already follow it, with ``rt`` over exactly its ids, is
         returned as it is, since renaming would rebuild an equal history;
         every explored history is one."""
+        if self._in_client_index_layout():
+            return self
         mapping = {eid: f"{client}:{i}"
                    for client, ids in self.sessions for i, eid in enumerate(ids)}
         if (mapping.keys() == self.ids == self.rt.domain

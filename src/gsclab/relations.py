@@ -2,16 +2,21 @@
 
 Everything downstream (histories, visibility, arbitration) is phrased as
 relational algebra over a small explicit domain, so this module keeps the
-operations literal: composition, unions, closures, acyclicity, the interval
-order test, and deterministic extension of an acyclic relation to a total
-order.  Domains are part of a relation's identity; combining relations over
-different domains is an error, not a silent union.
-"""
+operations literal: composition, unions, closures, acyclicity and the
+interval order test.  Domains are part of a relation's identity; combining
+relations over different domains is an error, not a silent union.
 
+Every arbitration, linearization and schedule order in the package comes
+from one of two kernels: least_order, Kahn's algorithm (CACM 1962) taking
+the least ready node first, and extensions, a depth-first walk over linear
+extensions that cuts the prefixes a caller refuses (after Wing & Gong 1993
+and Lowe 2017).
+"""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class DomainMismatchError(ValueError):
@@ -152,7 +157,11 @@ class Relation:
         return self.is_irreflexive() and self.is_transitive()
 
     def is_acyclic(self) -> bool:
-        return self.transitive_closure().is_irreflexive()
+        """No cycle, loops included: least_order places every element."""
+        succ: dict[str, list[str]] = {a: [] for a in self.domain}
+        for a, b in self.pairs:
+            succ[a].append(b)
+        return not least_order(succ)[1]
 
     def is_total_on_domain(self) -> bool:
         for a in self.domain:
@@ -199,10 +208,6 @@ class TotalOrder:
             raise ValueError("total order repeats an element")
         object.__setattr__(self, "_index", idx)
 
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.sequence)
-
     def position(self, a: str) -> int:
         return self._index[a]
 
@@ -221,59 +226,92 @@ class TotalOrder:
         return len(self.sequence)
 
 
-def extend_to_total(r: Relation, tie_break: Sequence[str] | None = None) -> TotalOrder:
-    """Deterministic topological extension of an acyclic relation.
+def least_order(succ: Mapping) -> tuple[list, set]:
+    """Kahn's algorithm, always taking the least ready node: the nodes in
+    the order placed, and those it could not place (on or after a cycle).
+    Every node is a key of ``succ``; an edge listed twice counts twice."""
+    indeg = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for v in targets:
+            indeg[v] += 1
+    ready = [v for v, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                heapq.heappush(ready, v)
+    unplaced = {v for v, d in indeg.items() if d} if len(order) < len(indeg) else set()
+    return order, unplaced
 
-    Repeatedly emits the enabled element that comes first in ``tie_break``
-    (default: sorted domain), which yields the lexicographically least
-    linear extension under that key.  Raises CycleError on cycles.
-    """
-    order = list(tie_break) if tie_break is not None else sorted(r.domain)
-    if set(order) != set(r.domain):
-        raise ValueError("tie_break must enumerate the domain exactly")
-    preds: dict[str, set[str]] = {a: set() for a in r.domain}
+
+def _ranked_order(r: Relation, order: Sequence[str]) -> tuple[dict[int, list[int]], list[int]]:
+    """r's successor lists over the positions in ``order``, loops dropped,
+    and least_order over them; CycleError for what it cannot place."""
+    rank = {a: i for i, a in enumerate(order)}
+    succ: dict[int, list[int]] = {i: [] for i in range(len(order))}
     for a, b in r.pairs:
         if a != b:
-            preds[b].add(a)
-    out: list[str] = []
-    emitted: set[str] = set()
-    remaining = set(r.domain)
-    while remaining:
-        pick = None
-        for a in order:
-            if a in remaining and preds[a] <= emitted:
-                pick = a
-                break
-        if pick is None:
-            raise CycleError(f"cycle among {sorted(remaining)}")
-        out.append(pick)
-        emitted.add(pick)
-        remaining.remove(pick)
-    return TotalOrder(tuple(out))
+            succ[rank[a]].append(rank[b])
+    placed, unplaced = least_order(succ)
+    if unplaced:
+        raise CycleError(f"cycle among {sorted(order[i] for i in unplaced)}")
+    return succ, placed
+
+
+def extend_to_total(r: Relation, tie_break: Sequence[str] | None = None) -> TotalOrder:
+    """Deterministic topological extension of an acyclic relation, loops
+    ignored: least_order over the ranks in ``tie_break`` (default: sorted
+    domain), the lexicographically least linear extension under that key.
+    Raises CycleError on cycles."""
+    order = list(dict.fromkeys(tie_break)) if tie_break is not None else sorted(r.domain)
+    if set(order) != set(r.domain):
+        raise ValueError("tie_break must enumerate the domain exactly")
+    return TotalOrder(tuple(order[i] for i in _ranked_order(r, order)[1]))
+
+
+def extensions(r: Relation, place: Callable, state) -> Iterator[tuple[tuple[str, ...], object]]:
+    """The linear extensions of r (loops ignored) that ``place`` admits,
+    depth first and lexicographic in the sorted domain, each with the state
+    it reached.  ``place(s, a)`` is the state after appending a to a prefix
+    whose state is s, or None to cut every extension of that prefix.
+    Raises CycleError, before calling place, when r is cyclic (least_order
+    decides that in linear time; a bare walk would take factorial time)."""
+    order = sorted(r.domain)
+    succ, _ = _ranked_order(r, order)
+    waiting = [0] * len(order)  # per element its unplaced predecessors; -1 once placed
+    for targets in succ.values():
+        for j in targets:
+            waiting[j] += 1
+
+    def walk(prefix: tuple[str, ...], s) -> Iterator[tuple[tuple[str, ...], object]]:
+        if len(prefix) == len(order):
+            yield prefix, s
+            return
+        for i, a in enumerate(order):
+            if waiting[i] or (nxt := place(s, a)) is None:
+                continue
+            waiting[i] = -1
+            for j in succ[i]:
+                waiting[j] -= 1
+            yield from walk(prefix + (a,), nxt)
+            for j in succ[i]:
+                waiting[j] += 1
+            waiting[i] = 0
+
+    return walk((), state)
 
 
 def linear_extensions(r: Relation) -> Iterator[TotalOrder]:
-    """All linear extensions of an acyclic relation, lexicographic in the
-    sorted domain.  Yields nothing if the relation is cyclic."""
-    order = sorted(r.domain)
-    preds: dict[str, set[str]] = {a: set() for a in r.domain}
-    for a, b in r.pairs:
-        if a != b:
-            preds[b].add(a)
-    prefix: list[str] = []
-    emitted: set[str] = set()
-
-    def rec() -> Iterator[TotalOrder]:
-        if len(prefix) == len(order):
-            yield TotalOrder(tuple(prefix))
-            return
-        for a in order:
-            if a in emitted or not (preds[a] <= emitted):
-                continue
-            prefix.append(a)
-            emitted.add(a)
-            yield from rec()
-            emitted.remove(a)
-            prefix.pop()
-
-    return rec()
+    """All linear extensions of an acyclic relation (loops ignored),
+    lexicographic in the sorted domain.  Yields nothing if the relation is
+    cyclic."""
+    try:
+        walk = extensions(r, lambda s, a: s, ())
+    except CycleError:
+        return
+    for seq, _ in walk:
+        yield TotalOrder(seq)

@@ -3,8 +3,8 @@
 Given a history plus visibility and arbitration satisfying the axioms, this
 module builds a schedule of the log protocol whose replay reproduces the
 history exactly (ids, return values, fences, returns-before pairs) and
-extracts the same visibility and arbitration.  The schedule is one
-topological order (Kahn, CACM 1962) of a token graph:
+extracts the same visibility and arbitration.  The schedule is the
+least_order (Kahn's algorithm, CACM 1962) of a token graph:
 
   - nodes call(e), body(e) and ret(e) per event, push(g) per event without
     a push fence (a push-fenced body is its own push node), and pull(c, k)
@@ -30,13 +30,11 @@ the result through the simulator must reproduce the witness.
 
 from __future__ import annotations
 
-import heapq
-
 from .axioms import check_axioms
 from .model import PULL, PUSH, AbstractExecution, HistoryError
 from .protocol import Schedule, Token, body, call, pull, push, ret
 from .protocol import extract_execution, run_schedule
-from .relations import CycleError, Relation, TotalOrder, extend_to_total
+from .relations import CycleError, Relation, TotalOrder, extend_to_total, least_order
 from .semantics import ObjectSemantics
 
 
@@ -90,7 +88,7 @@ def body_order(x: AbstractExecution, prec: Relation | None = None) -> TotalOrder
     )
     q_rel = h.rt | x.vis | ar_push | lt
     try:
-        return extend_to_total(q_rel, tie_break=sorted(h.ids))
+        return extend_to_total(q_rel)
     except CycleError as err:
         raise AssertionError(
             f"scheduling constraints cyclic; the witness is invalid: {err}"
@@ -146,25 +144,12 @@ def _token_graph(x: AbstractExecution) -> dict[Node, list[Node]]:
 
 
 def _topological_order(succ: dict[Node, list[Node]]) -> list[Node]:
-    """Kahn's algorithm, taking the least ready node first."""
-    indeg = dict.fromkeys(succ, 0)
-    for targets in succ.values():
-        for v in targets:
-            indeg[v] += 1
-    ready = [v for v, d in indeg.items() if not d]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if not indeg[v]:
-                heapq.heappush(ready, v)
-    if len(order) < len(succ):
+    """least_order over the token graph; unplaced nodes mean no schedule."""
+    order, unplaced = least_order(succ)
+    if unplaced:
         kinds = ("ret", "body", "push", "call", "pull")
         stuck = [f"{kinds[kind]}({c}, {k})" if c else f"{kinds[kind]}(ar[{k}])"
-                 for kind, k, c in sorted(v for v, d in indeg.items() if d)]
+                 for kind, k, c in sorted(unplaced)]
         raise SynthesisError("no schedule realizes the witness: its token "
                              f"constraints are cyclic; unplaced: {', '.join(stuck[:6])}")
     return order
@@ -177,10 +162,9 @@ def synthesize_schedule(x: AbstractExecution, semantics: ObjectSemantics) -> Sch
     SynthesisError when no schedule realizes the witness or when the
     replay does not reproduce it."""
     h = x.history
-    errs = x.structural_violations()
-    if errs:
-        raise HistoryError("; ".join(errs))
     rep = check_axioms(x, semantics)
+    if rep.structural:
+        raise HistoryError("; ".join(rep.structural))
     if not rep.ok:
         raise HistoryError(f"witness fails axioms: {', '.join(rep.failed())}")
     ar_seq = x.ar.sequence

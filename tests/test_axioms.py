@@ -407,6 +407,40 @@ def test_adversarial_family_refuted_before_any_arbitration(sem, events, repeated
     assert len(res.refutations) == axioms.MAX_REFUTATIONS
 
 
+# is_gsc's stats as (ars_tried, closures, assignments_tried, prunes), taken
+# when the search walked its arbitrations with its own loop.
+ADVERSARIAL_STATS = {(8, True): (0, 0, 1044, 1369), (9, True): (0, 0, 6524, 8480),
+                     (10, False): (0, 3, 0, 1)}
+PRESET_STATS = {
+    "fig3a": {"gsc": (1, 0, 0, 0), "gsp": (1, 0, 0, 0), "tso": (0, 2, 0, 1),
+              "dual_tso": (1, 0, 0, 0), "osc": (0, 1, 0, 1), "lin": (0, 1, 0, 1)},
+    "fig3b": {"gsc": (1, 0, 0, 0), "gsp": (1, 0, 0, 0), "tso": (1, 0, 0, 0),
+              "dual_tso": (0, 0, 0, 0), "osc": (0, 0, 0, 0), "lin": (0, 0, 0, 0)},
+    "fig3c": {"gsc": (1, 0, 0, 0), "gsp": (1, 0, 0, 0), "tso": (1, 0, 0, 0),
+              "dual_tso": (1, 0, 0, 0), "osc": (0, 3, 0, 2), "lin": (0, 3, 0, 1)},
+    "fig3d": {"gsc": (0, 3, 0, 6), "gsp": (0, 3, 0, 6), "tso": (0, 3, 0, 1),
+              "dual_tso": (0, 3, 0, 2), "osc": (0, 3, 0, 2), "lin": (0, 3, 0, 1)},
+    "fig5": {"gsc": (1, 0, 0, 0), "gsp": (1, 0, 0, 0), "tso": (1, 0, 0, 0),
+             "dual_tso": (1, 0, 0, 0), "osc": (1, 0, 0, 0), "lin": (0, 2, 0, 1)},
+}
+
+
+def stats_tuple(res):
+    return tuple(res.stats[k] for k in ("ars_tried", "closures", "assignments_tried", "prunes"))
+
+
+@pytest.mark.parametrize("events, repeated", sorted(ADVERSARIAL_STATS))
+def test_adversarial_stats_are_pinned(sem, events, repeated):
+    res = is_gsc(adversarial(events, repeated), sem, max_events=12)
+    assert stats_tuple(res) == ADVERSARIAL_STATS[events, repeated]
+
+
+def test_preset_stats_are_pinned(sem):
+    got = {f.name: {m: stats_tuple(is_gsc(apply_fence_preset(f.history, m, sem), sem))
+                    for m in MODELS} for f in all_fixtures()}
+    assert got == PRESET_STATS
+
+
 def test_structural_violations_repeat_on_the_same_history(sem):
     w = fixture("fig3a").witness
     back = Relation.from_pairs(w.history.ids, [("e2", "e1")])

@@ -368,6 +368,85 @@ def test_enumerate_output_is_pinned(tmp_path, capsys, name):
             hashlib.sha256(files).hexdigest()) == ENUMERATE_DIGESTS[name]
 
 
+def command_digest(argv, out, capsys) -> str:
+    """sha256 of a command's exit code, its standard output with the
+    directory ``out`` written <out>, and the files it wrote under ``out``
+    concatenated in name order."""
+    out.mkdir()
+    rc = main([a.replace("<out>", str(out)) for a in argv])
+    text = capsys.readouterr().out.replace(str(out), "<out>")
+    files = b"".join(p.read_bytes() for p in sorted(out.iterdir()))
+    return hashlib.sha256(f"{rc}\n{text}".encode() + files).hexdigest()
+
+
+# Digests of command_digest, taken when each arbitration, linearization and
+# schedule order still had its own loop: check --apply-preset per (history
+# fixture, model), synthesize per witness fixture, equiv --to both per
+# fence-free witness fixture.
+CHECK_DIGESTS = {
+    ("fig3a", "gsc"): "5fddc1f72b08163fedd30b0ebb1f2423d763c8070e72f90b0a8d36d5901c8f19",
+    ("fig3a", "gsp"): "5fddc1f72b08163fedd30b0ebb1f2423d763c8070e72f90b0a8d36d5901c8f19",
+    ("fig3a", "tso"): "1a21b349d98b6c8e3f247ffb69e989f55be03b449b94fc99af248226fcdb2129",
+    ("fig3a", "dual-tso"): "5fddc1f72b08163fedd30b0ebb1f2423d763c8070e72f90b0a8d36d5901c8f19",
+    ("fig3a", "osc"): "f629c6618a43b114dd92211b6136b40c0aaa8950c3a21ef641277ca91fc240dd",
+    ("fig3a", "lin"): "4f3f0529b891f6579bed8559c9e164bfcc548e463fcdbb060f6891269fbba260",
+    ("fig3b", "gsc"): "722f9e475346e49149e63aceb0e324d73587aec93936ad4e524a5af1db4dd098",
+    ("fig3b", "gsp"): "722f9e475346e49149e63aceb0e324d73587aec93936ad4e524a5af1db4dd098",
+    ("fig3b", "tso"): "722f9e475346e49149e63aceb0e324d73587aec93936ad4e524a5af1db4dd098",
+    ("fig3b", "dual-tso"): "0b611820866402180c0a3494f49f5659cc24f10f5ce4e42e0ca949a960367b21",
+    ("fig3b", "osc"): "f629c6618a43b114dd92211b6136b40c0aaa8950c3a21ef641277ca91fc240dd",
+    ("fig3b", "lin"): "4f3f0529b891f6579bed8559c9e164bfcc548e463fcdbb060f6891269fbba260",
+    ("fig3c", "gsc"): "5ff210fa680a3703f452939d2ac96df35c9c8c48ae18e60a66a6ac400531f1de",
+    ("fig3c", "gsp"): "5ff210fa680a3703f452939d2ac96df35c9c8c48ae18e60a66a6ac400531f1de",
+    ("fig3c", "tso"): "5ff210fa680a3703f452939d2ac96df35c9c8c48ae18e60a66a6ac400531f1de",
+    ("fig3c", "dual-tso"): "39164f71bcedf579463601f8688f0a14e9da11fceb08c8bf274eb94bfd30c2fe",
+    ("fig3c", "osc"): "f629c6618a43b114dd92211b6136b40c0aaa8950c3a21ef641277ca91fc240dd",
+    ("fig3c", "lin"): "4f3f0529b891f6579bed8559c9e164bfcc548e463fcdbb060f6891269fbba260",
+    ("fig3d", "gsc"): "11b7c54f1ad97ba387185def0b6bdb6dd78d76dbbe4bb9e34b346058350a5baa",
+    ("fig3d", "gsp"): "11b7c54f1ad97ba387185def0b6bdb6dd78d76dbbe4bb9e34b346058350a5baa",
+    ("fig3d", "tso"): "a5472c62f4b1c2cdcbf362f2e53d2fa8d642553036639ae3fd1eae06dc5606b8",
+    ("fig3d", "dual-tso"): "bd0e052059655b151dc01a37db040be02410c205cbb303edbe5e5aebe4e66872",
+    ("fig3d", "osc"): "f629c6618a43b114dd92211b6136b40c0aaa8950c3a21ef641277ca91fc240dd",
+    ("fig3d", "lin"): "4f3f0529b891f6579bed8559c9e164bfcc548e463fcdbb060f6891269fbba260",
+    ("fig5", "gsc"): "366606e5efd126846cfde5358e9a298eb0c241f89b20d02abbaa8cf1e0aa1475",
+    ("fig5", "gsp"): "366606e5efd126846cfde5358e9a298eb0c241f89b20d02abbaa8cf1e0aa1475",
+    ("fig5", "tso"): "366606e5efd126846cfde5358e9a298eb0c241f89b20d02abbaa8cf1e0aa1475",
+    ("fig5", "dual-tso"): "366606e5efd126846cfde5358e9a298eb0c241f89b20d02abbaa8cf1e0aa1475",
+    ("fig5", "osc"): "906837897cadaa6aac45df7501b0b93ce7104118e4af8761f3b0703f23581d09",
+    ("fig5", "lin"): "4f3f0529b891f6579bed8559c9e164bfcc548e463fcdbb060f6891269fbba260",
+}
+SYNTHESIZE_DIGESTS = {
+    "fig3a-witness": "9cfbf2afbcdbf38ba4f6894c24f24087fd26a204d4cc921c9d0e0a26f938a2aa",
+    "fig3b-witness": "c5741ac3a13bb30fae4503caf77c79983b357adca5d6647c43e3d28c54cfddcc",
+    "fig3c-witness": "b3e562a42c769b2ba2efed41af1c86e84315b642da9930675cbdb1a90a157572",
+    "fig5-witness": "4a3f032440aba79604e9f246a616455c89fae8f7c02e9b6f9bec0fe28f0c4c3e",
+}
+EQUIV_DIGESTS = {
+    "fig3a-witness": "96e5e698823abae0c5568a282ad8387af93f6c73b6409ae60e816497a748bd88",
+    "fig3b-witness": "941544a8f3e1de61d5b3f852ac2403b569d6052099da901f9aab1bf8f13c7a3b",
+    "fig3c-witness": "692faf28190f9d726c189dffc4a09f8046a0dad2bc42d1a12c60f552f28fc723",
+}
+
+
+@pytest.mark.parametrize("name, model", sorted(CHECK_DIGESTS))
+def test_check_preset_output_is_pinned(tmp_path, capsys, name, model):
+    argv = ["check", fixture_path(name), "--apply-preset", "--model", model]
+    assert command_digest(argv, tmp_path / "out", capsys) == CHECK_DIGESTS[name, model]
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHESIZE_DIGESTS))
+def test_synthesize_output_is_pinned(tmp_path, capsys, name):
+    argv = ["synthesize", fixture_path(name), "-o", "<out>/schedule.json"]
+    assert command_digest(argv, tmp_path / "out", capsys) == SYNTHESIZE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EQUIV_DIGESTS))
+def test_equiv_output_is_pinned(tmp_path, capsys, name):
+    argv = ["equiv", fixture_path(name), "--to", "both",
+            "--push-out", "<out>/push.json", "--pull-out", "<out>/pull.json"]
+    assert command_digest(argv, tmp_path / "out", capsys) == EQUIV_DIGESTS[name]
+
+
 def test_enumerate_uses_the_documents_semantics(tmp_path, capsys):
     # A register document explores and writes under register without
     # --semantics, as check decides it.

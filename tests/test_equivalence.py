@@ -72,6 +72,22 @@ def test_transforms_reject_lawless_input(sem):
         to_tso(broken, sem)
 
 
+def test_transforms_reject_vis_outside_ar(sem):
+    # One structural message per violation, in order; the fence check
+    # still comes first.
+    w = fixture("fig3a").witness
+    back = Relation.from_pairs(w.history.ids, [("e2", "e1")])
+    bad = AbstractExecution(w.history, w.vis | back, w.ar)
+    for transform in (to_dual_tso, to_tso):
+        with pytest.raises(HistoryError) as err:
+            transform(bad, sem)
+        assert str(err.value) == "vis cyclic; vis not contained in ar: (e2, e1)"
+    x = fixture("fig5").witness
+    fenced = AbstractExecution(x.history, x.vis | x.ar.as_relation().inverse(), x.ar)
+    with pytest.raises(HistoryError, match="fence-free"):
+        to_tso(fenced, sem)
+
+
 def test_membership_not_preserved_with_pinned_clock(sem):
     # Re-fencing the same histories without re-choosing returns-before
     # flips membership: the transforms owe their soundness to the freedom

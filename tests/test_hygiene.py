@@ -1,8 +1,8 @@
 """Source hygiene: every module under ``src/gsclab`` and ``tests`` reads
 each name it imports, every private function in ``src/gsclab`` has a
-caller there, and every attribute the benchmark tracer wraps still exists.
-No linter ships with the project, so the check walks the syntax trees with
-``ast`` alone."""
+caller there, every attribute the benchmark tracer wraps still exists, and
+only ``relations`` imports ``heapq``.  No linter ships with the project,
+so the check walks the syntax trees with ``ast`` alone."""
 
 import ast
 import importlib.util
@@ -80,3 +80,23 @@ def test_tracer_patches_name_existing_attributes():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracing._PATCHES
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def imported_modules(path: pathlib.Path) -> set[str]:
+    """The top-level names of the modules a file imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_relations_orders_with_a_heap():
+    # Kahn's algorithm lives in relations.least_order; every other ordering
+    # goes through it or through relations.extensions.
+    package = ROOT / "src" / "gsclab"
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if "heapq" in imported_modules(path)]
+    assert users == ["relations.py"]

@@ -1,5 +1,7 @@
 """Histories: construction, validation, fences, projections, presets."""
 
+import dataclasses
+
 import pytest
 
 from gsclab import (
@@ -7,6 +9,7 @@ from gsclab import (
     PUSH,
     AbstractExecution,
     Event,
+    HistoryError,
     Interval,
     Op,
     Relation,
@@ -101,6 +104,26 @@ def test_canonical_equals_the_client_index_renaming(name):
     for g in (c.renamed({eid: f"{eid}'" for eid in ids}),
               c.renamed(dict(zip(ids, reversed(ids))))):
         assert g.canonical() == g.renamed(client_index(g)) == c
+
+
+def test_canonical_returns_itself_only_when_ids_sessions_and_rt_agree():
+    c = two_client_history().canonical()
+    assert c.canonical() is c
+    # events out of session layout, with the same ids: still canonical
+    shuffled = dataclasses.replace(c, events=tuple(reversed(c.events)))
+    assert shuffled.canonical() is shuffled
+    # ids not client:index
+    named = c.renamed({"A:0": "a", "A:1": "b", "B:0": "c"})
+    assert named.canonical() is not named and named.canonical() == c
+    # sessions listing an id that is no event, or missing one that is
+    for sessions in ((("A", ("A:0", "A:1", "A:2")), ("B", ("B:0",))),
+                     (("A", ("A:0", "A:1")),)):
+        odd = dataclasses.replace(c, sessions=sessions)
+        with pytest.raises(HistoryError, match="bijection"):
+            odd.canonical()
+    # rt over more ids than the events
+    wide = dataclasses.replace(c, rt=Relation(c.ids | {"C:0"}, c.rt.pairs))
+    assert wide.canonical() is not wide and wide.canonical() == c
 
 
 def test_project_restricts_everything():

@@ -1,11 +1,13 @@
 """Relation algebra: constructors, operators, closures, orders."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsclab.relations as kernel
 from gsclab import get_semantics
 from gsclab.generators import random_well_fenced_run
 from gsclab.relations import (
@@ -103,12 +105,42 @@ def test_linear_extensions_counts_and_limit():
     assert all(e.before("a", "b") for e in exts)
 
 
-small_domains = st.sets(st.sampled_from("abcde"), min_size=1, max_size=5).map(frozenset)
+def test_least_order_takes_the_least_ready_node_and_reports_the_rest():
+    succ = {3: [1], 1: [], 2: [0], 0: [], 5: [4], 4: [5, 6], 6: []}
+    assert kernel.least_order(succ) == ([2, 0, 3, 1], {4, 5, 6})
+    # an edge listed twice is waited for twice
+    assert kernel.least_order({"a": ["b", "b"], "b": []}) == (["a", "b"], set())
+
+
+def test_cyclic_relation_has_no_extension_and_places_nothing():
+    # A 2-cycle plus 12 unrelated elements: the walk refuses it before its
+    # first placement, where a prefix search would try every ordering of
+    # the unrelated elements first.
+    dom = frozenset(["a", "b"] + [f"u{i:02}" for i in range(12)])
+    r = Relation(dom, frozenset({("a", "b"), ("b", "a")}))
+    assert list(linear_extensions(r)) == []
+    calls = []
+
+    def place(state, a):
+        calls.append(a)
+        return state
+
+    with pytest.raises(CycleError, match=r"cycle among \['a', 'b'\]"):
+        kernel.extensions(r, place, ())
+    assert calls == []
+
+
+def test_extensions_cut_what_place_refuses():
+    # place refuses b right after a, which cuts a b c and c a b
+    r = Relation(frozenset("abc"), frozenset())
+    got = list(kernel.extensions(r, lambda s, x: None if s[-1:] == "a" and x == "b" else s + x, ""))
+    assert got == [(("a", "c", "b"), "acb"), (("b", "a", "c"), "bac"),
+                   (("b", "c", "a"), "bca"), (("c", "b", "a"), "cba")]
 
 
 @st.composite
-def relations(draw):
-    dom = draw(small_domains)
+def relations(draw, letters="abcde"):
+    dom = draw(st.sets(st.sampled_from(letters), min_size=1).map(frozenset))
     elems = sorted(dom)
     pairs = draw(
         st.sets(
@@ -144,6 +176,49 @@ def test_property_extension_contains_acyclic_input(r):
     t = extend_to_total(r, tie_break=sorted(r.domain))
     strict = r - Relation.identity(r.domain)
     assert strict.pairs <= t.as_relation().pairs
+
+
+def greedy_extension(r, tie_break):
+    """extend_to_total's former loop: repeatedly emit the enabled element
+    that comes first in tie_break, loops ignored."""
+    preds = {a: {x for x, y in r.pairs if y == a and x != a} for a in r.domain}
+    out, remaining = [], set(r.domain)
+    while remaining:
+        pick = next((a for a in tie_break if a in remaining and preds[a] <= set(out)), None)
+        if pick is None:
+            raise CycleError(f"cycle among {sorted(remaining)}")
+        out.append(pick)
+        remaining.remove(pick)
+    return tuple(out)
+
+
+@settings(deadline=None, max_examples=200)
+@given(relations())
+def test_property_acyclic_iff_closure_irreflexive(r):
+    assert r.is_acyclic() == r.transitive_closure().is_irreflexive()
+
+
+@settings(deadline=None, max_examples=200)
+@given(relations(), st.randoms(use_true_random=False))
+def test_property_extend_to_total_is_the_greedy_order(r, rng):
+    order = sorted(r.domain)
+    rng.shuffle(order)
+    try:
+        want = greedy_extension(r, order)
+    except CycleError as err:
+        with pytest.raises(CycleError) as got:
+            extend_to_total(r, order)
+        assert str(got.value) == str(err)
+    else:
+        assert extend_to_total(r, order).sequence == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(relations("abcdef"))
+def test_property_linear_extensions_are_the_sorted_respecting_permutations(r):
+    want = [p for p in itertools.permutations(sorted(r.domain))
+            if all(p.index(a) < p.index(b) for a, b in r.pairs if a != b)]
+    assert [t.sequence for t in linear_extensions(r)] == want
 
 
 @st.composite

@@ -161,6 +161,14 @@ def test_synthesis_rejects_lawless_witness(sem):
         synthesize_schedule(broken, sem)
 
 
+def test_synthesis_rejects_vis_outside_ar(sem):
+    w = fixture("fig3a").witness
+    back = Relation.from_pairs(w.history.ids, [("f2", "e2")])
+    with pytest.raises(HistoryError) as err:
+        synthesize_schedule(AbstractExecution(w.history, w.vis | back, w.ar), sem)
+    assert str(err.value) == "vis not contained in ar: (f2, e2)"
+
+
 def test_synthesis_pushes_and_pulls_inside_windows(sem):
     # The reader saw the append, but with no returned-before pair the
     # reader is called before the append returns: the append is pushed
