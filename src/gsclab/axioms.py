@@ -601,8 +601,7 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
                 return True
         return False
 
-    def advance(branches: list, a: str) -> list | None:
-        """a placed on every live branch, refuted children dropped."""
+    def advance(branches: list, a: str) -> list | None:  # the walk's place
         children = []
         for cl, hidden in branches:
             child = cl.copy()

@@ -12,6 +12,7 @@ the least ready node first, and extensions, a depth-first walk over linear
 extensions that cuts the prefixes a caller refuses (after Wing & Gong 1993
 and Lowe 2017).
 """
+
 from __future__ import annotations
 
 import heapq
@@ -249,8 +250,8 @@ def least_order(succ: Mapping) -> tuple[list, set]:
 
 
 def _ranked_order(r: Relation, order: Sequence[str]) -> tuple[dict[int, list[int]], list[int]]:
-    """r's successor lists over the positions in ``order``, loops dropped,
-    and least_order over them; CycleError for what it cannot place."""
+    """r's successor lists over positions in ``order`` (loops dropped) and their
+    least_order; CycleError names what that leaves unplaced."""
     rank = {a: i for i, a in enumerate(order)}
     succ: dict[int, list[int]] = {i: [] for i in range(len(order))}
     for a, b in r.pairs:
