@@ -620,7 +620,7 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
         return live or None
 
     root = (Closure(h, (), seed_vis), hide(exact.items()))
-    walk = extensions(seed_ar, advance, [root])
+    walk = extensions(seed_ar, advance, [root])  # CycleError before any prune counts
     if refuted(*root):
         stats["prunes"] += 1
         return None
