@@ -578,9 +578,10 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
     """The witness over the least accepting linear extension of seed_ar,
     or None; CycleError if seed_ar is cyclic.  Placing an open observer
     (one of observers) branches on its options: a branch seeds the chosen
-    updates as visible to it and hides its other same-object updates.  The branches of one prefix advance together, in
-    the order of their options, so the first accepting branch is the first
-    accepting choice over the least accepting arbitration."""
+    updates as visible to it and hides its other same-object updates.  The
+    branches of one prefix advance together, in the order of their options,
+    so the first accepting branch is the first accepting choice over the
+    least accepting arbitration."""
     by_id = h.by_id
     open_ids = {e.id for e in observers}
 

@@ -148,9 +148,9 @@ class History:
         return make_history(events, sessions, rt)
 
     def _in_client_index_layout(self) -> bool:
-        """make_history's layout of a canonical history, checked without a
-        set: clients increasing (so the ids are distinct), session c listing
-        c:0, c:1, ..., the events in that order, and rt over exactly them."""
+        """Clients increasing (so the ids are distinct), session c listing
+        c:0, c:1, ..., the events in that order, and rt over exactly them:
+        make_history's layout of a canonical history, checked without a set."""
         events, domain, last = iter(self.events), self.rt.domain, ""
         for client, ids in self.sessions:
             if client <= last:
@@ -164,17 +164,12 @@ class History:
 
     def canonical(self) -> "History":
         """Rename ids to the deterministic client:index scheme.  A history
-        whose ids already follow it, with ``rt`` over exactly its ids, is
-        returned as it is, since renaming would rebuild an equal history;
-        every explored history is one."""
+        already in that layout is returned as it is, since renaming would
+        rebuild an equal history; every explored history is one."""
         if self._in_client_index_layout():
             return self
-        mapping = {eid: f"{client}:{i}"
-                   for client, ids in self.sessions for i, eid in enumerate(ids)}
-        if (mapping.keys() == self.ids == self.rt.domain
-                and all(eid == new for eid, new in mapping.items())):
-            return self
-        return self.renamed(mapping)
+        return self.renamed({eid: f"{client}:{i}"
+                             for client, ids in self.sessions for i, eid in enumerate(ids)})
 
     def sort_key(self):
         """A total, deterministic ordering key (events then rt pairs)."""
