@@ -89,6 +89,18 @@ DEFAULT_MAX_EVENTS = 9
 MAX_REFUTATIONS = 3  # refutation lines a negative verdict carries at most
 
 
+def require_searchable(h: History, max_events: int) -> None:
+    """Raise HistoryError unless ``h`` is well formed and has at most
+    ``max_events`` events: the cap on every membership search."""
+    problems = validate_history(h)
+    if problems:
+        raise HistoryError("; ".join(problems))
+    if len(h.events) > max_events:
+        raise HistoryError(
+            f"history has {len(h.events)} events, over the cap {max_events}; "
+            f"raise max_events explicitly for larger inputs")
+
+
 @dataclass(frozen=True)
 class AxiomVerdict:
     name: str
@@ -672,13 +684,7 @@ def is_gsc(h: History, semantics: ObjectSemantics,
     closures the closures built from scratch for one arbitration (only
     narrations build them).
     """
-    problems = validate_history(h)
-    if problems:
-        raise HistoryError("; ".join(problems))
-    if len(h.events) > max_events:
-        raise HistoryError(
-            f"history has {len(h.events)} events, over the cap {max_events}; "
-            f"raise max_events explicitly for larger inputs")
+    require_searchable(h, max_events)
     stats: dict = {"ars_tried": 0, "closures": 0, "assignments_tried": 0,
                    "prunes": 0}
 

@@ -1,6 +1,8 @@
 """Command-line surface.
 
 Subcommands: check, simulate, synthesize, compose, equiv, enumerate.
+A command builds only its own subparser; the full parser is built for
+top-level help, for unknown commands, and for the top-level errors.
 Exit codes: 0 member / success, 1 non-member, 2 input error (parse,
 validation, precondition), 3 internal assertion failure (theorem or
 replay verification violated, which signals a bug, not bad input).
@@ -46,6 +48,7 @@ from .serialization import (
 from .synthesis import synthesize_schedule
 
 MODEL_FLAGS = tuple(m.replace("_", "-") for m in MODELS)
+COMMANDS = ("check", "simulate", "synthesize", "compose", "equiv", "enumerate")
 
 
 def _read(path: str):
@@ -104,9 +107,9 @@ def cmd_check(args) -> int:
         )
         return 2
     if model == "lin":
-        result = check_lin(h, semantics)
+        result = check_lin(h, semantics, max_events=args.max_events)
     elif model == "osc":
-        result = check_osc(h, semantics)
+        result = check_osc(h, semantics, max_events=args.max_events)
     else:
         result = is_gsc(h, semantics, max_events=args.max_events)
         return _print_membership(result)
@@ -229,7 +232,9 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subcommand ``argv[0]`` names, if any."""
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="gsclab",
         description="Workbench for the shared-log consistency model: "
@@ -246,73 +251,82 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-events", type=_count(1), default=DEFAULT_MAX_EVENTS,
                        help=f"membership search cap (default {DEFAULT_MAX_EVENTS})")
 
-    p = sub.add_parser("check", help="decide membership of a history file")
-    p.add_argument("history")
-    p.add_argument("--model", choices=MODEL_FLAGS, default="gsc")
-    p.add_argument("--apply-preset", action="store_true",
-                   help="rewrite fences to the model's preset before checking")
-    common(p)
-    max_events(p)
-    p.set_defaults(fn=cmd_check)
+    if only in (None, "check"):
+        p = sub.add_parser("check", help="decide membership of a history file")
+        p.add_argument("history")
+        p.add_argument("--model", choices=MODEL_FLAGS, default="gsc")
+        p.add_argument("--apply-preset", action="store_true",
+                       help="rewrite fences to the model's preset before checking")
+        common(p)
+        max_events(p)
+        p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("simulate", help="replay a schedule file")
-    p.add_argument("schedule")
-    p.add_argument("--history-out")
-    p.add_argument("--execution-out")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
+    if only in (None, "simulate"):
+        p = sub.add_parser("simulate", help="replay a schedule file")
+        p.add_argument("schedule")
+        p.add_argument("--history-out")
+        p.add_argument("--execution-out")
+        common(p)
+        p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("synthesize",
-                       help="compile a witness execution into a schedule")
-    p.add_argument("execution")
-    p.add_argument("-o", "--out")
-    common(p)
-    p.set_defaults(fn=cmd_synthesize)
+    if only in (None, "synthesize"):
+        p = sub.add_parser("synthesize",
+                           help="compile a witness execution into a schedule")
+        p.add_argument("execution")
+        p.add_argument("-o", "--out")
+        common(p)
+        p.set_defaults(fn=cmd_synthesize)
 
-    p = sub.add_parser("compose",
-                       help="compose per-object witnesses over a well-fenced history")
-    p.add_argument("history")
-    p.add_argument("witnesses", nargs="+",
-                   help="execution files, one per object")
-    p.add_argument("-o", "--out")
-    common(p)
-    p.set_defaults(fn=cmd_compose)
+    if only in (None, "compose"):
+        p = sub.add_parser("compose",
+                           help="compose per-object witnesses over a well-fenced history")
+        p.add_argument("history")
+        p.add_argument("witnesses", nargs="+",
+                       help="execution files, one per object")
+        p.add_argument("-o", "--out")
+        common(p)
+        p.set_defaults(fn=cmd_compose)
 
-    p = sub.add_parser("equiv",
-                       help="all-push / all-pull forms of a fence-free witness")
-    p.add_argument("execution")
-    p.add_argument("--to", choices=("tso", "dual-tso", "both"), default="both")
-    p.add_argument("--push-out")
-    p.add_argument("--pull-out")
-    common(p)
-    p.set_defaults(fn=cmd_equiv)
+    if only in (None, "equiv"):
+        p = sub.add_parser("equiv",
+                           help="all-push / all-pull forms of a fence-free witness")
+        p.add_argument("execution")
+        p.add_argument("--to", choices=("tso", "dual-tso", "both"), default="both")
+        p.add_argument("--push-out")
+        p.add_argument("--pull-out")
+        common(p)
+        p.set_defaults(fn=cmd_equiv)
 
-    p = sub.add_parser("enumerate",
-                       help="write the history of every reachable execution of a "
-                       "history's programs",
-                       description="Write one history file per distinct reachable "
-                       "execution, so a history repeats once per execution that has "
-                       "it (fig3a: 354 files, 89 distinct histories); each distinct "
-                       "history is checked for membership once.")
-    p.add_argument("history", nargs="?",
-                   help="history file whose programs to explore")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--max-schedules", type=_count(1), default=2_000_000,
-                   help="exploration state cap")
-    p.add_argument("--sample", type=_count(0), default=0,
-                   help="emit N random well-fenced runs instead of exploring")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    max_events(p)
-    p.set_defaults(fn=cmd_enumerate)
+    if only in (None, "enumerate"):
+        p = sub.add_parser("enumerate",
+                           help="write the history of every reachable execution of a "
+                           "history's programs",
+                           description="Write one history file per distinct reachable "
+                           "execution, so a history repeats once per execution that has "
+                           "it (fig3a: 354 files, 89 distinct histories); each distinct "
+                           "history is checked for membership once.")
+        p.add_argument("history", nargs="?",
+                       help="history file whose programs to explore")
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--max-schedules", type=_count(1), default=2_000_000,
+                       help="exploration state cap")
+        p.add_argument("--sample", type=_count(0), default=0,
+                       help="emit N random well-fenced runs instead of exploring")
+        p.add_argument("--seed", type=int, default=0)
+        common(p)
+        max_events(p)
+        p.set_defaults(fn=cmd_enumerate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv).parse_known_args(argv)
+    # The top-level parser's errors print its usage, which lists every command.
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "enumerate" and not args.sample and not args.history:
-        parser.error("enumerate needs a history file or --sample N")
+        build_parser().error("enumerate needs a history file or --sample N")
     try:
         return args.fn(args)
     except (HistoryError, ScheduleError, EnumerationCapError, ValueError) as err:

@@ -20,15 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import minimal_visibility
-from .model import (
-    PULL,
-    PUSH,
-    AbstractExecution,
-    History,
-    HistoryError,
-    validate_history,
-)
+from .axioms import DEFAULT_MAX_EVENTS, minimal_visibility, require_searchable
+from .model import PULL, PUSH, AbstractExecution, History, HistoryError
 from .relations import CycleError, Relation, TotalOrder, extend_to_total, extensions
 from .semantics import ObjectSemantics
 
@@ -72,17 +65,13 @@ def _prefix_search(h: History, semantics: ObjectSemantics, base: Relation) -> To
     return next((TotalOrder(seq) for seq, _ in walk), None)
 
 
-def _validated(h: History) -> None:
-    errs = validate_history(h)
-    if errs:
-        raise HistoryError("; ".join(errs))
-
-
-def check_lin(h: History, semantics: ObjectSemantics) -> LinearizationResult:
+def check_lin(h: History, semantics: ObjectSemantics,
+              max_events: int = DEFAULT_MAX_EVENTS) -> LinearizationResult:
     """Membership under the single-copy model: requires every event to push
     and pull, and searches for a linearization containing session order and
-    real-time order whose prefix evaluation reproduces every return value."""
-    _validated(h)
+    real-time order whose prefix evaluation reproduces every return value.
+    Histories over ``max_events`` events are refused, as by ``is_gsc``."""
+    require_searchable(h, max_events)
     for e in h.events:
         if PUSH not in e.fences or PULL not in e.fences:
             raise HistoryError(
@@ -99,12 +88,13 @@ def check_lin(h: History, semantics: ObjectSemantics) -> LinearizationResult:
     return LinearizationResult(True, Linearization(h, lin))
 
 
-def check_osc(h: History, semantics: ObjectSemantics) -> LinearizationResult:
+def check_osc(h: History, semantics: ObjectSemantics,
+              max_events: int = DEFAULT_MAX_EVENTS) -> LinearizationResult:
     """Membership under the serialized-updates model: requires every event
     to push and every update to also pull.  Reads may linearize before
     events that finished earlier, so only real-time edges into updates are
-    enforced."""
-    _validated(h)
+    enforced.  Histories over ``max_events`` events are refused."""
+    require_searchable(h, max_events)
     if semantics.classify is None:
         raise HistoryError(
             f"semantics {semantics.name!r} cannot classify updates"

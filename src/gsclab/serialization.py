@@ -19,7 +19,8 @@ naming the offending field.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from .model import (
     PULL,
@@ -42,11 +43,6 @@ _UPDATES = ("append", "write")  # the op kinds that carry a value
 _TOKENS = {"body": body, "ret": ret, "push": push, "pull": pull}
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise HistoryError(msg)
-
-
 def _op_doc(op: Op) -> dict:
     doc: dict[str, Any] = {"kind": op.kind}
     if op.value is not None:
@@ -59,23 +55,28 @@ def _is_int(value: Any) -> bool:
 
 
 def _op_from(doc: Any, where: str) -> Op:
-    _require(isinstance(doc, dict) and "kind" in doc, f"{where}: op needs a kind")
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise HistoryError(f"{where}: op needs a kind")
     extra = set(doc) - {"kind", "value"}
-    _require(not extra, f"{where}: unknown op fields {sorted(extra)}")
-    _require("value" not in doc or _is_int(doc["value"]),
-             f"{where}: op value must be an integer")
+    if extra:
+        raise HistoryError(f"{where}: unknown op fields {sorted(extra)}")
+    if "value" in doc and not _is_int(doc["value"]):
+        raise HistoryError(f"{where}: op value must be an integer")
     kind, value = doc["kind"], doc.get("value")
-    _require(value is not None or kind not in _UPDATES,
-             f"{where}: op value missing: {kind} needs an integer value")
-    _require(value is None or kind != "read", f"{where}: op value given: read takes none")
+    if value is None and kind in _UPDATES:
+        raise HistoryError(f"{where}: op value missing: {kind} needs an integer value")
+    if value is not None and kind == "read":
+        raise HistoryError(f"{where}: op value given: read takes none")
     return Op(kind, value)
 
 
 def _fences_from(doc: Mapping, where: str) -> frozenset[str]:
     fences = doc.get("fences", [])
-    _require(_strings(fences), f"{where}: fences must be a list of names")
+    if not _strings(fences):
+        raise HistoryError(f"{where}: fences must be a list of names")
     bad = set(fences) - set(_FENCES)
-    _require(not bad, f"{where}: unknown fences {sorted(bad)}")
+    if bad:
+        raise HistoryError(f"{where}: unknown fences {sorted(bad)}")
     return frozenset(fences)
 
 
@@ -84,8 +85,8 @@ def _strings(value: Any) -> bool:
 
 
 def _pairs_from(doc: Any, field: str) -> frozenset[tuple[str, str]]:
-    _require(isinstance(doc, list) and all(_strings(p) and len(p) == 2 for p in doc),
-             f"{field} must be a list of [before, after] id pairs")
+    if not (isinstance(doc, list) and all(_strings(p) and len(p) == 2 for p in doc)):
+        raise HistoryError(f"{field} must be a list of [before, after] id pairs")
     return frozenset((a, b) for a, b in doc)
 
 
@@ -96,8 +97,8 @@ def _rval_doc(rval: Any) -> Any:
 
 
 def _rval_from(doc: Any, where: str) -> Any:
-    _require(doc is None or _is_int(doc) or isinstance(doc, list) and all(map(_is_int, doc)),
-             f"{where}: rval must be null, an integer or a list of integers")
+    if not (doc is None or _is_int(doc) or isinstance(doc, list) and all(map(_is_int, doc))):
+        raise HistoryError(f"{where}: rval must be null, an integer or a list of integers")
     return tuple(doc) if isinstance(doc, list) else doc
 
 
@@ -123,29 +124,32 @@ def history_to_doc(h: History, semantics: str) -> dict:
 
 def doc_to_history(doc: Any) -> tuple[History, str]:
     """Parse a history document; returns the history and its semantics name."""
-    _require(isinstance(doc, Mapping), "history document must be an object")
+    if not isinstance(doc, Mapping):
+        raise HistoryError("history document must be an object")
     for field in ("objects", "semantics", "events", "sessions", "rt"):
-        _require(field in doc, f"history document missing field {field!r}")
+        if field not in doc:
+            raise HistoryError(f"history document missing field {field!r}")
     semantics = doc["semantics"]
-    _require(
-        semantics in SEMANTICS,
-        f"unknown semantics {semantics!r}; known: {sorted(SEMANTICS)}",
-    )
-    _require(_strings(doc["objects"]), "objects must be a list of names")
-    _require(isinstance(doc["events"], list), "events must be a list")
+    if semantics not in SEMANTICS:
+        raise HistoryError(f"unknown semantics {semantics!r}; known: {sorted(SEMANTICS)}")
+    if not _strings(doc["objects"]):
+        raise HistoryError("objects must be a list of names")
+    if not isinstance(doc["events"], list):
+        raise HistoryError("events must be a list")
     events = []
     for i, edoc in enumerate(doc["events"]):
         where = f"events[{i}]"
-        _require(isinstance(edoc, Mapping), f"{where}: must be an object")
+        if not isinstance(edoc, Mapping):
+            raise HistoryError(f"{where}: must be an object")
         for field in ("id", "client", "obj", "op"):
-            _require(field in edoc, f"{where}: missing field {field!r}")
+            if field not in edoc:
+                raise HistoryError(f"{where}: missing field {field!r}")
         for field in ("id", "client", "obj"):
-            _require(isinstance(edoc[field], str), f"{where}: {field} must be a string")
+            if not isinstance(edoc[field], str):
+                raise HistoryError(f"{where}: {field} must be a string")
         fences = _fences_from(edoc, where)
-        _require(
-            edoc["obj"] in doc["objects"],
-            f"{where}: object {edoc['obj']!r} not listed in objects",
-        )
+        if edoc["obj"] not in doc["objects"]:
+            raise HistoryError(f"{where}: object {edoc['obj']!r} not listed in objects")
         events.append(
             Event(
                 edoc["id"],
@@ -157,25 +161,23 @@ def doc_to_history(doc: Any) -> tuple[History, str]:
             )
         )
     sessions = doc["sessions"]
-    _require(
-        isinstance(sessions, Mapping) and all(map(_strings, sessions.values())),
-        "sessions must map client to id list",
-    )
+    if not (isinstance(sessions, Mapping) and all(map(_strings, sessions.values()))):
+        raise HistoryError("sessions must map client to id list")
     rt_doc = doc["rt"]
-    _require(
-        isinstance(rt_doc, Mapping) and rt_doc.get("kind") in ("intervals", "pairs"),
-        "rt must be {kind: intervals, map} or {kind: pairs, pairs}",
-    )
+    if not (isinstance(rt_doc, Mapping) and rt_doc.get("kind") in ("intervals", "pairs")):
+        raise HistoryError("rt must be {kind: intervals, map} or {kind: pairs, pairs}")
     if rt_doc["kind"] == "intervals":
-        _require(isinstance(rt_doc.get("map"), Mapping), "rt of kind intervals needs a map")
+        if not isinstance(rt_doc.get("map"), Mapping):
+            raise HistoryError("rt of kind intervals needs a map")
         rt: Any = {}
         for eid, se in rt_doc["map"].items():
-            _require(isinstance(se, list) and len(se) == 2
-                     and all(isinstance(t, (int, float)) for t in se),
-                     f"rt map entry {eid!r} must be [start, end]")
+            if not (isinstance(se, list) and len(se) == 2
+                    and all(isinstance(t, (int, float)) for t in se)):
+                raise HistoryError(f"rt map entry {eid!r} must be [start, end]")
             rt[eid] = Interval(float(se[0]), float(se[1]))
     else:
-        _require("pairs" in rt_doc, "rt of kind pairs needs pairs")
+        if "pairs" not in rt_doc:
+            raise HistoryError("rt of kind pairs needs pairs")
         ids = frozenset(e.id for e in events)
         rt = Relation(ids, _pairs_from(rt_doc["pairs"], "rt pairs"))
     h = make_history(events, {c: list(ids) for c, ids in sessions.items()}, rt)
@@ -195,12 +197,11 @@ def execution_to_doc(x: AbstractExecution, semantics: str) -> dict:
 def doc_to_execution(doc: Any) -> tuple[AbstractExecution, str]:
     h, semantics = doc_to_history(doc)
     for field in ("vis", "ar"):
-        _require(field in doc, f"execution document missing field {field!r}")
+        if field not in doc:
+            raise HistoryError(f"execution document missing field {field!r}")
     vis = Relation(h.ids, _pairs_from(doc["vis"], "vis"))
-    _require(
-        _strings(doc["ar"]) and sorted(doc["ar"]) == sorted(h.ids),
-        "ar must list every event id exactly once",
-    )
+    if not (_strings(doc["ar"]) and sorted(doc["ar"]) == sorted(h.ids)):
+        raise HistoryError("ar must list every event id exactly once")
     x = AbstractExecution(h, vis, TotalOrder(tuple(doc["ar"])))
     problems = x.structural_violations()
     if problems:

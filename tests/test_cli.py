@@ -139,9 +139,89 @@ def test_check_register_non_member_names_the_observer(tmp_path, capsys):
         "lets f2 return 1 (RETVAL)\n")
 
 
+def text_digest(argv, monkeypatch, capsys) -> str:
+    """sha256 of a command's exit code, standard output and standard error
+    on an 80-column terminal: argparse wraps help to the terminal width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return hashlib.sha256(f"{rc}\n{out}\0{err}".encode()).hexdigest()
+
+
+# Digests of text_digest per command line (split on spaces), taken when every
+# command built all six subparsers: help, usage and argument errors, at the
+# top level and per command. No command here reads or writes a file.
+TEXT_DIGESTS = {
+    "": "7fe47b21e8a1cb07f7437540833433624fc9ae748a9f1af3a15e91d23fa5282d",
+    "-h": "51e9324bc59b1642a431793eb75e7a08adae13cf6912844fe0613d3a490e3647",
+    "-h check": "51e9324bc59b1642a431793eb75e7a08adae13cf6912844fe0613d3a490e3647",
+    "bogus": "d83ee96fffbbbe31d5d2da11d6ae60e5f68a2c5d4c1ad8e2f8ed0f59361f5462",
+    "check -h": "bd168ca71b90b2331695afb65f3b5e7c81992a0dc83e14457a4a00a66c842fe4",
+    "simulate -h": "d18c26e6db611a7d56253e8bd3d0bbd4ababb8a6dc6a3e5c838cb2306abb1fbc",
+    "synthesize -h": "78a298f31b434d2a034c359cea0ec9b936269c7bfe3b693a9b1ae5937422b883",
+    "compose -h": "6a657d301e572764149f1a8b8845f8f785d7211302c3b7329345391ba3d7bae0",
+    "equiv -h": "6347ac1c7075b1b82d6bb337b349009e0b2761e49253ae5fc10127be68332250",
+    "enumerate -h": "9f8b079b513ce0ab8fe26e293b4321f7edb74ff641353a2ec6a6069f7d49e96f",
+    "check --model nope h.json":
+        "c66d2aa27684d37cd7d17b2e578a0e1898b24797ef08504a2d4426c3f1403a3f",
+    "check h.json --max-events 0":
+        "c37762a33b5b919fe0421e24d5b30f723ea855d61e2397c3167010493a2484ec",
+    "simulate s.json --max-events 3":
+        "492c33a589ea9323b081d453f8cde7ec5a5c663ef5b8f893f44f95e546a27785",
+    "synthesize": "d0d98ac9a0d7cfae1f61c627fb330beb7a0af82bde89d56a211b01256ac44715",
+    "compose h.json": "064cc6f9e372fde5448f6bffcb16a889525521dd5ec56be19923d789e1447009",
+    "equiv x.json --to nope":
+        "dceaa7609fbe73ff23d1795f5bdf27666dcec6551c55b3733d8799409fbb1633",
+    "enumerate --out-dir D":
+        "7bf9ade1609995a0c82dd7371950281b374b5153b4dce43e07e1ee2b31aae42b",
+    "enumerate --sample -1 --out-dir D":
+        "c448f8d7533850cb4b4fdb50b4eacaa85820562b42ce8c536fee5435e5695661",
+}
+
+
+@pytest.mark.parametrize("line", list(TEXT_DIGESTS))
+def test_command_line_text_is_pinned(monkeypatch, capsys, line):
+    assert text_digest(line.split(), monkeypatch, capsys) == TEXT_DIGESTS[line]
+
+
+def commands_of(parser) -> list[str]:
+    [sub] = [a for a in parser._actions if a.dest == "command"]
+    return list(sub.choices)
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
+    build = cli.build_parser
+    for argv in (None, [], ["-h", "check"], ["bogus"]):
+        assert commands_of(build(argv)) == list(cli.COMMANDS)
+    assert commands_of(build(["check", fixture_path("fig3a")])) == ["check"]
+    built = []
+
+    def spy(argv=None):
+        parser = build(argv)
+        built.append(commands_of(parser))
+        return parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["check", fixture_path("fig3a")]) == 0
+    assert built == [["check"]]
+
+
 def test_check_event_cap_defaults_to_the_search_cap():
     args = cli.build_parser().parse_args(["check", fixture_path("fig3a")])
     assert args.max_events == DEFAULT_MAX_EVENTS
+
+
+@pytest.mark.parametrize("model, verdict", [("gsc", 0), ("lin", 1), ("osc", 1)])
+def test_check_event_cap_holds_under_every_model(capsys, model, verdict):
+    argv = ["check", fixture_path("fig3a"), "--model", model, "--apply-preset", "--max-events"]
+    assert main(argv + ["3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: history has 4 events, over the cap 3; "
+        "raise max_events explicitly for larger inputs\n")
+    assert main(argv + ["4"]) == verdict
+    assert capsys.readouterr().out.startswith(["member", "non-member"][verdict])
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

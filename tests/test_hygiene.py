@@ -1,8 +1,9 @@
 """Source hygiene: every module under ``src/gsclab`` and ``tests`` reads
 each name it imports, every private function in ``src/gsclab`` has a
-caller there, every attribute the benchmark tracer wraps still exists, and
-only ``relations`` imports ``heapq``.  No linter ships with the project,
-so the check walks the syntax trees with ``ast`` alone."""
+caller there, every attribute the benchmark tracer wraps still exists,
+only ``relations`` imports ``heapq``, and no ``isinstance`` in
+``src/gsclab`` tests against a ``typing`` name.  No linter ships with the
+project, so the check walks the syntax trees with ``ast`` alone."""
 
 import ast
 import importlib.util
@@ -100,3 +101,38 @@ def test_only_relations_orders_with_a_heap():
     users = [path.name for path in sorted(package.glob("*.py"))
              if "heapq" in imported_modules(path)]
     assert users == ["relations.py"]
+
+
+def typing_isinstance_checks(path: pathlib.Path) -> list[str]:
+    """``isinstance`` calls whose class, or one of whose classes, is a name
+    imported from ``typing`` or an attribute of the ``typing`` module."""
+    tree = ast.parse(path.read_text(), str(path))
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "typing")
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        classes = node.args[1]
+        for c in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+            if (isinstance(c, ast.Name) and c.id in names
+                    or isinstance(c, ast.Attribute) and isinstance(c.value, ast.Name)
+                    and c.value.id in modules):
+                out.append(f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(c)}")
+    return out
+
+
+def test_isinstance_takes_no_typing_alias():
+    # isinstance against typing.Mapping goes through typing's Python-level
+    # __instancecheck__ on every call; collections.abc.Mapping answers the
+    # same question directly.  Annotations may still use typing names.
+    package = ROOT / "src" / "gsclab"
+    problems = [p for path in sorted(package.glob("*.py"))
+                for p in typing_isinstance_checks(path)]
+    assert problems == []
