@@ -10,7 +10,6 @@ checkers, with litmus fixtures and JSON file formats.
 from .axioms import (
     AXIOM_NAMES,
     check_axioms,
-    evaluation_context,
     is_gsc,
     minimal_visibility,
 )
@@ -51,7 +50,6 @@ from .protocol import (
     body,
     call,
     can_produce,
-    enumerate_histories,
     explore,
     extract_execution,
     extract_history,
@@ -107,10 +105,8 @@ __all__ = [
     "check_lin",
     "check_osc",
     "compose",
-    "enumerate_histories",
     "erase_fences",
     "explore",
-    "evaluation_context",
     "extend_to_total",
     "extract_execution",
     "extract_history",

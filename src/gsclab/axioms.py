@@ -121,28 +121,6 @@ class AxiomReport:
     def failed(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.verdicts if not v.holds)
 
-    def verdict(self, name: str) -> AxiomVerdict:
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-
-def _context(e: Event, preds, by_id: dict[str, Event], position) -> tuple[Event, ...]:
-    """e's same-object events among preds (its visibility predecessors),
-    sorted by arbitration position."""
-    same = [by_id[a] for a in preds if by_id[a].obj == e.obj]
-    same.sort(key=lambda ev: position(ev.id))
-    return tuple(same)
-
-
-def evaluation_context(x: AbstractExecution, event_id: str) -> tuple[Event, ...]:
-    """The same-object visibility predecessors of an event, in arbitration
-    order.  RETVAL evaluates the event's operation against exactly this."""
-    by_id = x.history.by_id
-    return _context(by_id[event_id], x.vis.predecessors(event_id), by_id,
-                    x.ar.position)
-
 
 def _limit(pairs, n=4):
     return tuple(sorted(pairs))[:n]
@@ -457,7 +435,7 @@ class MembershipResult:
         return self.member
 
 
-def _find_cycle_text(h: History, rel: Relation, labels: dict) -> str:
+def _find_cycle_text(rel: Relation, labels: dict) -> str:
     """A short narrative for a cyclic arbitration seed."""
     # find one cycle by DFS
     graph = {i: sorted(rel.successors(i)) for i in rel.domain}
@@ -705,7 +683,7 @@ def is_gsc(h: History, semantics: ObjectSemantics,
     try:
         witness = _prefix_search(h, seed_ar, seed_vis, exact, observers, semantics, stats)
     except CycleError:
-        return MembershipResult(False, None, stats, (_find_cycle_text(h, seed_ar, labels),))
+        return MembershipResult(False, None, stats, (_find_cycle_text(seed_ar, labels),))
     if witness is not None:
         return MembershipResult(True, witness, stats)
     return MembershipResult(False, None, stats, tuple(

@@ -132,8 +132,9 @@ def lin_from_osc_execution(
     h = x.history
     if semantics.classify is None:
         raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
+    by_id = h.by_id
     rank = {u: k for k, u in enumerate(
-        (i for i in x.ar.sequence if semantics.is_update(h.event(i).op)), 1)}
+        (i for i in x.ar.sequence if semantics.is_update(by_id[i].op)), 1)}
 
     def slot(eid: str) -> tuple[int, int]:  # a read sorts after the last update it saw
         if eid in rank:
@@ -160,8 +161,8 @@ def osc_execution_from_lin(
     h = l.history
     if semantics.classify is None:
         raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
-    ids = h.ids
-    upd = {i for i in ids if semantics.is_update(h.event(i).op)}
+    ids, by_id = h.ids, h.by_id
+    upd = {i for i in ids if semantics.is_update(by_id[i].op)}
     r_upd = Relation(ids, frozenset(p for p in l.lin.as_relation().pairs if p[0] in upd))
     ar = extend_to_total(r_upd | h.rt, tie_break=l.lin.sequence)
     vis, _ = minimal_visibility(h, ar, seed=r_upd)

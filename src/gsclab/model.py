@@ -107,12 +107,6 @@ class History:
     def ids(self) -> frozenset[str]:
         return frozenset(e.id for e in self.events)
 
-    def event(self, event_id: str) -> Event:
-        for e in self.events:
-            if e.id == event_id:
-                return e
-        raise KeyError(event_id)
-
     @property
     def by_id(self) -> dict[str, Event]:
         return {e.id: e for e in self.events}
@@ -221,21 +215,21 @@ def validate_history(h: History) -> list[str]:
 def _check_structure(h: History) -> list[str]:
     out: list[str] = []
     ids = [e.id for e in h.events]
-    if len(ids) != len(set(ids)):
+    first = {e.id: e for e in reversed(h.events)}  # the first event of each id
+    if len(ids) != len(first):
         out.append("duplicate event ids")
-    id_set = set(ids)
     listed: list[str] = []
     for client, sess_ids in h.sessions:
         listed.extend(sess_ids)
         for eid in sess_ids:
-            if eid not in id_set:
+            if eid not in first:
                 out.append(f"session {client} lists unknown event {eid}")
-            elif h.event(eid).client != client:
+            elif first[eid].client != client:
                 out.append(f"event {eid} filed under session {client} but carries "
-                           f"client {h.event(eid).client}")
+                           f"client {first[eid].client}")
     if sorted(listed) != sorted(ids):
         out.append("sessions do not partition the event set")
-    if h.rt.domain != frozenset(id_set):
+    if h.rt.domain != frozenset(first):
         out.append("rt domain differs from the event set")
         return out
     if not h.rt.is_interval_order():

@@ -760,14 +760,6 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
             stack.append(nxt)
 
 
-def enumerate_histories(programs: Mapping[str, Program], semantics: ObjectSemantics,
-                        max_states: int = 2_000_000) -> list[History]:
-    """Distinct histories reachable from the programs, in a deterministic
-    order (canonical ids sorted by their event tuples and rt)."""
-    out = {h for h, _ in explore(programs, semantics, max_states)}
-    return sorted(out, key=History.sort_key)
-
-
 def can_produce(h: History, semantics: ObjectSemantics, max_states: int = 2_000_000) -> bool:
     """Whether some schedule of h's own programs that ``explore`` walks
     (pushes and pulls only between a client's events, pulls folded into

@@ -46,26 +46,8 @@ class Relation:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def empty(domain: Iterable[str]) -> "Relation":
-        return Relation(frozenset(domain), frozenset())
-
-    @staticmethod
     def from_pairs(domain: Iterable[str], pairs: Iterable[Pair]) -> "Relation":
         return Relation(frozenset(domain), frozenset((a, b) for a, b in pairs))
-
-    @staticmethod
-    def identity(domain: Iterable[str]) -> "Relation":
-        dom = frozenset(domain)
-        return Relation(dom, frozenset((a, a) for a in dom))
-
-    @staticmethod
-    def diagonal(domain: Iterable[str], subset: Iterable[str]) -> "Relation":
-        """The identity restricted to ``subset``: pairs (a, a) for a in subset."""
-        dom = frozenset(domain)
-        sub = frozenset(subset)
-        if not sub <= dom:
-            raise ValueError("diagonal subset outside domain")
-        return Relation(dom, frozenset((a, a) for a in sub))
 
     @staticmethod
     def product(domain: Iterable[str], left: Iterable[str], right: Iterable[str]) -> "Relation":
@@ -116,9 +98,6 @@ class Relation:
                 out.add((a, c))
         return Relation(self.domain, frozenset(out))
 
-    def inverse(self) -> "Relation":
-        return Relation(self.domain, frozenset((b, a) for a, b in self.pairs))
-
     def reflexive(self) -> "Relation":
         """R? — reflexive closure over the whole domain."""
         return Relation(self.domain, self.pairs | frozenset((a, a) for a in self.domain))
@@ -164,13 +143,6 @@ class Relation:
             succ[a].append(b)
         return not least_order(succ)[1]
 
-    def is_total_on_domain(self) -> bool:
-        for a in self.domain:
-            for b in self.domain:
-                if a != b and (a, b) not in self.pairs and (b, a) not in self.pairs:
-                    return False
-        return self.is_strict_partial_order()
-
     def is_interval_order(self) -> bool:
         """Strict partial order where e1Re2 and f1Rf2 imply e1Rf2 or f1Re2.
 
@@ -208,9 +180,6 @@ class TotalOrder:
         if len(idx) != len(self.sequence):
             raise ValueError("total order repeats an element")
         object.__setattr__(self, "_index", idx)
-
-    def position(self, a: str) -> int:
-        return self._index[a]
 
     def before(self, a: str, b: str) -> bool:
         return self._index[a] < self._index[b]

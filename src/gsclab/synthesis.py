@@ -167,7 +167,7 @@ def synthesize_schedule(x: AbstractExecution, semantics: ObjectSemantics) -> Sch
         raise HistoryError("; ".join(rep.structural))
     if not rep.ok:
         raise HistoryError(f"witness fails axioms: {', '.join(rep.failed())}")
-    ar_seq = x.ar.sequence
+    ar_seq, by_id = x.ar.sequence, h.by_id
     tokens: list[Token] = []
     known = {c: 0 for c, _ in h.sessions}
     on_server = 0
@@ -177,7 +177,7 @@ def synthesize_schedule(x: AbstractExecution, semantics: ObjectSemantics) -> Sch
                 tokens.append(pull(c))
                 known[c] = k + 1
             continue
-        ev = h.by_id[ar_seq[k]]
+        ev = by_id[ar_seq[k]]
         c = ev.client
         if kind == _CALL:
             tokens.append(call(c, ev.obj, ev.op, fences=ev.fences, id=ev.id))

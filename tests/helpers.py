@@ -1,9 +1,10 @@
 """Builders that only the tests use: hand-made witnesses, fence-flipped
 variants of the litmus histories, a seeded generator of unconstrained
 histories with its value-folded and register translations, the
-enumerative membership search that criterion 9 checks is_gsc against, and
-the pair-by-pair law check that the bitmask check_axioms is checked
-against."""
+enumerative membership search that criterion 9 checks is_gsc against, the
+pair-by-pair law check that the bitmask check_axioms is checked against,
+and two lookups the package does not need: a relation's inverse and a
+report's verdict by law name."""
 
 from __future__ import annotations
 
@@ -30,6 +31,16 @@ from gsclab import (
 from gsclab import axioms
 from gsclab.generators import FENCE_CHOICES
 from gsclab.relations import linear_extensions
+
+
+def inverse(r: Relation) -> Relation:
+    """The converse relation: (b, a) for every pair (a, b) of r."""
+    return Relation(r.domain, frozenset((b, a) for a, b in r.pairs))
+
+
+def verdict(report: axioms.AxiomReport, name: str) -> axioms.AxiomVerdict:
+    """The verdict a law check reports for the law called ``name``."""
+    return next(v for v in report.verdicts if v.name == name)
 
 
 def with_fences(h: History, assignment: Mapping[str, frozenset[str] | set[str]]) -> History:
@@ -169,7 +180,7 @@ def candidate_sets(h: History, ar: TotalOrder, e: Event, semantics) -> list[froz
     for k in range(len(optional) + 1):
         for combo in itertools.combinations(optional, k):
             chosen = must | set(combo)
-            ctx = tuple(by_id[a].op for a in sorted(chosen, key=ar.position))
+            ctx = tuple(by_id[a].op for a in sorted(chosen, key=ar.sequence.index))
             if semantics.eval(ctx, e.op) == e.rval:
                 out.append(frozenset(chosen))
     out.sort(key=lambda s: (len(s), sorted(s)))
@@ -185,12 +196,12 @@ def enumerative_membership(h: History, semantics):
     axioms.MAX_REFUTATIONS arbitrations."""
     seed_ar, labels = axioms._required_ar_seed(h, None)
     if not seed_ar.is_acyclic():
-        return False, None, (axioms._find_cycle_text(h, seed_ar, labels),)
+        return False, None, (axioms._find_cycle_text(seed_ar, labels),)
     observers = [e for e in h.events if semantics.context_sensitive(e.op)]
     refutations = []
     for ar in linear_extensions(seed_ar):
         menus = []
-        for e in sorted(observers, key=lambda e: ar.position(e.id)):
+        for e in sorted(observers, key=lambda e: ar.sequence.index(e.id)):
             sets = candidate_sets(h, ar, e, semantics)
             if not sets:
                 refutations.append(

@@ -47,6 +47,7 @@ from helpers import (
     fig3d_projection_executions,
     enumerative_membership,
     fold_values,
+    inverse,
     random_history,
     to_register,
 )
@@ -84,7 +85,7 @@ def test_criterion_2_simulator_golden_traces(sem):
         assert h == fx.history, name
         assert extract_execution(run) == fx.witness, name
         for eid, rv in rvals.items():
-            assert h.event(eid).rval == rv, (name, eid)
+            assert h.by_id[eid].rval == rv, (name, eid)
 
 
 def test_criterion_3_protocol_soundness(corpus):
@@ -176,7 +177,7 @@ def test_criterion_7_relational_laws(corpus, sem):
         assert (x.vis | x.history.rt).is_acyclic()
         rt = x.history.rt
         for s in (x.vis, x.vis - x.history.so):
-            if not (s.pairs & rt.inverse().pairs):
+            if not (s.pairs & inverse(rt).pairs):
                 assert rt.compose(s).compose(rt) <= rt
 
 
@@ -235,7 +236,7 @@ def _is_osc_witness(h, lin, sem) -> bool:
     evaluation reproduces all return values."""
     updates = {e.id for e in h.events if sem.is_update(e.op)}
     for a, b in h.so.pairs | {p for p in h.rt.pairs if p[1] in updates}:
-        if lin.position(a) > lin.position(b):
+        if lin.before(b, a):
             return False
     return explains_by_prefixes(h, lin, sem)
 

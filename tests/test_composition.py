@@ -67,9 +67,9 @@ def closed_visibility(h: History, vis0: Relation, ar: TotalOrder) -> Relation:
     ).reflexive()
     push_pull_q = Relation(
         ids, frozenset(p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers)
-    ) | Relation.diagonal(ids, pushers & pullers)
+    ) | Relation(ids, frozenset((a, a) for a in pushers & pullers))
     arm2 = arq.compose(vis0 - h.so).compose(rt_pull_q).compose(soq)
-    arm3 = arq.compose(push_pull_q).compose(soq) - Relation.identity(ids)
+    arm3 = arq.compose(push_pull_q).compose(soq) - Relation(ids, frozenset()).reflexive()
     return h.so | arm2 | arm3
 
 
@@ -257,7 +257,7 @@ def assert_identities(w):
     so0q = so0.reflexive()
     reach = ((vis0 - h.so).compose(rt_pull).compose(so0q)
              | (rtbar & rt_pull).compose(so0q))
-    folded = ((vis0 - h.so) | Relation.diagonal(ids, h.pushers())) \
+    folded = ((vis0 - h.so) | Relation(ids, frozenset((a, a) for a in h.pushers()))) \
         .compose(rt_pull).compose(so0q)
     assert reach == folded
 

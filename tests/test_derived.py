@@ -145,7 +145,7 @@ def test_lin_from_osc_execution_round_trip(sem):
     assert explains_by_prefixes(h, back.lin, sem)
     # Session order survives the round trip.
     for a, b in h.so.pairs:
-        assert back.lin.position(a) < back.lin.position(b)
+        assert back.lin.before(a, b)
 
 
 def closed_osc_execution(lin, sem):
@@ -158,7 +158,7 @@ def closed_osc_execution(lin, sem):
     An oracle for the worklist closure ``osc_execution_from_lin`` uses."""
     h = lin.history
     ids = h.ids
-    upd = {i for i in ids if sem.is_update(h.event(i).op)}
+    upd = {e.id for e in h.events if sem.is_update(e.op)}
     r_upd = Relation(ids, frozenset(p for p in lin.lin.as_relation().pairs
                                     if p[0] in upd))
     ar = extend_to_total(r_upd | h.rt, tie_break=lin.lin.sequence)

@@ -51,9 +51,9 @@ def test_make_history_layout_and_accessors():
     assert h.clients == ("A", "B")
     assert h.objects() == ("x", "y")
     assert h.by_id["e2"].rval == (1,)
-    assert h.event("f1").client == "B"
+    assert h.by_id["f1"].client == "B"
     with pytest.raises(KeyError):
-        h.event("zz")
+        h.by_id["zz"]
     assert h.so.pairs == {("e1", "e2")}
     assert ("e1", "e2") in h.rt and ("e1", "f1") not in h.rt
     assert not validate_history(h)
@@ -76,7 +76,11 @@ def test_validate_history_catches_structure():
     dup = make_history(
         list(h.events) + [Event("e1", "B", "x", Op("read"), (), frozenset())],
         {"A": ["e1", "e2"], "B": ["f1", "e1"]}, h.rt)
-    assert any("duplicate" in p for p in validate_history(dup))
+    # The client check reads the first event of a repeated id (here A's e1).
+    assert validate_history(dup) == [
+        "duplicate event ids",
+        "event e1 filed under session B but carries client A",
+        "so not contained in rt: (f1, e1)"]
 
 
 def test_canonical_and_renamed():

@@ -19,7 +19,6 @@ from gsclab import (
     body,
     call,
     can_produce,
-    enumerate_histories,
     explore,
     extract_execution,
     extract_history,
@@ -558,9 +557,11 @@ def test_explore_cap_counts_on_larger_programs(sem, name):
 
 def test_enumerate_histories_fig3b_programs(sem):
     progs = programs_of(fixture("fig3b").history.canonical())
-    hs = enumerate_histories(progs, sem)
+    hs = {h for h, _ in explore(progs, sem)}
     assert len(hs) == 12
-    assert hs == sorted(hs, key=lambda h: h.sort_key())
+    # Distinct sort keys give ``gsclab enumerate`` one order of its files.
+    keys = sorted(h.sort_key() for h in hs)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig5"])
