@@ -436,32 +436,34 @@ class MembershipResult:
 
 
 def _find_cycle_text(rel: Relation, labels: dict) -> str:
-    """A short narrative for a cyclic arbitration seed."""
-    # find one cycle by DFS
-    graph = {i: sorted(rel.successors(i)) for i in rel.domain}
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(v: str) -> list[str] | None:
-        state[v] = 1
-        stack.append(v)
-        for w in graph[v]:
-            if state.get(w, 0) == 1:
-                return stack[stack.index(w):] + [w]
-            if state.get(w, 0) == 0:
-                got = dfs(w)
-                if got:
-                    return got
-        state[v] = 2
-        stack.pop()
-        return None
-
+    """A short narrative for a cyclic arbitration seed: the first cycle a
+    depth-first search meets, taking nodes and successors in sorted order.
+    The search keeps its own stack, so a long cycle cannot exhaust Python's."""
+    graph: dict[str, list[str]] = {v: [] for v in rel.domain}
+    for a, b in sorted(rel.pairs):
+        graph[a].append(b)
+    state: dict[str, int] = {}  # 1 while on the path, 2 once finished
     cycle = None
-    for v in sorted(graph):
-        if state.get(v, 0) == 0:
-            cycle = dfs(v)
-            if cycle:
-                break
+    for root in sorted(graph):
+        if root in state:
+            continue
+        state[root] = 1
+        path, untried = [root], [iter(graph[root])]
+        while untried and cycle is None:
+            for w in untried[-1]:
+                if state.get(w) == 1:
+                    cycle = path[path.index(w):] + [w]
+                    break
+                if w not in state:
+                    state[w] = 1
+                    path.append(w)
+                    untried.append(iter(graph[w]))
+                    break
+            else:
+                state[path.pop()] = 2
+                untried.pop()
+        if cycle:
+            break
     if not cycle:
         return "arbitration constraints are cyclic"
     steps = []

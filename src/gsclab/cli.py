@@ -24,6 +24,7 @@ from .model import (
     HistoryError,
     apply_fence_preset,
     check_fence_preset,
+    normalize_model,
 )
 from .generators import random_well_fenced_run
 from .protocol import (
@@ -96,7 +97,7 @@ def _print_membership(result) -> int:
 def cmd_check(args) -> int:
     h, sem_name = _load_history(args.history, args)
     semantics = get_semantics(sem_name)
-    model = args.model.replace("-", "_")
+    model = normalize_model(args.model)
     if args.apply_preset:
         h = apply_fence_preset(h, model, semantics)
     elif not check_fence_preset(h, model, semantics):

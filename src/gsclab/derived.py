@@ -44,11 +44,18 @@ class LinearizationResult:
         return self.member
 
 
-def _prefix_search(h: History, semantics: ObjectSemantics, base: Relation) -> TotalOrder | None:
-    """Smallest (by id at each step) linear extension of ``base`` in which
-    every event's return value matches evaluation of the same-object prefix
-    placed before it, or None.  The walk's state is that prefix's operations
-    per object, exactly the evaluation context, so a mismatch cuts the branch."""
+def _require_classifier(semantics: ObjectSemantics) -> None:
+    if semantics.classify is None:
+        raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
+
+
+def _linearized(h: History, semantics: ObjectSemantics, base: Relation,
+                note: str) -> LinearizationResult:
+    """A member with the smallest (by id at each step) linear extension of
+    ``base`` in which every event's return value matches evaluation of the
+    same-object prefix placed before it, or a non-member with ``note``.
+    The walk's state is that prefix's operations per object, exactly the
+    evaluation context, so a mismatch cuts the branch."""
     events = h.by_id
 
     def place(prefix_ops: dict, eid: str) -> dict | None:
@@ -59,10 +66,12 @@ def _prefix_search(h: History, semantics: ObjectSemantics, base: Relation) -> To
         return {**prefix_ops, e.obj: ctx + (e.op,)}
 
     try:
-        walk = extensions(base, place, {})
+        seq = next((seq for seq, _ in extensions(base, place, {})), None)
     except CycleError:
-        return None
-    return next((TotalOrder(seq) for seq, _ in walk), None)
+        seq = None
+    if seq is None:
+        return LinearizationResult(False, note=note)
+    return LinearizationResult(True, Linearization(h, TotalOrder(seq)))
 
 
 def check_lin(h: History, semantics: ObjectSemantics,
@@ -77,15 +86,9 @@ def check_lin(h: History, semantics: ObjectSemantics,
             raise HistoryError(
                 f"fence preset violated: event {e.id} must both push and pull"
             )
-    base = h.so | h.rt
-    lin = _prefix_search(h, semantics, base)
-    if lin is None:
-        return LinearizationResult(
-            False,
-            note="no total order contains session order and real-time order "
-            "while reproducing every return value by prefix evaluation",
-        )
-    return LinearizationResult(True, Linearization(h, lin))
+    return _linearized(h, semantics, h.so | h.rt,
+                       "no total order contains session order and real-time order "
+                       "while reproducing every return value by prefix evaluation")
 
 
 def check_osc(h: History, semantics: ObjectSemantics,
@@ -95,10 +98,7 @@ def check_osc(h: History, semantics: ObjectSemantics,
     events that finished earlier, so only real-time edges into updates are
     enforced.  Histories over ``max_events`` events are refused."""
     require_searchable(h, max_events)
-    if semantics.classify is None:
-        raise HistoryError(
-            f"semantics {semantics.name!r} cannot classify updates"
-        )
+    _require_classifier(semantics)
     for e in h.events:
         if PUSH not in e.fences:
             raise HistoryError(f"fence preset violated: event {e.id} must push")
@@ -110,15 +110,9 @@ def check_osc(h: History, semantics: ObjectSemantics,
     rt_into_updates = Relation(
         h.ids, frozenset((a, b) for (a, b) in h.rt.pairs if b in updates)
     )
-    base = h.so | rt_into_updates
-    lin = _prefix_search(h, semantics, base)
-    if lin is None:
-        return LinearizationResult(
-            False,
-            note="no total order contains session order and real-time edges "
-            "into updates while reproducing every return value",
-        )
-    return LinearizationResult(True, Linearization(h, lin))
+    return _linearized(h, semantics, h.so | rt_into_updates,
+                       "no total order contains session order and real-time edges "
+                       "into updates while reproducing every return value")
 
 
 def lin_from_osc_execution(
@@ -130,8 +124,7 @@ def lin_from_osc_execution(
     go first).  Reads sharing an anchor stay in arbitration order, which
     also respects session order since session order is contained in it."""
     h = x.history
-    if semantics.classify is None:
-        raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
+    _require_classifier(semantics)
     by_id = h.by_id
     rank = {u: k for k, u in enumerate(
         (i for i in x.ar.sequence if semantics.is_update(by_id[i].op)), 1)}
@@ -159,8 +152,7 @@ def osc_execution_from_lin(
     see all its arbitration predecessors; with all events fully fenced it
     makes visibility the whole arbitration order."""
     h = l.history
-    if semantics.classify is None:
-        raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
+    _require_classifier(semantics)
     ids, by_id = h.ids, h.by_id
     upd = {i for i in ids if semantics.is_update(by_id[i].op)}
     r_upd = Relation(ids, frozenset(p for p in l.lin.as_relation().pairs if p[0] in upd))

@@ -19,7 +19,7 @@ from .model import (
     AbstractExecution,
     HistoryError,
     erase_fences,
-    make_history,
+    refenced,
 )
 from .relations import CycleError, extend_to_total
 from .semantics import ObjectSemantics
@@ -42,11 +42,7 @@ def _checked_fence_free(x: AbstractExecution, semantics: ObjectSemantics) -> Non
 
 
 def _refenced(x: AbstractExecution, fences: frozenset[str], rt) -> AbstractExecution:
-    h = x.history
-    h2 = make_history(
-        (e.with_fences(fences) for e in h.events), dict(h.sessions), rt
-    )
-    return AbstractExecution(h2, x.vis, x.ar)
+    return AbstractExecution(refenced(x.history, lambda e: fences, rt), x.vis, x.ar)
 
 
 def to_dual_tso(x: AbstractExecution, semantics: ObjectSemantics) -> AbstractExecution:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .relations import Relation, TotalOrder
 
@@ -20,8 +20,18 @@ PUSH = "push"
 PULL = "pull"
 FENCE_KINDS = frozenset({PUSH, PULL})
 
-# Models selectable by fence preset.
-MODELS = ("gsc", "gsp", "tso", "dual_tso", "osc", "lin")
+# Each model's fences for an update and for a read-only op.  gsc fixes
+# none: its events keep the fences they carry.  A preset whose two entries
+# differ needs semantics that classify updates.
+_PRESETS: dict[str, tuple[frozenset[str], frozenset[str]] | None] = {
+    "gsc": None,
+    "gsp": (frozenset(), frozenset()),
+    "tso": (frozenset({PULL}), frozenset({PULL})),
+    "dual_tso": (frozenset({PUSH}), frozenset({PUSH})),
+    "osc": (FENCE_KINDS, frozenset({PUSH})),
+    "lin": (FENCE_KINDS, FENCE_KINDS),
+}
+MODELS = tuple(_PRESETS)
 
 
 class HistoryError(ValueError):
@@ -254,11 +264,17 @@ def project(h: History, obj: str) -> History:
     return make_history(keep, sessions, h.rt.restrict(keep_ids))
 
 
+def refenced(h: History, fences_of: Callable[[Event], Iterable[str]],
+             rt: Relation | Mapping[str, Interval] | None = None) -> History:
+    """h with each event e's fences replaced by ``fences_of(e)``, and its
+    returns-before order by ``rt`` when given."""
+    return make_history((e.with_fences(fences_of(e)) for e in h.events),
+                        dict(h.sessions), h.rt if rt is None else rt)
+
+
 def set_all_fences(h: History, fences: Iterable[str]) -> History:
     fen = frozenset(fences)
-    return make_history(
-        (e.with_fences(fen) for e in h.events), dict(h.sessions), h.rt
-    )
+    return refenced(h, lambda e: fen)
 
 
 def erase_fences(h: History) -> History:
@@ -271,31 +287,20 @@ def is_well_fenced(h: History) -> tuple[bool, tuple[str, str] | None]:
 
     Returns (verdict, offending pair or None).  The offending pair is the
     first (in session order) e before f on different objects with no such
-    fence pair between them.
+    fence pair between them.  Only the earliest push of e's object at or
+    after e needs trying: it leaves the widest window for the pull.
     """
     by_id = h.by_id
     for _, ids in h.sessions:
-        n = len(ids)
-        for i in range(n):
-            e = by_id[ids[i]]
-            for j in range(i + 1, n):
-                f = by_id[ids[j]]
-                if e.obj == f.obj:
-                    continue
-                ok = False
-                for k in range(i, n):
-                    ek = by_id[ids[k]]
-                    if not (PUSH in ek.fences and ek.obj == e.obj):
-                        continue
-                    for m in range(k + 1, j + 1):
-                        fm = by_id[ids[m]]
-                        if PULL in fm.fences and fm.obj == f.obj:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
+        session = [by_id[i] for i in ids]
+        for i, e in enumerate(session):
+            pushed, pulled = False, set()
+            for f in session[i:]:
+                if pushed and PULL in f.fences:
+                    pulled.add(f.obj)
+                if f.obj != e.obj and f.obj not in pulled:
                     return False, (e.id, f.id)
+                pushed = pushed or (PUSH in f.fences and f.obj == e.obj)
     return True, None
 
 
@@ -330,63 +335,40 @@ class AbstractExecution:
 # -- fence presets ---------------------------------------------------------
 
 
-def _normalize_model(model: str) -> str:
+def normalize_model(model: str) -> str:
+    """The preset name a model is spelled as (any case, ``-`` or ``_``)."""
     m = model.replace("-", "_").lower()
     if m not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     return m
 
 
-def preset_fences(model: str, op_is_update: bool) -> frozenset[str]:
-    m = _normalize_model(model)
-    if m in ("gsc", "gsp"):
-        return frozenset()
-    if m == "tso":
-        return frozenset({PULL})
-    if m == "dual_tso":
-        return frozenset({PUSH})
-    if m == "lin":
-        return frozenset({PUSH, PULL})
-    # osc: all operations push, updates additionally pull
-    return frozenset({PUSH, PULL}) if op_is_update else frozenset({PUSH})
+def _preset(model: str, semantics) -> Callable[[Event], frozenset[str]] | None:
+    """Each event's fences under the model's preset; None under gsc."""
+    m = normalize_model(model)
+    if _PRESETS[m] is None:
+        return None
+    update, read_only = _PRESETS[m]
+    if update == read_only:
+        return lambda e: update
+    if semantics is None or semantics.classify is None:
+        raise ValueError(f"{m} preset needs semantics with a classifier")
+    return lambda e: update if semantics.is_update(e.op) else read_only
 
 
 def check_fence_preset(h: History, model: str, semantics=None) -> bool:
     """Whether every event carries the fences its model preset mandates.
 
-    gsp demands exactly no fences; the stronger presets demand at least the
-    tabled fences.  osc and the update/read-only split need ``semantics``
-    with a classifier.
+    An empty preset entry (gsp) demands exactly no fences; the others
+    demand at least the tabled fences.  gsc demands nothing.
     """
-    m = _normalize_model(model)
-    if m == "gsc":
-        return True
-    if m == "gsp":
-        return all(not e.fences for e in h.events)
-    if m == "osc":
-        if semantics is None or semantics.classify is None:
-            raise ValueError("osc preset needs semantics with a classifier")
-        for e in h.events:
-            need = preset_fences(m, semantics.classify(e.op) == "update")
-            if not need <= e.fences:
-                return False
-        return True
-    need = preset_fences(m, True)
-    return all(need <= e.fences for e in h.events)
+    fences_of = _preset(model, semantics)
+    return fences_of is None or all(
+        need <= e.fences if (need := fences_of(e)) else not e.fences for e in h.events)
 
 
 def apply_fence_preset(h: History, model: str, semantics=None) -> History:
-    """Rewrite every event's fences to the model's canonical preset."""
-    m = _normalize_model(model)
-    if m == "gsc":
-        return h
-    if m == "osc" and (semantics is None or semantics.classify is None):
-        raise ValueError("osc preset needs semantics with a classifier")
-    events = []
-    for e in h.events:
-        if m == "osc":
-            fen = preset_fences(m, semantics.classify(e.op) == "update")
-        else:
-            fen = preset_fences(m, True)
-        events.append(e.with_fences(fen))
-    return make_history(events, dict(h.sessions), h.rt)
+    """Rewrite every event's fences to the model's canonical preset; under
+    gsc, ``h`` itself."""
+    fences_of = _preset(model, semantics)
+    return h if fences_of is None else refenced(h, fences_of)

@@ -55,6 +55,7 @@ from functools import cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
+    FENCE_KINDS,
     PULL,
     PUSH,
     AbstractExecution,
@@ -69,8 +70,6 @@ from .relations import Relation, TotalOrder
 from .semantics import ObjectSemantics
 
 Entry = tuple[str, str, Op]  # (event id, object, operation)
-
-_FENCES = frozenset({PUSH, PULL})
 
 
 class ScheduleError(ValueError):
@@ -234,8 +233,8 @@ def _body(server: tuple[Entry, ...], st: ClientState, semantics: ObjectSemantics
 
 
 def _check_fences(client: str, fences: frozenset[str]) -> None:
-    if not fences <= _FENCES:
-        raise ScheduleError(f"call({client}) with unknown fences {sorted(fences - _FENCES)}")
+    if not fences <= FENCE_KINDS:
+        raise ScheduleError(f"call({client}) with unknown fences {sorted(fences - FENCE_KINDS)}")
 
 
 def _called(st: ClientState, event_id: str, obj: str, op: Op, fences: frozenset[str]

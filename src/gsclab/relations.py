@@ -49,15 +49,6 @@ class Relation:
     def from_pairs(domain: Iterable[str], pairs: Iterable[Pair]) -> "Relation":
         return Relation(frozenset(domain), frozenset((a, b) for a, b in pairs))
 
-    @staticmethod
-    def product(domain: Iterable[str], left: Iterable[str], right: Iterable[str]) -> "Relation":
-        """The full rectangle left × right inside ``domain``."""
-        dom = frozenset(domain)
-        ls, rs = frozenset(left), frozenset(right)
-        if not (ls <= dom and rs <= dom):
-            raise ValueError("product sides outside domain")
-        return Relation(dom, frozenset((a, b) for a in ls for b in rs))
-
     # -- basic algebra -----------------------------------------------------
 
     def _check(self, other: "Relation") -> None:
@@ -249,30 +240,56 @@ def extensions(r: Relation, place: Callable, state) -> Iterator[tuple[tuple[str,
     it reached.  ``place(s, a)`` is the state after appending a to a prefix
     whose state is s, or None to cut every extension of that prefix.
     Raises CycleError, before calling place, when r is cyclic (least_order
-    decides that in linear time; a bare walk would take factorial time)."""
+    decides that in linear time; a bare walk would take factorial time).
+    The walk keeps its own stack, so a long chain cannot exhaust Python's."""
     order = sorted(r.domain)
     succ, _ = _ranked_order(r, order)
-    waiting = [0] * len(order)  # per element its unplaced predecessors; -1 once placed
+    waiting = [0] * len(order)  # per element its unplaced predecessors
     for targets in succ.values():
         for j in targets:
             waiting[j] += 1
 
-    def walk(prefix: tuple[str, ...], s) -> Iterator[tuple[tuple[str, ...], object]]:
-        if len(prefix) == len(order):
-            yield prefix, s
-            return
-        for i, a in enumerate(order):
-            if waiting[i] or (nxt := place(s, a)) is None:
+    def walk() -> Iterator[tuple[tuple[str, ...], object]]:
+        n = len(order)
+        if not n:
+            yield (), state
+        # One frame per placed prefix: the bitmask of its ready elements and
+        # of those not yet tried, the least first.  A placed element's
+        # successors all come after it, so the last one frees none.
+        ready = sum(1 << i for i, w in enumerate(waiting) if not w)
+        frames, placed, states = [[ready, ready]], [], [state]
+        while frames:
+            frame = frames[-1]
+            ready, untried = frame
+            s = states[-1]
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                i = low.bit_length() - 1
+                if (nxt := place(s, order[i])) is not None:
+                    break
+            else:
+                frames.pop()
+                if placed:
+                    for j in succ[placed.pop()]:
+                        waiting[j] += 1
+                    states.pop()
                 continue
-            waiting[i] = -1
+            frame[1] = untried
+            placed.append(i)
+            if len(placed) == n:
+                yield tuple(map(order.__getitem__, placed)), nxt
+                placed.pop()
+                continue
+            freed = 0
             for j in succ[i]:
                 waiting[j] -= 1
-            yield from walk(prefix + (a,), nxt)
-            for j in succ[i]:
-                waiting[j] += 1
-            waiting[i] = 0
+                if not waiting[j]:
+                    freed |= 1 << j
+            states.append(nxt)
+            frames.append([ready ^ low | freed] * 2)
 
-    return walk((), state)
+    return walk()
 
 
 def linear_extensions(r: Relation) -> Iterator[TotalOrder]:

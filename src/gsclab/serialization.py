@@ -23,8 +23,7 @@ from collections.abc import Mapping
 from typing import Any
 
 from .model import (
-    PULL,
-    PUSH,
+    FENCE_KINDS,
     AbstractExecution,
     Event,
     History,
@@ -38,7 +37,6 @@ from .protocol import Schedule, ScheduleError, Token, body, pull, push, ret
 from .relations import Relation, TotalOrder
 from .semantics import SEMANTICS
 
-_FENCES = (PUSH, PULL)
 _UPDATES = ("append", "write")  # the op kinds that carry a value
 _TOKENS = {"body": body, "ret": ret, "push": push, "pull": pull}
 
@@ -74,7 +72,7 @@ def _fences_from(doc: Mapping, where: str) -> frozenset[str]:
     fences = doc.get("fences", [])
     if not _strings(fences):
         raise HistoryError(f"{where}: fences must be a list of names")
-    bad = set(fences) - set(_FENCES)
+    bad = set(fences) - FENCE_KINDS
     if bad:
         raise HistoryError(f"{where}: unknown fences {sorted(bad)}")
     return frozenset(fences)

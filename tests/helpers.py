@@ -1,10 +1,11 @@
 """Builders that only the tests use: hand-made witnesses, fence-flipped
 variants of the litmus histories, a seeded generator of unconstrained
 histories with its value-folded and register translations, the
+four-loop well-fencing check the one-pass scan is checked against, the
 enumerative membership search that criterion 9 checks is_gsc against, the
 pair-by-pair law check that the bitmask check_axioms is checked against,
-and two lookups the package does not need: a relation's inverse and a
-report's verdict by law name."""
+and three helpers the package does not need: a relation's inverse, the
+product of two sets as a relation and a report's verdict by law name."""
 
 from __future__ import annotations
 
@@ -30,12 +31,18 @@ from gsclab import (
 )
 from gsclab import axioms
 from gsclab.generators import FENCE_CHOICES
+from gsclab.model import refenced
 from gsclab.relations import linear_extensions
 
 
 def inverse(r: Relation) -> Relation:
     """The converse relation: (b, a) for every pair (a, b) of r."""
     return Relation(r.domain, frozenset((b, a) for a, b in r.pairs))
+
+
+def product(domain, left, right) -> Relation:
+    """The full rectangle left × right inside ``domain``."""
+    return Relation(frozenset(domain), frozenset((a, b) for a in left for b in right))
 
 
 def verdict(report: axioms.AxiomReport, name: str) -> axioms.AxiomVerdict:
@@ -48,10 +55,7 @@ def with_fences(h: History, assignment: Mapping[str, frozenset[str] | set[str]])
     unknown = set(assignment) - set(h.ids)
     if unknown:
         raise KeyError(f"unknown event ids {sorted(unknown)}")
-    events = [
-        e.with_fences(assignment[e.id]) if e.id in assignment else e for e in h.events
-    ]
-    return make_history(events, dict(h.sessions), h.rt)
+    return refenced(h, lambda e: assignment.get(e.id, e.fences))
 
 
 # Each flip variant turns a member into a non-member.
@@ -141,6 +145,37 @@ def random_history(rng: random.Random, max_events: int = 6) -> History:
     h = make_history(events, {c: ids for c, ids in sessions.items() if ids}, intervals)
     assert not validate_history(h)
     return h
+
+
+def well_fenced_reference(h: History) -> tuple[bool, tuple[str, str] | None]:
+    """model.is_well_fenced by its definition: for each cross-object
+    session pair e before f, try every push k of e's object at or after e
+    and every pull m of f's object after k up to f.  The one-pass scan is
+    checked against this."""
+    by_id = h.by_id
+    for _, ids in h.sessions:
+        n = len(ids)
+        for i in range(n):
+            e = by_id[ids[i]]
+            for j in range(i + 1, n):
+                f = by_id[ids[j]]
+                if e.obj == f.obj:
+                    continue
+                ok = False
+                for k in range(i, n):
+                    ek = by_id[ids[k]]
+                    if not (PUSH in ek.fences and ek.obj == e.obj):
+                        continue
+                    for m in range(k + 1, j + 1):
+                        fm = by_id[ids[m]]
+                        if PULL in fm.fences and fm.obj == f.obj:
+                            ok = True
+                            break
+                    if ok:
+                        break
+                if not ok:
+                    return False, (e.id, f.id)
+    return True, None
 
 
 def fold_values(h: History) -> History:

@@ -45,6 +45,7 @@ from helpers import (
     fig3b_push_variant,
     fig3c_fence_variant,
     pairwise_check_axioms,
+    product,
     verdict,
 )
 
@@ -250,6 +251,17 @@ def test_membership_rejects_invalid_history(sem):
     bad = dataclasses.replace(h, rt=Relation.from_pairs(h.ids, [("e2", "e1")]))
     with pytest.raises(HistoryError):
         is_gsc(bad, sem)
+
+
+def test_cycle_text_names_a_cycle_longer_than_the_recursion_limit():
+    # The search keeps its own stack: a 2,000-element cycle is named whole,
+    # from its least element, each step with its label or "required".
+    ids = [f"e{i:04d}" for i in range(2000)]
+    steps = list(zip(ids, ids[1:] + ids[:1]))
+    text = axioms._find_cycle_text(Relation(frozenset(ids), frozenset(steps)),
+                                   {("e1999", "e0000"): "closing"})
+    assert text == "arbitration constraints are cyclic: " + ", ".join(
+        f"{a} -> {b} ({'closing' if a == 'e1999' else 'required'})" for a, b in steps)
 
 
 def test_duplicate_values_branch_on_options(sem):
@@ -494,7 +506,7 @@ def reference_check_axioms(x, semantics):
     missing = lhs.pairs - vis.pairs
     verdicts.append(axioms.AxiomVerdict("OBSERVEDVIS", not missing, limit(missing)))
 
-    push_pull = rt.reflexive() & Relation.product(ids, pushers, pullers)
+    push_pull = rt.reflexive() & product(ids, pushers, pullers)
     lhs = ar_refl.compose(push_pull)
     missing = frozenset(p for p in lhs.pairs if p[0] != p[1]) - vis.pairs
     verdicts.append(axioms.AxiomVerdict("PUSHEDVIS", not missing, limit(missing)))

@@ -26,7 +26,7 @@ from gsclab import (
 )
 from gsclab.derived import Linearization
 
-from helpers import random_history
+from helpers import product, random_history
 
 
 def fenced_chain():
@@ -164,7 +164,7 @@ def closed_osc_execution(lin, sem):
     ar = extend_to_total(r_upd | h.rt, tie_break=lin.lin.sequence)
     arq = ar.as_relation().reflexive()
     soq = h.so.reflexive()
-    push_pull = h.rt.reflexive() & Relation.product(ids, h.pushers(), h.pullers())
+    push_pull = h.rt.reflexive() & product(ids, h.pushers(), h.pullers())
     pushed = Relation(ids, frozenset(
         p for p in arq.compose(push_pull).pairs if p[0] != p[1]))
     vis = h.so | arq.compose(r_upd - h.so).compose(soq) | pushed.compose(soq)

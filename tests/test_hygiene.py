@@ -83,21 +83,36 @@ def public_api(package: pathlib.Path, bench: pathlib.Path) -> set[str]:
     return names
 
 
+def external_names(tree: ast.Module) -> set[str]:
+    """The names a module binds by importing from outside its package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.update(alias.asname or alias.name for alias in node.names)
+    return out
+
+
 def functions_without_callers(package: pathlib.Path, public: set[str]) -> list[str]:
     """Functions and methods (not dunders) in ``package`` that no code of
     ``package`` outside their own definition names, as a variable or as an
     attribute, unless ``public`` holds their name and it has no leading
-    underscore."""
+    underscore.  An attribute read off a name imported from outside the
+    package (``itertools.product``) names none of them."""
     defs: dict[str, list[tuple[pathlib.Path, int, int]]] = {}
     refs: list[tuple[str, pathlib.Path, int]] = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        foreign = external_names(tree)
+        for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
                 defs.setdefault(node.name, []).append((path, node.lineno, node.end_lineno))
             elif isinstance(node, ast.Name):
                 refs.append((node.id, path, node.lineno))
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and not (isinstance(node.value, ast.Name) and node.value.id in foreign)):
                 refs.append((node.attr, path, node.lineno))
     called = {name for name, path, line in refs if name in defs
               and not any(p == path and first <= line <= last for p, first, last in defs[name])}
@@ -121,6 +136,9 @@ def test_caller_rule_on_a_small_package(tmp_path):
     (package / "__init__.py").write_text(
         'from .mod import exported\n\n__all__ = ["exported"]\n')
     (package / "mod.py").write_text(textwrap.dedent("""\
+        import itertools
+
+
         def exported():
             return _helper()
 
@@ -141,6 +159,10 @@ def test_caller_rule_on_a_small_package(tmp_path):
             return uncalled()
 
 
+        def product():
+            return itertools.product()
+
+
         def _unused():
             pass
 
@@ -159,7 +181,8 @@ def test_caller_rule_on_a_small_package(tmp_path):
     public = public_api(package, bench)
     assert {"exported", "traced", "benched"} <= public
     assert functions_without_callers(package, public | {"_unused"}) == [
-        "mod.py:21: _unused", "mod.py:26: method", "mod.py:17: uncalled"]
+        "mod.py:28: _unused", "mod.py:33: method", "mod.py:24: product",
+        "mod.py:20: uncalled"]
 
 
 def test_tracer_patches_name_existing_attributes():

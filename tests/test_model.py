@@ -1,6 +1,8 @@
 """Histories: construction, validation, fences, projections, presets."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
@@ -26,6 +28,9 @@ from gsclab import (
     validate_history,
 )
 from gsclab.fixtures import FIXTURE_NAMES, fixture
+from gsclab.generators import FENCE_CHOICES
+
+from helpers import well_fenced_reference
 
 SEM = get_semantics("sequence")
 
@@ -162,6 +167,13 @@ def test_fence_presets_table():
     assert osc.by_id["e2"].fences == frozenset({PUSH})
     assert not check_fence_preset(tso, "gsp", SEM)
     assert check_fence_preset(lin, "tso", SEM)
+    assert apply_fence_preset(h, "gsc", SEM) is h
+    assert apply_fence_preset(h, "GSP") == erase_fences(h)
+    for preset in (check_fence_preset, apply_fence_preset):
+        with pytest.raises(ValueError, match="^osc preset needs semantics with a classifier$"):
+            preset(h, "osc")
+        with pytest.raises(ValueError, match="unknown model 'sc'"):
+            preset(h, "sc", SEM)
 
 
 def test_well_fencedness():
@@ -179,6 +191,29 @@ def test_well_fencedness():
                      {"a1": Interval(0, 1), "a2": Interval(2, 3)})
     ok, off = is_well_fenced(h)
     assert ok
+
+
+def test_well_fencing_scan_matches_the_four_loop_reference():
+    # Seeded one- and two-session histories over up to three objects, the
+    # fences weighted towards push+pull so that both verdicts are common.
+    rng = random.Random(22)
+    verdicts = Counter()
+    for _ in range(2000):
+        events, sessions, intervals = [], {}, {}
+        for client in "AB"[:rng.randint(1, 2)]:
+            sessions[client] = []
+            for i in range(rng.randint(1, 6)):
+                eid = f"{client}{i}"
+                fences = rng.choices(FENCE_CHOICES, weights=(1, 1, 1, 4))[0]
+                events.append(Event(eid, client, rng.choice("xxyz"), Op("append", i),
+                                    None, fences))
+                sessions[client].append(eid)
+                intervals[eid] = Interval(2 * i, 2 * i + 1)
+        h = make_history(events, sessions, intervals)
+        got = is_well_fenced(h)
+        assert got == well_fenced_reference(h), h
+        verdicts[got[0]] += 1
+    assert min(verdicts.values()) > 400, verdicts
 
 
 def test_execution_structural_violations():

@@ -18,7 +18,7 @@ from gsclab.relations import (
     linear_extensions,
 )
 
-from helpers import inverse, random_history
+from helpers import inverse, product, random_history
 
 D = frozenset("abcd")
 
@@ -34,7 +34,7 @@ def test_constructors_and_operators():
     assert (r & s).pairs == {("b", "c")}
     assert (r - s).pairs == {("a", "b")}
     assert ("a", "b") in r and ("b", "a") not in r
-    assert Relation.product(D, {"a"}, {"b", "c"}).pairs == {("a", "b"), ("a", "c")}
+    assert product(D, {"a"}, {"b", "c"}).pairs == {("a", "b"), ("a", "c")}
 
 
 def test_compose_inverse_reflexive():
@@ -129,6 +129,13 @@ def test_extensions_cut_what_place_refuses():
     got = list(kernel.extensions(r, lambda s, x: None if s[-1:] == "a" and x == "b" else s + x, ""))
     assert got == [(("a", "c", "b"), "acb"), (("b", "a", "c"), "bac"),
                    (("b", "c", "a"), "bca"), (("c", "b", "a"), "cba")]
+
+
+def test_extensions_walk_a_chain_longer_than_the_recursion_limit():
+    # The walk keeps its own stack: a 2,000-element chain has one extension.
+    ids = [f"e{i:04d}" for i in range(2000)]
+    r = Relation(frozenset(ids), frozenset(zip(ids, ids[1:])))
+    assert list(kernel.extensions(r, lambda n, a: n + 1, 0)) == [(tuple(ids), 2000)]
 
 
 @st.composite

@@ -215,9 +215,14 @@ def test_malformed_documents_name_the_field(parse, doc, error, field):
 
 
 def test_fixture_files_match_registry():
-    # The shipped JSON files are exactly the registry's encodings.
+    # The shipped JSON files are exactly the registry's encodings, one file
+    # per history, witness and schedule the registry holds and no other.
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    assert sorted(path.name for path in root.iterdir()) == sorted(
+        f"{fix.name}{suffix}.json" for fix in all_fixtures()
+        for suffix, part in (("", fix.history), ("-witness", fix.witness),
+                             ("-schedule", fix.schedule)) if part is not None)
     for fix in all_fixtures():
         text = (root / f"{fix.name}.json").read_text()
         h, semantics = doc_to_history(loads(text))
