@@ -30,27 +30,40 @@ the least closure of the forced edges is contained in any witness, so
 rejecting a closure that breaks RETVAL or escapes the candidate
 arbitration rejects every witness over that arbitration.
 
+Both law engines read one index per history (``History.index``, built
+once, like its structure verdict): each event is a bit position, with the
+masks of its session-order and real-time predecessors, of the events on
+its object and of the pushing and pulling events.  An execution adds its
+visibility rows, per event the mask of its visibility predecessors, and
+its arbitration as prefix masks, per event the mask arbitrated before it.
+
 The search builds arbitrations as prefixes (after Wing & Gong 1993 and
 Lowe 2017) on the walk ``relations.extensions``, which refuses a cyclic
 forced order before it places anything.  Its state is the list of live
-branches, each keeping the closure over the prefix; placing an event
-advances every branch and drops one whose closure has (a) a conflict, (b)
-a pair (x, y) with y placed and x not placed before y, or (c) an update
-outside an observer's decoded or chosen set visible to it.
+branches, each keeping the closure over the prefix as visibility rows plus
+the prefix masks of the placed events, so a copy is a list copy; placing
+an event advances every branch and drops one whose closure has (a) a
+conflict, (b) a pair (x, y) with y placed and x not placed before y, or
+(c) an update outside an observer's decoded or chosen set visible to it,
+each a mask test.
 A prefix's closure is contained in the closure over every completion, and
 each of (a)-(c), once true, stays true, so no accepting arbitration is cut.
 A full arbitration that none of them cuts keeps the closure the branch
 built: with every event placed it is the least visibility over that
 arbitration containing the branch's seed, (b) puts it inside arbitration
 and (c) with the seed gives each observer exactly its decoded or chosen
-updates, so only the laws are checked there.
+updates, so only the laws are checked there, on the closure's own rows; an
+AbstractExecution is built for the accepted branch only.  With a decoder,
+an open observer's options are its decoded explanations over the placed
+updates that list them in placement order, not every subset evaluated.
 
-check_axioms decides each law's inclusion over rows of bitmasks indexed by
-arbitration position, built on every call and cached nowhere: per event
-the masks of its visibility, session-order and real-time predecessors,
-plus the masks of the pushing and pulling events.  A law's missing pairs
-are one mask per target event, and become sorted id pairs only when the
-law fails; a passing verdict is a shared constant.
+check_axioms checks the eight laws in one pass over those rows, the same
+pass the search runs on its closures.  A law's missing pairs are one mask
+per target event, and become sorted id pairs only when the law fails; a
+passing report is a shared constant.  How the closure derived a pair
+(``Closure.why`` and ``chain``) and the wording of a conflict come from a
+worklist that records each pair's law; it runs only when a refutation is
+narrated or a caller asks, and reaches the same pairs and conflicts.
 
 Enumerating update subsets only (when the semantics classifies operations)
 is justified by the read-only law: eval ignores read-only context entries,
@@ -63,10 +76,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .model import (
-    PULL,
-    PUSH,
     AbstractExecution,
     Event,
+    EventIndex,
     History,
     HistoryError,
     validate_history,
@@ -140,103 +152,159 @@ _HOLDS = {name: AxiomVerdict(name, True) for name in AXIOM_NAMES}
 _HOLDS["RETVAL"] = AxiomVerdict("RETVAL", True, (), _RETVAL_NOTE)
 _HOLDS["EVENTUAL"] = AxiomVerdict("EVENTUAL", True, (),
                                   "vacuously true: histories here are finite")
+_ALL_HOLD = AxiomReport(tuple(_HOLDS[name] for name in AXIOM_NAMES))
+_MASK_LAWS = AXIOM_NAMES[1:7]  # the laws _law_rows reports as masks
 
 
-def _verdict(name: str, missing: list[int], seq: tuple[str, ...]) -> AxiomVerdict:
+def _bits(m: int) -> list[int]:
+    """The positions of m's set bits, the least first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _upto(m: int, before: list[int]) -> int:
+    """The arbitration prefix up to and including the last element of m,
+    each element i of which is arbitrated after the events in before[i]
+    (0 for m == 0).  The prefixes are nested, so the last is the largest."""
+    if not m & (m - 1):  # no element or one
+        return m and before[m.bit_length() - 1] | m
+    top = 0
+    while m:
+        low = m & -m
+        m ^= low
+        p = before[low.bit_length() - 1] | low
+        if p > top:
+            top = p
+    return top
+
+
+def _retval_plan(ix: EventIndex, semantics: ObjectSemantics) -> tuple[list[int], tuple]:
+    """RETVAL's part that depends only on the history, kept on its index:
+    the positions of the events whose rval depends on their context, and
+    the (id, got) failures of the others, which eval decides without one."""
+    plan = ix.retval
+    if plan is None or plan[0] is not semantics:
+        sensitive, fixed = [], []
+        for i, e in enumerate(ix.events):
+            if semantics.context_sensitive(e.op):
+                sensitive.append(i)
+            elif (got := semantics.eval((), e.op)) != e.rval:
+                fixed.append((e.id, got))
+        plan = ix.retval = semantics, sensitive, tuple(fixed)
+    return plan[1], plan[2]
+
+
+def _law_rows(ix: EventIndex, vis: list[int], order: list[int], before: list[int],
+              semantics: ObjectSemantics) -> tuple[list, tuple[list[int], ...]]:
+    """The laws over one execution's rows, positions as in ``ix``: vis[i]
+    the mask of event i's visibility predecessors, order the positions in
+    arbitration order and before[i] the mask of those arbitrated before i.
+    Returns RETVAL's failures as (id, got) pairs, then per law from RYW to
+    PUSHEDAR the mask of missing sources per target event."""
+    events, so, rt, pushers, pullers = ix.events, ix.so, ix.rt, ix.pushers, ix.pullers
+    sensitive, fixed = _retval_plan(ix, semantics)
+    bad = list(fixed)
+    for i in sensitive:
+        e = events[i]
+        m = vis[i] & ix.same[i]  # the context, in arbitration order
+        ctx = tuple([events[k].op for k in order if m >> k & 1]) if m else ()
+        got = semantics.eval(ctx, e.op)
+        if got != e.rval:
+            bad.append((e.id, got))
+
+    n = len(vis)
+    seen = [0] * n  # vis ; so
+    for i, j in zip(*ix.so_pairs):
+        seen[j] |= vis[i]
+    observed = [v & ~s for v, s in zip(vis, so)]  # vis \ so
+    via = [0] * n  # (vis \ so) ; rt
+    for i, j in zip(*ix.rt_pairs):
+        via[j] |= observed[i]
+    rows = ryw, monotonic, observed_vis, pushed_vis, observed_ar, pushed_ar = (
+        [], [], [], [], [], [])
+    for i, v in enumerate(vis):
+        bit, b = 1 << i, before[i]
+        ryw.append(so[i] & ~v)
+        monotonic.append(seen[i] & ~v)  # vis ; so <= vis
+        # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis: the target must see
+        # the arbitration prefix up to its last source, where its sources
+        # are its own vis \ so predecessors and, when it pulls, those of
+        # its rt predecessors.  ar? ; (rt? & EPush x EPull) <= vis?: a
+        # puller must see every other event up to the last-arbitrated
+        # pusher at or rt-before it.
+        if pullers & bit:
+            observed_vis.append(_upto(observed[i] | via[i], before) & ~v)
+            pushed_vis.append(_upto((rt[i] | bit) & pushers, before) & ~v & ~bit)
+        else:
+            observed_vis.append(_upto(observed[i], before) & ~v)
+            pushed_vis.append(0)
+        observed_ar.append(via[i] & ~b)  # (vis \ so) ; rt <= ar
+        pushed_ar.append(rt[i] & pushers & ~b)  # rt & (EPush x E) <= ar
+    return bad, rows
+
+
+def _failed(bad: list, missing: tuple[list[int], ...]) -> list[str]:
+    """The names of the laws _law_rows found broken, in AXIOM_NAMES order."""
+    return (["RETVAL"] if bad else []) + [
+        name for name, rows in zip(_MASK_LAWS, missing) if any(rows)]
+
+
+def _verdict(name: str, missing: list[int], ids: tuple[str, ...]) -> AxiomVerdict:
     """The verdict of a law whose missing pairs are missing[i], the mask of
-    the positions j with (seq[j], seq[i]) missing."""
+    the positions j with (ids[j], ids[i]) missing."""
     if not any(missing):
         return _HOLDS[name]
     return AxiomVerdict(name, False, _limit(
-        (seq[j], seq[i]) for i, m in enumerate(missing)
-        for j in range(m.bit_length()) if m >> j & 1))
+        (ids[j], ids[i]) for i, m in enumerate(missing) for j in _bits(m)))
+
+
+def _execution_rows(x: AbstractExecution) -> tuple[list[int], list[int], list[int]] | None:
+    """x's visibility rows, arbitration order and arbitration prefix masks
+    over its history's index, or None when vis is not over the events, ar
+    does not enumerate them or a vis pair is not forward in ar.  The
+    history is valid."""
+    ix = x.history.index
+    pos, seq, n = ix.pos, x.ar.sequence, len(ix.ids)
+    if x.vis.domain != ix.domain or len(seq) != n:
+        return None
+    order, before, placed = [], [0] * n, 0
+    for a in seq:  # a TotalOrder repeats no element
+        k = pos.get(a)
+        if k is None:
+            return None
+        order.append(k)
+        before[k] = placed
+        placed |= 1 << k
+    vis = [0] * n
+    for a, b in x.vis.pairs:
+        vis[pos[b]] |= 1 << pos[a]
+    if any(v & ~p for v, p in zip(vis, before)):
+        return None
+    return vis, order, before
 
 
 def check_axioms(x: AbstractExecution, semantics: ObjectSemantics) -> AxiomReport:
-    """Evaluate all eight laws against a concrete execution, over rows of
-    bitmasks built once per call and indexed by arbitration position: per
-    event the masks of its visibility, session-order and real-time
-    predecessors.  Each law's missing pairs are one mask per target event,
-    and become sorted id pairs only when the law fails."""
-    h, seq = x.history, x.ar.sequence
-    n = len(seq)
-    pos = {a: i for i, a in enumerate(seq)}
+    """Evaluate all eight laws against a concrete execution in one pass
+    over its rows (see the module docstring).  Each law's missing pairs are
+    one mask per target event, and become sorted id pairs only when the law
+    fails."""
     # What structural_violations checks, read off the rows; it runs only
-    # to word a violation.  A valid history's rt is over its ids.
-    if validate_history(h) or not x.vis.domain == h.rt.domain == pos.keys():
+    # to word a violation.
+    rows = None if validate_history(x.history) else _execution_rows(x)
+    if rows is None:
         return AxiomReport((), tuple(x.structural_violations()))
-    vis, so, rt = [0] * n, [0] * n, [0] * n
-    for a, b in x.vis.pairs:
-        vis[pos[b]] |= 1 << pos[a]
-    if any(v >> i for i, v in enumerate(vis)):  # a pair not forward in ar
-        return AxiomReport((), tuple(x.structural_violations()))
-    so_pairs = [(pos[a], pos[b]) for a, b in h.so.pairs]
-    rt_pairs = [(pos[a], pos[b]) for a, b in h.rt.pairs]
-    for i, j in so_pairs:
-        so[j] |= 1 << i
-    for i, j in rt_pairs:
-        rt[j] |= 1 << i
-    at: list = [None] * n  # the event at each position
-    for e in h.events:
-        at[pos[e.id]] = e
-    pushers = pullers = 0
-    same: dict[str, list] = {}  # per object its (bit, op) in arbitration order
-    for i, e in enumerate(at):
-        bit = 1 << i
-        if PUSH in e.fences:
-            pushers |= bit
-        if PULL in e.fences:
-            pullers |= bit
-        same.setdefault(e.obj, []).append((bit, e.op))
-    verdicts = []
-
-    bad = []
-    for e, m in zip(at, vis):
-        got = semantics.eval(tuple(op for bit, op in same[e.obj] if m & bit), e.op)
-        if got != e.rval:
-            bad.append((e.id, got))
-    verdicts.append(AxiomVerdict("RETVAL", False, _limit(bad), _RETVAL_NOTE)
-                    if bad else _HOLDS["RETVAL"])
-
-    verdicts.append(_verdict("RYW", [s & ~v for s, v in zip(so, vis)], seq))
-
-    # vis ; so <= vis
-    seen = [0] * n
-    for i, j in so_pairs:
-        seen[j] |= vis[i]
-    verdicts.append(_verdict("MONOTONICVIEW", [s & ~v for s, v in zip(seen, vis)], seq))
-
-    # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis: a target must see the
-    # arbitration prefix up to its last source, where its sources are its
-    # own vis \ so predecessors and, when it pulls, those of its rt
-    # predecessors
-    observed = [v & ~s for v, s in zip(vis, so)]
-    via = [0] * n  # (vis \ so) ; rt
-    for i, j in rt_pairs:
-        via[j] |= observed[i]
-    missing = []
-    for i in range(n):
-        src = observed[i] | via[i] if pullers >> i & 1 else observed[i]
-        missing.append((1 << src.bit_length()) - 1 & ~vis[i])
-    verdicts.append(_verdict("OBSERVEDVIS", missing, seq))
-
-    # ar? ; (rt? & EPush x EPull) <= vis?: a puller must see every other
-    # event up to the last-arbitrated pusher at or rt-before it
-    missing = []
-    for i in range(n):
-        src = (rt[i] | 1 << i) & pushers if pullers >> i & 1 else 0
-        missing.append((1 << src.bit_length()) - 1 & ~vis[i] & ~(1 << i))
-    verdicts.append(_verdict("PUSHEDVIS", missing, seq))
-
-    # (vis \ so) ; rt <= ar
-    verdicts.append(_verdict("OBSERVEDAR", [v >> i << i for i, v in enumerate(via)], seq))
-
-    # rt & (EPush x E) <= ar
-    verdicts.append(_verdict("PUSHEDAR", [(r & pushers) >> i << i for i, r in enumerate(rt)],
-                             seq))
-
-    verdicts.append(_HOLDS["EVENTUAL"])
-    return AxiomReport(tuple(verdicts))
+    ix = x.history.index
+    bad, missing = _law_rows(ix, *rows, semantics)
+    if not _failed(bad, missing):
+        return _ALL_HOLD
+    return AxiomReport((
+        AxiomVerdict("RETVAL", False, _limit(bad), _RETVAL_NOTE) if bad else _HOLDS["RETVAL"],
+        *(_verdict(name, m, ix.ids) for name, m in zip(_MASK_LAWS, missing)),
+        _HOLDS["EVENTUAL"]))
 
 
 # -- least visibility closure --------------------------------------------------
@@ -248,40 +316,28 @@ class Derivation:
     via: tuple[str, str] | None = None
 
 
-class Closure:
-    """Least visibility relation containing session order, the seed and the
-    pushed ground edges, closed under the monotone laws, over a prefix of an
-    arbitration.  A placed event's reflexive arbitration predecessors are
-    the prefix up to and including it; an unplaced event's are just itself.
-    With every event placed this is the least visibility over that
-    arbitration.  Over a shorter prefix it is contained in the closure over
-    every completion, since placing events only adds predecessors.  Tracks a
-    derivation per pair so refutations can say which law forced an
-    unwanted edge.
+class _Derivations:
+    """The closure's pairs as a worklist derives them over a fixed
+    arbitration prefix, each with the law that forced it, and the wording
+    of the first conflict met; computed only to narrate.  The order in
+    which pairs and conflicts are met is part of the narrated text."""
 
-    conflict is set when a law demands a reflexive pair where the law's
-    right-hand side is vis rather than vis?; no execution over any
-    completion of the prefix can satisfy the laws then.
-    """
-
-    def __init__(self, h: History, placed, seed):
+    def __init__(self, h: History, placed: list[str], seed):
         self.h = h
-        self.placed: list[str] = list(placed)
-        self.pos = {a: i for i, a in enumerate(self.placed)}
+        self.placed = placed
+        self.pos = {a: i for i, a in enumerate(placed)}
         self.why: dict[tuple[str, str], Derivation] = {}  # the pairs, with how
         self.conflict: str | None = None
-        # per-history tables, shared by copies
         pushers, pullers = h.pushers(), h.pullers()
         self._rt_pull_succ = _successors(p for p in h.rt.pairs if p[1] in pullers)
         self._so_succ = _successors(sorted(h.so.pairs))
         # ar? ; (rt? & EPush x EPull) <= vis?: ground, independent of vis
         base = {p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers}
         base |= {(e, e) for e in pushers & pullers}
-        self._pushed = _successors(sorted(base))  # by source
         for rule, pairs in (("session-order", h.so.pairs), ("seed", seed)):
             for a, b in sorted(pairs):
                 self.add(a, b, rule)
-        for a, targets in self._pushed.items():
+        for a, targets in _successors(sorted(base)).items():
             for b in targets:
                 for c in self._ar_preds_refl(a):
                     if c != b:
@@ -303,25 +359,6 @@ class Closure:
         self.why[(a, b)] = Derivation(rule, via)
         return True
 
-    def copy(self) -> "Closure":
-        new = object.__new__(Closure)
-        new.__dict__.update(self.__dict__)
-        new.placed, new.pos, new.why = self.placed[:], self.pos.copy(), self.why.copy()
-        return new
-
-    def place(self, a: str) -> None:
-        """Append a to the arbitration prefix and close again.  Only the
-        rules that read a's arbitration predecessors fire anew: the pushed
-        ground pairs from a, and observed visibility on the pairs from a."""
-        self.pos[a] = len(self.placed)
-        self.placed.append(a)
-        queue = [p for p in self.why if p[0] == a]
-        for b in self._pushed.get(a, ()):
-            for c in self.placed:
-                if c != b and self.add(c, b, "pushed-visibility", (a, b)):
-                    queue.append((c, b))
-        self.close(queue)
-
     def close(self, queue: list[tuple[str, str]]) -> None:
         so_pairs = self.h.so.pairs
         while queue and self.conflict is None:
@@ -342,9 +379,6 @@ class Closure:
                             if self.conflict:
                                 return
 
-    def relation(self) -> Relation:
-        return Relation(self.h.ids, frozenset(self.why))
-
     def chain(self, pair: tuple[str, str]) -> list[str]:
         """Narrate how a pair was derived, walking via-links back to seeds."""
         out: list[str] = []
@@ -364,11 +398,180 @@ class Closure:
         return list(reversed(out))
 
 
+class Closure:
+    """Least visibility relation containing session order, the seed and the
+    pushed ground edges, closed under the monotone laws, over a prefix of an
+    arbitration.  A placed event's reflexive arbitration predecessors are
+    the prefix up to and including it; an unplaced event's are just itself.
+    With every event placed this is the least visibility over that
+    arbitration.  Over a shorter prefix it is contained in the closure over
+    every completion, since placing events only adds predecessors.
+
+    The state is rows over the history's index: vis[i] the mask of event
+    i's visibility predecessors, and per placed event the mask placed
+    before it, so a copy is three list copies.  conflicted is set when a
+    law demands a reflexive pair where the law's right-hand side is vis
+    rather than vis?; no execution over any completion of the prefix can
+    satisfy the laws then.  The derivations (why, chain and the conflict's
+    wording) are worked out only when asked for.
+    """
+
+    __slots__ = ("h", "ix", "vis", "before", "order", "placed", "conflicted", "seed",
+                 "_rules", "_derived")
+
+    def __init__(self, h: History, placed, seed):
+        self.h, ix = h, h.index
+        self.ix = ix
+        n, pos = len(ix.ids), ix.pos
+        self.seed = frozenset(seed)
+        self.vis = list(ix.so)
+        for a, b in self.seed:
+            if a != b:
+                self.vis[pos[b]] |= 1 << pos[a]
+        self.before, self.order, self.placed = [0] * n, [], 0
+        for a in placed:
+            self._append(pos[a])
+        # per-history successor lists, shared by copies: session order, rt
+        # into pullers, and the pushed ground pairs
+        so_succ, rt_pull, pushed = ([[] for _ in range(n)] for _ in range(3))
+        for i, j in zip(*ix.so_pairs):
+            so_succ[i].append(j)
+        for i, j in zip(*ix.rt_pairs):
+            if ix.pullers >> j & 1:
+                rt_pull[i].append(j)
+                if ix.pushers >> i & 1:
+                    pushed[i].append(j)
+        for i in _bits(ix.pushers & ix.pullers):
+            pushed[i].append(i)
+        self._rules = so_succ, rt_pull, pushed
+        self.conflicted = False
+        self._derived = None
+        for a, targets in enumerate(pushed):
+            upto = self.before[a] | 1 << a if self.placed >> a & 1 else 1 << a
+            for b in targets:
+                self.vis[b] |= upto & ~(1 << b)
+        self._close(sum(1 << t for t, v in enumerate(self.vis) if v))
+
+    def _append(self, i: int) -> None:
+        self.before[i] = self.placed
+        self.placed |= 1 << i
+        self.order.append(i)
+
+    def copy(self) -> "Closure":
+        new = object.__new__(Closure)
+        new.h, new.ix, new.seed, new._rules = self.h, self.ix, self.seed, self._rules
+        new.vis, new.before, new.order = self.vis[:], self.before[:], self.order[:]
+        new.placed, new.conflicted, new._derived = self.placed, self.conflicted, None
+        return new
+
+    def place(self, a: str) -> None:
+        """Append a to the arbitration prefix and close again.  Only the
+        rules that read a's arbitration predecessors fire anew: the pushed
+        ground pairs from a, and observed visibility at the events that
+        see a."""
+        i = self.ix.pos[a]
+        self._append(i)
+        vis, bit = self.vis, 1 << i
+        _, _, pushed = self._rules
+        dirty = 0
+        for b in pushed[i]:
+            new = self.placed & ~(1 << b) & ~vis[b]
+            if new:
+                vis[b] |= new
+                dirty |= 1 << b
+        for t, v in enumerate(vis):
+            if v & bit:
+                dirty |= 1 << t
+        self._close(dirty)
+
+    def see(self, i: int, chosen: int) -> None:
+        """Seed the events in mask chosen as visible to event i and close
+        again."""
+        ids = self.ix.ids
+        self.seed |= {(ids[u], ids[i]) for u in _bits(chosen)}
+        new = chosen & ~self.vis[i]
+        if new:
+            self.vis[i] |= new
+            self._close(1 << i)
+
+    def _close(self, dirty: int) -> None:
+        """Close again after the rows in mask dirty grew, or the prefixes
+        of their members did.  A law that demands a reflexive pair puts the
+        target in its own row, which is the conflict once the row is
+        revisited; only pushed visibility, whose right-hand side is vis?,
+        leaves the target out."""
+        vis, before, placed, so = self.vis, self.before, self.placed, self.ix.so
+        so_succ, rt_pull, _ = self._rules
+        while dirty and not self.conflicted:
+            low = dirty & -dirty
+            dirty ^= low
+            t = low.bit_length() - 1
+            v = vis[t]
+            if v & low:
+                self.conflicted = True
+                break
+            # vis ; so <= vis
+            for c in so_succ[t]:
+                if v & ~vis[c]:
+                    vis[c] |= v
+                    dirty |= 1 << c
+            # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis
+            observed = v & ~so[t]
+            if observed:
+                need = observed & ~placed | _upto(observed & placed, before)
+                if need & ~v:
+                    vis[t] = v | need
+                    dirty |= low
+                for r in rt_pull[t]:
+                    if need & ~vis[r]:
+                        vis[r] |= need
+                        dirty |= 1 << r
+
+    def escapes(self) -> bool:
+        """Whether some pair (x, y) has y placed and x not placed before y."""
+        vis, before = self.vis, self.before
+        return any(vis[y] & ~before[y] for y in self.order)
+
+    def broken_laws(self, semantics: ObjectSemantics) -> list[str]:
+        """The laws the closure breaks as the visibility of the arbitration
+        it places, with every event placed."""
+        return _failed(*_law_rows(self.ix, self.vis, self.order, self.before, semantics))
+
+    def relation(self) -> Relation:
+        ids = self.ix.ids
+        return Relation(self.ix.domain, frozenset(
+            (ids[j], ids[i]) for i, v in enumerate(self.vis) for j in _bits(v)))
+
+    def _derivations(self) -> _Derivations:
+        if self._derived is None:
+            self._derived = _Derivations(self.h, [self.ix.ids[i] for i in self.order],
+                                         self.seed)
+        return self._derived
+
+    @property
+    def why(self) -> dict[tuple[str, str], Derivation]:
+        """Each derived pair with the law that forced it, in derivation
+        order; up to the first conflict when there is one."""
+        return self._derivations().why
+
+    @property
+    def conflict(self) -> str | None:
+        return self._derivations().conflict if self.conflicted else None
+
+    def chain(self, pair: tuple[str, str]) -> list[str]:
+        """Narrate how a pair was derived, walking via-links back to seeds."""
+        return self._derivations().chain(pair)
+
+
 def minimal_visibility(h: History, ar: TotalOrder,
                        seed: Relation | None = None) -> tuple[Relation, Closure]:
     """Least visibility over a fixed arbitration: session order, the pushed
-    ground edges, plus the optional seed, closed under the monotone laws."""
+    ground edges, plus the optional seed, closed under the monotone laws.
+    With a conflict there is no least visibility; the relation is then the
+    pairs derived before the conflict was met."""
     cl = Closure(h, ar.sequence, frozenset() if seed is None else seed.pairs)
+    if cl.conflicted:
+        return Relation(h.ids, frozenset(cl.why)), cl
     return cl.relation(), cl
 
 # -- decoding forced visibility from return values ----------------------------
@@ -503,6 +706,12 @@ def _narrate_escape(cl: Closure, pair: tuple[str, str], reason: str) -> str:
     return reason + ": " + "; ".join(cl.chain(pair))
 
 
+def _updates(ix: EventIndex, semantics: ObjectSemantics) -> list[int]:
+    """Per event the mask of the updates on its object."""
+    updates = ix.mask(e.id for e in ix.events if semantics.is_update(e.op))
+    return [same & updates for same in ix.same]
+
+
 def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
             exact: dict[str, frozenset[str]], semantics: ObjectSemantics,
             stats: dict) -> tuple[AbstractExecution | None, str | None]:
@@ -510,56 +719,66 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
     Returns (witness, None) or (None, refutation)."""
     stats["closures"] = stats.get("closures", 0) + 1
     vis, cl = minimal_visibility(h, ar, Relation(h.ids, seed_vis))
-    if cl.conflict:
+    if cl.conflicted:
         return None, f"ar {list(ar.sequence)}: {cl.conflict}"
-    for a, b in vis.pairs:
-        if not ar.before(a, b):
-            return None, _narrate_escape(
-                cl, (a, b),
-                f"ar {list(ar.sequence)}: forced visibility {a} -> {b} "
-                f"contradicts this arbitration")
-    by_id = h.by_id
+    if cl.escapes():
+        # the first escaping pair as the derived pairs list them
+        a, b = next(p for p in frozenset(cl.why) if not ar.before(*p))
+        return None, _narrate_escape(
+            cl, (a, b),
+            f"ar {list(ar.sequence)}: forced visibility {a} -> {b} "
+            f"contradicts this arbitration")
+    ix = h.index
+    updates = _updates(ix, semantics)
     for obs, want in exact.items():
-        got = frozenset(
-            a for a in vis.predecessors(obs)
-            if by_id[a].obj == by_id[obs].obj and semantics.is_update(by_id[a].op)
-        )
-        if got != want:
-            extra = sorted(got - want)
-            culprit = (extra[0], obs) if extra else None
+        i = ix.pos[obs]
+        got = ix.names(cl.vis[i] & updates[i])
+        if got != sorted(want):
+            extra = sorted(set(got) - want)
             msg = (f"ar {list(ar.sequence)}: {obs} must see exactly "
-                   f"{sorted(want)} to return {by_id[obs].rval!r} (RETVAL) "
-                   f"but the laws force {sorted(got)}")
-            if culprit and culprit in cl.why:
-                msg = _narrate_escape(cl, culprit, msg)
+                   f"{sorted(want)} to return {ix.events[i].rval!r} (RETVAL) "
+                   f"but the laws force {got}")
+            if extra:
+                msg = _narrate_escape(cl, (extra[0], obs), msg)
             return None, msg
-    x = AbstractExecution(h, vis, ar)
-    report = check_axioms(x, semantics)
-    if report.ok:
-        return x, None
-    names = ", ".join(report.failed())
-    return None, f"ar {list(ar.sequence)}: laws violated: {names}"
+    broken = cl.broken_laws(semantics)
+    if not broken:
+        return AbstractExecution(h, vis, ar), None
+    return None, f"ar {list(ar.sequence)}: laws violated: {', '.join(broken)}"
 
 
-def _options(h: History, e: Event, placed, pos, semantics: ObjectSemantics
-             ) -> list[frozenset[str]]:
-    """The visible-update sets observer e may have over an arbitration
-    prefix that places it: subsets of the same-object updates placed before
-    it that contain its same-object session predecessors and evaluate to
-    its rval in placement order, ordered by (size, sorted ids)."""
-    by_id = h.by_id
-    pool = [a for a in placed[: pos[e.id]]
-            if by_id[a].obj == e.obj and semantics.is_update(by_id[a].op)]
-    must = h.so.predecessors(e.id) & set(pool)
-    optional = sorted(set(pool) - must)
+def _options(ix: EventIndex, i: int, prior: list[int], semantics: ObjectSemantics
+             ) -> list[int]:
+    """The visible-update sets observer i may have over an arbitration
+    prefix that places the positions prior, in that order, before it, as
+    masks: subsets of the same-object updates in prior that contain its
+    same-object session predecessors and evaluate to its rval in placement
+    order, ordered by (size, sorted ids).  With a decoder these are its
+    explanations of the rval over those updates that list them in
+    placement order; without one every subset is evaluated."""
+    events, ids = ix.events, ix.ids
+    e = events[i]
+    pool = [k for k in prior if ix.same[i] >> k & 1 and semantics.is_update(events[k].op)]
+    must = ix.so[i] & sum(1 << k for k in pool)
+    explained = None if semantics.decode_visibility is None else semantics.decode_visibility(
+        e.op, e.rval, tuple((ids[k], events[k].op) for k in pool))
     out = []
-    for k in range(len(optional) + 1):
-        for combo in itertools.combinations(optional, k):
-            chosen = must | set(combo)
-            ctx = tuple(by_id[a].op for a in pool if a in chosen)
-            if semantics.eval(ctx, e.op) == e.rval:
-                out.append(frozenset(chosen))
-    out.sort(key=lambda s: (len(s), sorted(s)))
+    if explained is not None:
+        rank = {ids[k]: r for r, k in enumerate(pool)}
+        for explanation in explained:
+            ranks = [rank[a] for a in explanation]
+            chosen = sum(1 << pool[r] for r in ranks)
+            if ranks == sorted(ranks) and chosen & must == must:
+                out.append(chosen)
+    else:
+        optional = [k for k in pool if not must >> k & 1]
+        for size in range(len(optional) + 1):
+            for combo in itertools.combinations(optional, size):
+                chosen = must | sum(1 << k for k in combo)
+                ctx = tuple(events[k].op for k in pool if chosen >> k & 1)
+                if semantics.eval(ctx, e.op) == e.rval:
+                    out.append(chosen)
+    out.sort(key=lambda m: (m.bit_count(), ix.names(m)))
     return out
 
 
@@ -573,46 +792,37 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
     updates as visible to it and hides its other same-object updates.  The
     branches of one prefix advance together, in the order of their options,
     so the first accepting branch is the first accepting choice over the
-    least accepting arbitration."""
-    by_id = h.by_id
-    open_ids = {e.id for e in observers}
+    least accepting arbitration.  A branch is a closure and its hidden
+    rows: (observer, mask of the updates it must not see) pairs."""
+    ix = h.index
+    pos = ix.pos
+    updates = _updates(ix, semantics)
+    open_ids = {pos[e.id] for e in observers}
+    hidden = tuple((pos[obs], updates[pos[obs]] & ~ix.mask(want)) for obs, want in exact.items())
 
-    def hide(wants) -> frozenset[tuple[str, str]]:
-        """The (update, observer) pairs outside each observer's wanted set
-        on its object."""
-        return frozenset(
-            (e.id, obs) for obs, want in wants for e in h.events
-            if e.obj == by_id[obs].obj and semantics.is_update(e.op) and e.id not in want)
-
-    def refuted(cl: Closure, hidden: frozenset) -> bool:
-        if cl.conflict or not hidden.isdisjoint(cl.why):
-            return True
-        pos = cl.pos
-        for x, y in cl.why:
-            py = pos.get(y)
-            if py is not None and pos.get(x, py) >= py:  # unplaced x: not before
-                return True
-        return False
+    def refuted(cl: Closure, hidden: tuple) -> bool:
+        vis = cl.vis
+        return cl.conflicted or any(vis[i] & m for i, m in hidden) or cl.escapes()
 
     def advance(branches: list, a: str) -> list | None:  # the walk's place
+        i = pos[a]
         children = []
         for cl, hidden in branches:
             child = cl.copy()
             child.place(a)
-            if a not in open_ids:
+            if i not in open_ids:
                 children.append((child, hidden))
                 continue
-            for chosen in _options(h, by_id[a], child.placed, child.pos, semantics):
+            for chosen in _options(ix, i, child.order[:-1], semantics):
                 stats["assignments_tried"] += 1
                 branch = child.copy()
-                branch.close([(u, a) for u in sorted(chosen)
-                              if branch.add(u, a, "seed")])
-                children.append((branch, hidden | hide([(a, chosen)])))
+                branch.see(i, chosen)
+                children.append((branch, (*hidden, (i, updates[i] & ~chosen))))
         live = [(cl, hidden) for cl, hidden in children if not refuted(cl, hidden)]
         stats["prunes"] += len(children) - len(live)
         return live or None
 
-    root = (Closure(h, (), seed_vis), hide(exact.items()))
+    root = (Closure(h, (), seed_vis), hidden)
     walk = extensions(seed_ar, advance, [root])  # CycleError before any prune counts
     if refuted(*root):
         stats["prunes"] += 1
@@ -620,14 +830,12 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
     for seq, branches in walk:
         # Not refuted with every event placed: no conflict, vis <= ar by
         # (b), and each observer sees exactly its decoded or chosen updates
-        # by the seed and the hidden pairs, so only the laws are left to
-        # check.
+        # by the seed and the hidden rows, so only the laws are left to
+        # check, on the closure's own rows.
         stats["ars_tried"] += 1
-        ar = TotalOrder(seq)
         for cl, _ in branches:
-            x = AbstractExecution(h, cl.relation(), ar)
-            if check_axioms(x, semantics).ok:
-                return x
+            if not cl.broken_laws(semantics):
+                return AbstractExecution(h, cl.relation(), TotalOrder(seq))
     return None
 
 
@@ -639,9 +847,12 @@ def _narrate(h: History, ar: TotalOrder, seed_vis: frozenset,
     choice breaks the laws; else the closure over ar, narrated."""
     if not observers:
         return _try_ar(h, ar, seed_vis, exact, semantics, stats)[1]
-    pos = {a: i for i, a in enumerate(ar.sequence)}
-    for e in sorted(observers, key=lambda e: pos[e.id]):
-        if not _options(h, e, ar.sequence, pos, semantics):
+    ix = h.index
+    order = [ix.pos[a] for a in ar.sequence]
+    rank = {k: r for r, k in enumerate(order)}
+    for e in sorted(observers, key=lambda e: rank[ix.pos[e.id]]):
+        i = ix.pos[e.id]
+        if not _options(ix, i, order[:rank[i]], semantics):
             return (f"ar {list(ar.sequence)}: no visible-update set under "
                     f"this arbitration lets {e.id} return {e.rval!r} (RETVAL)")
     return (f"ar {list(ar.sequence)}: every RETVAL-consistent visibility "

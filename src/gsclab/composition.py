@@ -14,8 +14,8 @@ session order, the per-object arbitrations, observed-then-finished edges,
 and a precedence relation guarding against arbitration choices that would
 force an unread same-object event into a reader's view), extends the seed
 to a total order, and derives visibility by the least closure of the
-per-object union under the visibility laws, computed by the same worklist
-closure (``axioms.minimal_visibility``) the membership test uses.
+per-object union under the visibility laws, computed by the same bitmask
+closure (``axioms.minimal_visibility``) the membership search uses.
 """
 
 from __future__ import annotations

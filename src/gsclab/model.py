@@ -10,7 +10,7 @@ arbitration (the order the shared log ends up in).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -139,6 +139,17 @@ class History:
         # cached_property writes the instance dict, which frozen allows
         return tuple(_check_structure(self))
 
+    def __getstate__(self) -> dict:
+        """The fields alone: the cached verdict and index are rebuilt when
+        read, and the index may hold a semantics that does not pickle."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def index(self) -> "EventIndex":
+        """The rows every law decision reads, built once per history; only
+        meaningful for a history without structural violations."""
+        return EventIndex(self)
+
     def renamed(self, mapping: Mapping[str, str]) -> "History":
         """Rename event ids (bijectively) without touching anything else."""
         if sorted(mapping) != sorted(self.ids) or len(set(mapping.values())) != len(mapping):
@@ -185,6 +196,60 @@ class History:
             ),
             sorted(self.rt.pairs),
         )
+
+
+class EventIndex:
+    """A history's events as bit positions, in their order in ``events``,
+    with the rows the law engines read.  so[i] and rt[i] are the masks of
+    event i's session-order and real-time predecessors, so_pairs and
+    rt_pairs the same relations as the positions of their sources and of
+    their targets (``zip(*so_pairs)`` lists the pairs), same[i] the mask
+    of the events on i's object, and pushers and pullers the masks of the
+    events with each fence.  Fences are part of it, so a refenced history
+    gets an index of its own.  retval is where ``axioms`` keeps the part
+    of the return-value law that depends on the history and the semantics
+    only."""
+
+    __slots__ = ("events", "ids", "pos", "domain", "so", "rt", "so_pairs", "rt_pairs",
+                 "same", "pushers", "pullers", "retval")
+
+    def __init__(self, h: History) -> None:
+        self.events = events = h.events
+        self.ids = ids = tuple(e.id for e in events)
+        self.pos = pos = {a: i for i, a in enumerate(ids)}
+        self.domain = h.rt.domain  # the ids, in a valid history
+        # pairs as a tuple of sources and one of targets: a third of the
+        # memory of a tuple per pair, on an index every history keeps
+        self.so_pairs = so_pairs = (tuple(pos[a] for a, _ in h.so.pairs),
+                                    tuple(pos[b] for _, b in h.so.pairs))
+        self.rt_pairs = rt_pairs = (tuple(pos[a] for a, _ in h.rt.pairs),
+                                    tuple(pos[b] for _, b in h.rt.pairs))
+        self.so, self.rt = so, rt = [0] * len(ids), [0] * len(ids)
+        for i, j in zip(*so_pairs):
+            so[j] |= 1 << i
+        for i, j in zip(*rt_pairs):
+            rt[j] |= 1 << i
+        objects: dict[str, int] = {}
+        pushers = pullers = 0
+        for i, e in enumerate(events):
+            objects[e.obj] = objects.get(e.obj, 0) | 1 << i
+            if e.fences:
+                if PUSH in e.fences:
+                    pushers |= 1 << i
+                if PULL in e.fences:
+                    pullers |= 1 << i
+        self.pushers, self.pullers = pushers, pullers
+        self.same = [objects[e.obj] for e in events]
+        self.retval = None
+
+    def mask(self, ids: Iterable[str]) -> int:
+        """The mask of the positions of ids."""
+        pos = self.pos
+        return sum(1 << pos[a] for a in ids)
+
+    def names(self, mask: int) -> list[str]:
+        """The ids at the set bits of mask, sorted."""
+        return sorted(a for i, a in enumerate(self.ids) if mask >> i & 1)
 
 
 def session_order(sessions: Mapping[str, Sequence[str]], domain: Iterable[str]) -> Relation:
@@ -267,9 +332,16 @@ def project(h: History, obj: str) -> History:
 def refenced(h: History, fences_of: Callable[[Event], Iterable[str]],
              rt: Relation | Mapping[str, Interval] | None = None) -> History:
     """h with each event e's fences replaced by ``fences_of(e)``, and its
-    returns-before order by ``rt`` when given."""
-    return make_history((e.with_fences(fences_of(e)) for e in h.events),
-                        dict(h.sessions), h.rt if rt is None else rt)
+    returns-before order by ``rt`` when given.  Without a new ``rt`` the
+    result keeps h's layout, so it keeps h's structure verdict too, since
+    the structure check reads no fence; the index is not kept, as its push
+    and pull masks are the fences."""
+    events = tuple(e.with_fences(fences_of(e)) for e in h.events)
+    if rt is not None:
+        return make_history(events, dict(h.sessions), rt)
+    out = History(events, h.sessions, h.rt, h.so)
+    out.__dict__["_violations"] = h._violations
+    return out
 
 
 def set_all_fences(h: History, fences: Iterable[str]) -> History:

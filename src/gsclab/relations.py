@@ -121,8 +121,20 @@ class Relation:
     def is_irreflexive(self) -> bool:
         return all(a != b for a, b in self.pairs)
 
+    def _down_sets(self) -> dict[str, int]:
+        """Per element the bitmask of its predecessors."""
+        bit = {a: 1 << i for i, a in enumerate(self.domain)}
+        down = dict.fromkeys(self.domain, 0)
+        for a, b in self.pairs:
+            down[b] |= bit[a]
+        return down
+
     def is_transitive(self) -> bool:
-        return self.compose(self).pairs <= self.pairs
+        """No pair (a, b) with a predecessor of a that b lacks, checked over
+        predecessor bitmasks up to the first such pair: linear in the pairs
+        where building the composition is cubic in a chain's length."""
+        down = self._down_sets()
+        return not any(down[a] & ~down[b] for a, b in self.pairs)
 
     def is_strict_partial_order(self) -> bool:
         return self.is_irreflexive() and self.is_transitive()
@@ -144,11 +156,8 @@ class Relation:
         """
         if not self.is_strict_partial_order():
             return False
-        down: dict[str, set[str]] = {a: set() for a in self.domain}
-        for a, b in self.pairs:
-            down[b].add(a)
-        chain = sorted(down.values(), key=len)
-        return all(s <= t for s, t in zip(chain, chain[1:]))
+        chain = sorted(self._down_sets().values(), key=int.bit_count)
+        return not any(s & ~t for s, t in zip(chain, chain[1:]))
 
     # -- views -------------------------------------------------------------
 

@@ -56,7 +56,7 @@ def eval_sequence(context: Sequence[Op], op: Op) -> Rval:
     if op.kind == "append":
         return None
     if op.kind == "read":
-        return tuple(c.value for c in context if c.kind == "append")
+        return tuple([c.value for c in context if c.kind == "append"])
     raise ValueError(f"sequence object does not implement {op.kind!r}")
 
 

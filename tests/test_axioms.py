@@ -1,11 +1,14 @@
 """Law checker and membership tests: per-law verdicts on known-good and
 deliberately broken executions, the frozen verdict table over all fence
 presets, refutation narratives, agreement with and without return-value
-decoding, the law check against its literal relational definition and
-against the pair-by-pair reference, and verdicts that do not depend on the
-hash seed."""
+decoding, the bitmask closure against the worklist that words its
+derivations, an observer's options against the candidate sets, the law
+check against its literal relational definition and against the
+pair-by-pair reference on passing and failing executions, and verdicts
+that do not depend on the hash seed."""
 
 import dataclasses
+import itertools
 import os
 import pathlib
 import random
@@ -41,11 +44,14 @@ from gsclab.model import MODELS
 from gsclab.relations import extend_to_total, linear_extensions
 
 from helpers import (
+    candidate_sets,
     fig3a_pull_variant,
     fig3b_push_variant,
     fig3c_fence_variant,
+    fold_values,
     pairwise_check_axioms,
     product,
+    random_history,
     verdict,
 )
 
@@ -387,14 +393,86 @@ def test_prefix_closure_inside_every_completion(sem):
             full, full_cl = minimal_visibility(h, ar, Relation(h.ids, decoded.edges))
             cl = axioms.Closure(h, (), decoded.edges)
             for a in ar.sequence:
-                assert set(cl.why) <= full.pairs or full_cl.conflict
-                assert not cl.conflict or full_cl.conflict
+                assert cl.relation().pairs <= full.pairs or full_cl.conflicted
+                assert not cl.conflicted or full_cl.conflicted
                 cl = cl.copy()
                 cl.place(a)
             # placing every event one at a time reaches the same closure
-            assert bool(cl.conflict) == bool(full_cl.conflict)
-            if not cl.conflict:
-                assert frozenset(cl.why) == full.pairs
+            assert cl.conflicted == full_cl.conflicted
+            if not cl.conflicted:
+                assert cl.relation() == full
+                assert cl.vis == full_cl.vis and cl.before == full_cl.before
+
+
+def closure_cases(sem):
+    """(history, arbitration, seed pairs) triples: fixtures under every
+    preset and three-client walks, each over its first linear extensions,
+    seeded with its decoded edges and with random arbitration-forward
+    pairs, which often conflict."""
+    rng = random.Random(17)
+    histories = [apply_fence_preset(f.history, m, sem) for f in all_fixtures() for m in MODELS]
+    histories += walk_histories(sem, 40, seed=6)
+    out = []
+    for h in histories:
+        decoded = axioms.decoded_visibility(h, sem)
+        seed_ar, _ = axioms._required_ar_seed(h, None)
+        for ar in itertools.islice(linear_extensions(seed_ar), 4):
+            forward = list(itertools.combinations(ar.sequence, 2))
+            out.append((h, ar, decoded.edges))
+            out.append((h, ar, frozenset(rng.sample(forward, min(2, len(forward))))))
+    return out
+
+
+def test_derivations_reach_the_mask_closure(sem):
+    # The worklist that words refutations derives exactly the mask
+    # closure's pairs and meets a conflict exactly when it has one, over
+    # every arbitration prefix; with a conflict it stops early, so only
+    # the verdict is compared then.
+    conflicts = compared = 0
+    for h, ar, seed in closure_cases(sem):
+        for k in (0, len(ar) // 2, len(ar)):
+            placed = ar.sequence[:k]
+            cl = axioms.Closure(h, placed, seed)
+            derived = axioms._Derivations(h, list(placed), seed)
+            assert cl.conflicted == bool(derived.conflict)
+            assert (cl.conflict is None) == (not cl.conflicted)
+            if cl.conflicted:
+                conflicts += 1
+                assert cl.conflict == derived.conflict
+            else:
+                compared += 1
+                assert cl.relation().pairs == frozenset(derived.why)
+                assert cl.why == derived.why
+    assert conflicts > 100 and compared > 1000
+
+
+def test_options_match_the_candidate_sets(sem):
+    # _options over a random arbitration's prefix, from the decoder and by
+    # evaluating every subset, equals the test-side enumeration of the
+    # candidate sets.  Folding the values of simulator walks onto {1, 2}
+    # gives reads several explanations.
+    slow = dataclasses.replace(sem, decode_visibility=None)
+    rng = random.Random(29)
+    histories = [random_history(rng, max_events=6) for _ in range(200)]
+    histories += [fold_values(h) for h in walk_histories(sem, 60, seed=9)]
+    histories += [adversarial(n, True) for n in (6, 7, 8) for _ in range(5)]
+    observers = several = 0
+    for h in histories:
+        ix = h.index
+        for _ in range(6):
+            ar = TotalOrder(tuple(rng.sample(sorted(h.ids), len(h.ids))))
+            order = [ix.pos[a] for a in ar.sequence]
+            for r, i in enumerate(order):
+                e = h.events[i]
+                if not sem.context_sensitive(e.op):
+                    continue
+                want = candidate_sets(h, ar, e, sem)
+                for semantics in (sem, slow):
+                    got = axioms._options(ix, i, order[:r], semantics)
+                    assert [frozenset(ix.names(m)) for m in got] == want
+                observers += 1
+                several += len(want) > 1
+    assert observers > 5000 and several > 50
 
 
 @pytest.mark.parametrize("events,repeated", [
@@ -601,6 +679,48 @@ def test_check_axioms_matches_pairwise_reference_on_perturbed_runs(sem):
         failed.update(got.failed())
     assert failed == set(AXIOM_NAMES) - {"EVENTUAL"}
     assert len(executions) >= 2000
+
+
+def mutated(x, rng, sem):
+    """x with a vis pair dropped, with a pair forward in ar added, with two
+    ar neighbours swapped where vis lets them, and under a random preset's
+    fences: each keeps vis inside ar, so only the laws can fail."""
+    h, seq = x.history, x.ar.sequence
+    vis = sorted(x.vis.pairs)
+    forward = [p for p in itertools.combinations(seq, 2) if p not in x.vis]
+    out = []
+    if vis:
+        out.append(AbstractExecution(h, x.vis - Relation(h.ids, {rng.choice(vis)}), x.ar))
+    if forward:
+        out.append(AbstractExecution(h, x.vis | Relation(h.ids, {rng.choice(forward)}), x.ar))
+    swaps = [k for k in range(len(seq) - 1) if (seq[k], seq[k + 1]) not in x.vis]
+    if swaps:
+        k = rng.choice(swaps)
+        out.append(AbstractExecution(
+            h, x.vis, TotalOrder(seq[:k] + (seq[k + 1], seq[k]) + seq[k + 2:])))
+    out.append(AbstractExecution(apply_fence_preset(h, rng.choice(MODELS), sem), x.vis, x.ar))
+    return out
+
+
+def test_check_axioms_matches_pairwise_reference_on_failing_executions(sem):
+    # Mutated simulator runs and fixture witnesses: at least 1,000 of them
+    # break a law, every law but EVENTUAL among them, and the bitmask check
+    # reports what the pair-by-pair reference reports, counterexamples and
+    # wording included.
+    rng = random.Random(31)
+    base = [f.witness for f in all_fixtures() if f.witness is not None]
+    base += [random_well_fenced_run(rng, sem, clients=3, max_ops=3)[1] for _ in range(150)]
+    failing, failed = 0, set()
+    for x in base:
+        once = mutated(x, rng, sem)
+        for y in once + [z for w in once for z in mutated(w, rng, sem)]:
+            got = check_axioms(y, sem)
+            assert got == pairwise_check_axioms(y, sem)
+            assert not got.structural
+            failing += not got.ok
+            failed.update(got.failed())
+    assert failing >= 1000
+    assert failed == set(AXIOM_NAMES) - {"EVENTUAL"}
 
 
 FIXTURE_VERDICTS = """

@@ -1,7 +1,10 @@
-"""Histories: construction, validation, fences, projections, presets."""
+"""Histories: construction, validation, fences, projections, presets, and
+the per-history index and caches."""
 
 import dataclasses
+import pickle
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -17,6 +20,7 @@ from gsclab import (
     Relation,
     TotalOrder,
     apply_fence_preset,
+    check_axioms,
     check_fence_preset,
     erase_fences,
     get_semantics,
@@ -27,8 +31,10 @@ from gsclab import (
     set_all_fences,
     validate_history,
 )
+from gsclab import model
 from gsclab.fixtures import FIXTURE_NAMES, fixture
-from gsclab.generators import FENCE_CHOICES
+from gsclab.generators import FENCE_CHOICES, random_well_fenced_run
+from gsclab.model import MODELS
 
 from helpers import well_fenced_reference
 
@@ -174,6 +180,73 @@ def test_fence_presets_table():
             preset(h, "osc")
         with pytest.raises(ValueError, match="unknown model 'sc'"):
             preset(h, "sc", SEM)
+
+
+def one_session_chain(events):
+    """events appends by one client, each returning before the next."""
+    evs = [Event(f"A:{i}", "A", "x", Op("append", i), None) for i in range(events)]
+    return make_history(evs, {"A": [e.id for e in evs]},
+                        {e.id: Interval(2 * i, 2 * i + 1) for i, e in enumerate(evs)})
+
+
+def test_long_chain_validates_quickly():
+    # The interval-order test is linear in the rt pairs, of which a
+    # 300-event chain has 44,850; building rt;rt instead is cubic.
+    h = one_session_chain(300)
+    start = time.perf_counter()
+    assert validate_history(h) == []
+    assert time.perf_counter() - start < 0.5
+    assert len(h.rt.pairs) == 300 * 299 // 2
+
+
+def test_fence_presets_keep_the_structure_verdict(monkeypatch):
+    checked = []
+    check = model._check_structure
+
+    def counted(h):
+        checked.append(h)
+        return check(h)
+
+    monkeypatch.setattr(model, "_check_structure", counted)
+    for name in FIXTURE_NAMES:
+        h = fixture(name).history
+        h = make_history(h.events, dict(h.sessions), h.rt)  # no verdict cached yet
+        hs = [h] + [apply_fence_preset(h, m, SEM) for m in MODELS]
+        assert [validate_history(x) for x in hs] == [[]] * len(hs)
+        # the layout make_history gives, and an index per fence assignment
+        # (gsc returns h itself)
+        assert all(x == make_history(x.events, dict(x.sessions), x.rt) for x in hs)
+        assert len({id(x.index) for x in hs}) == len(MODELS)
+    assert len(checked) == len(FIXTURE_NAMES)
+    bad = dataclasses.replace(two_client_history(), rt=Relation.from_pairs(
+        ("e1", "e2", "f1"), [("e2", "e1")]))
+    assert validate_history(apply_fence_preset(bad, "lin", SEM)) == validate_history(bad)
+    assert len(checked) == len(FIXTURE_NAMES) + 1
+
+
+def test_history_pickles_without_its_caches():
+    w = fixture("fig3a").witness
+    assert check_axioms(w, SEM).ok  # caches the verdict, the index and its RETVAL table
+    back = pickle.loads(pickle.dumps(w))
+    assert back == w and "index" not in back.history.__dict__
+    assert check_axioms(back, SEM).ok
+
+
+def test_index_rows_match_the_relations():
+    rng = random.Random(8)
+    for _ in range(200):
+        h, _ = random_well_fenced_run(rng, SEM, clients=3, max_ops=3)
+        h = apply_fence_preset(h, rng.choice(MODELS), SEM)
+        ix = h.index
+        assert ix.ids == tuple(e.id for e in h.events)
+        for i, a in enumerate(ix.ids):
+            assert ix.names(ix.so[i]) == sorted(h.so.predecessors(a))
+            assert ix.names(ix.rt[i]) == sorted(h.rt.predecessors(a))
+            assert ix.names(ix.same[i]) == sorted(e.id for e in h.events
+                                                  if e.obj == h.events[i].obj)
+        assert ix.names(ix.pushers) == sorted(h.pushers())
+        assert ix.names(ix.pullers) == sorted(h.pullers())
+        assert ix.mask(h.ids) == (1 << len(h.events)) - 1
 
 
 def test_well_fencedness():
