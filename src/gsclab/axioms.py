@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import (
     AbstractExecution,
@@ -126,8 +127,10 @@ class AxiomReport:
     verdicts: tuple[AxiomVerdict, ...]
     structural: tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def ok(self) -> bool:
+        """No structural violation and every law holds; worked out on the
+        first read and kept, so the shared passing report answers at once."""
         return not self.structural and all(v.holds for v in self.verdicts)
 
     def failed(self) -> tuple[str, ...]:
@@ -316,6 +319,24 @@ class Derivation:
     via: tuple[str, str] | None = None
 
 
+def _narration_rules(h: History) -> tuple:
+    """The per-history rules the worklist reads: session order sorted and
+    as successor lists, rt into pullers as successor lists, and the pushed
+    ground pairs of ar? ; (rt? & EPush x EPull) <= vis?, independent of
+    vis, as sorted (source, targets) items.  Built by a history's first
+    narration and kept on its index; the search never builds them."""
+    ix = h.index
+    if ix.narration is None:
+        pushers, pullers = h.pushers(), h.pullers()
+        so_pairs = sorted(h.so.pairs)
+        base = {p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers}
+        base |= {(e, e) for e in pushers & pullers}
+        ix.narration = (so_pairs, _successors(so_pairs),
+                        _successors(p for p in h.rt.pairs if p[1] in pullers),
+                        tuple(_successors(sorted(base)).items()))
+    return ix.narration
+
+
 class _Derivations:
     """The closure's pairs as a worklist derives them over a fixed
     arbitration prefix, each with the law that forced it, and the wording
@@ -328,16 +349,12 @@ class _Derivations:
         self.pos = {a: i for i, a in enumerate(placed)}
         self.why: dict[tuple[str, str], Derivation] = {}  # the pairs, with how
         self.conflict: str | None = None
-        pushers, pullers = h.pushers(), h.pullers()
-        self._rt_pull_succ = _successors(p for p in h.rt.pairs if p[1] in pullers)
-        self._so_succ = _successors(sorted(h.so.pairs))
-        # ar? ; (rt? & EPush x EPull) <= vis?: ground, independent of vis
-        base = {p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers}
-        base |= {(e, e) for e in pushers & pullers}
-        for rule, pairs in (("session-order", h.so.pairs), ("seed", seed)):
-            for a, b in sorted(pairs):
-                self.add(a, b, rule)
-        for a, targets in _successors(sorted(base)).items():
+        so_pairs, self._so_succ, self._rt_pull_succ, pushed = _narration_rules(h)
+        for a, b in so_pairs:
+            self.add(a, b, "session-order")
+        for a, b in sorted(seed):
+            self.add(a, b, "seed")
+        for a, targets in pushed:
             for b in targets:
                 for c in self._ar_preds_refl(a):
                     if c != b:
@@ -718,7 +735,7 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
     """Close the forced visibility over one arbitration and check the laws.
     Returns (witness, None) or (None, refutation)."""
     stats["closures"] = stats.get("closures", 0) + 1
-    vis, cl = minimal_visibility(h, ar, Relation(h.ids, seed_vis))
+    cl = Closure(h, ar.sequence, seed_vis)
     if cl.conflicted:
         return None, f"ar {list(ar.sequence)}: {cl.conflict}"
     if cl.escapes():
@@ -743,7 +760,7 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
             return None, msg
     broken = cl.broken_laws(semantics)
     if not broken:
-        return AbstractExecution(h, vis, ar), None
+        return AbstractExecution(h, cl.relation(), ar), None
     return None, f"ar {list(ar.sequence)}: laws violated: {', '.join(broken)}"
 
 

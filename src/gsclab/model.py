@@ -104,6 +104,11 @@ class History:
     session layout.  ``so`` (session order) is derived and stored for
     convenience.  Use :func:`make_history`; the raw constructor does not
     validate.
+
+    A history caches what it derives from its fields alone, once, in its
+    instance dict: the structure verdict (``_violations``), whether it is in
+    the client:index layout (``_in_client_index_layout``, read by
+    ``canonical``) and the law index (``index``).  None of them is pickled.
     """
 
     events: tuple[Event, ...]
@@ -140,7 +145,7 @@ class History:
         return tuple(_check_structure(self))
 
     def __getstate__(self) -> dict:
-        """The fields alone: the cached verdict and index are rebuilt when
+        """The fields alone: the cached verdicts and index are rebuilt when
         read, and the index may hold a semantics that does not pickle."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -162,10 +167,12 @@ class History:
         rt = Relation(dom, frozenset((mapping[a], mapping[b]) for a, b in self.rt.pairs))
         return make_history(events, sessions, rt)
 
+    @cached_property
     def _in_client_index_layout(self) -> bool:
         """Clients increasing (so the ids are distinct), session c listing
         c:0, c:1, ..., the events in that order, and rt over exactly them:
-        make_history's layout of a canonical history, checked without a set."""
+        make_history's layout of a canonical history, checked without a set
+        and once per history."""
         events, domain, last = iter(self.events), self.rt.domain, ""
         for client, ids in self.sessions:
             if client <= last:
@@ -180,8 +187,10 @@ class History:
     def canonical(self) -> "History":
         """Rename ids to the deterministic client:index scheme.  A history
         already in that layout is returned as it is, since renaming would
-        rebuild an equal history; every explored history is one."""
-        if self._in_client_index_layout():
+        rebuild an equal history; every explored history is one.  The
+        layout verdict is cached, so the executions that share a history
+        check it once."""
+        if self._in_client_index_layout:
             return self
         return self.renamed({eid: f"{client}:{i}"
                              for client, ids in self.sessions for i, eid in enumerate(ids)})
@@ -208,10 +217,11 @@ class EventIndex:
     events with each fence.  Fences are part of it, so a refenced history
     gets an index of its own.  retval is where ``axioms`` keeps the part
     of the return-value law that depends on the history and the semantics
-    only."""
+    only, and narration the successor lists its refutations are worded
+    from, once one is."""
 
     __slots__ = ("events", "ids", "pos", "domain", "so", "rt", "so_pairs", "rt_pairs",
-                 "same", "pushers", "pullers", "retval")
+                 "same", "pushers", "pullers", "retval", "narration")
 
     def __init__(self, h: History) -> None:
         self.events = events = h.events
@@ -240,7 +250,7 @@ class EventIndex:
                     pullers |= 1 << i
         self.pushers, self.pullers = pushers, pullers
         self.same = [objects[e.obj] for e in events]
-        self.retval = None
+        self.retval = self.narration = None
 
     def mask(self, ids: Iterable[str]) -> int:
         """The mask of the positions of ids."""
@@ -333,14 +343,15 @@ def refenced(h: History, fences_of: Callable[[Event], Iterable[str]],
              rt: Relation | Mapping[str, Interval] | None = None) -> History:
     """h with each event e's fences replaced by ``fences_of(e)``, and its
     returns-before order by ``rt`` when given.  Without a new ``rt`` the
-    result keeps h's layout, so it keeps h's structure verdict too, since
-    the structure check reads no fence; the index is not kept, as its push
+    result keeps h's layout, so it keeps h's structure and layout verdicts
+    too, since neither reads a fence; the index is not kept, as its push
     and pull masks are the fences."""
     events = tuple(e.with_fences(fences_of(e)) for e in h.events)
     if rt is not None:
         return make_history(events, dict(h.sessions), rt)
     out = History(events, h.sessions, h.rt, h.so)
     out.__dict__["_violations"] = h._violations
+    out.__dict__["_in_client_index_layout"] = h._in_client_index_layout
     return out
 
 

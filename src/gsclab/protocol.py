@@ -506,6 +506,9 @@ class _Walk:
         self.pulls = tuple(PULL in f for f in self.fences)
         self.pushes = tuple(PUSH in f for f in self.fences)
         self.order = tuple(sorted(range(len(ids)), key=ids.__getitem__))
+        # per event e the pairs (ids[x], ids[e]), built once for every
+        # visibility and rt pair the walk's outputs hold
+        self.into = tuple(tuple((a, b) for a in ids) for b in ids)
         self.eval = semantics.eval
         self.evaluated: dict[tuple, tuple] = {}
         # With a target: per event the returned mask its call needs (-1
@@ -609,8 +612,11 @@ class _Walk:
         """A terminal state's key: the server log after the pushes of
         ``flush_suffix`` (each client's pending entries, round-robin over
         the clients by position, FIFO within each), the bodies and the
-        rts masks."""
+        rts masks.  With nothing pending the server log is already the
+        flushed one, and keys the terminal as it is."""
         server, clients, bodies, rts, _ = state
+        if all(pushed == called for _, pushed, called, _ in clients):
+            return server, bodies, rts
         pending = [range(first + pushed, first + called)
                    for first, (_, pushed, called, _) in zip(self.offsets, clients)]
         log = list(server)
@@ -624,9 +630,12 @@ class _Walk:
         the history of each (return values, rts) already built, through
         ``_history``: the views are not part of a history, so every
         execution with the same return values and rts shares one.  The
-        visibility comes straight from the view masks in ``bodies``."""
+        visibility comes straight from the view masks in ``bodies``, and a
+        new history's rt from the ``rts`` masks, each set bit x of event
+        e's mask picking the pair (ids[x], ids[e]) from the per-walk table
+        ``into`` rather than building it."""
         server, bodies, rts = key
-        ids, n = self.ids, len(self.ids)
+        ids, into, n = self.ids, self.into, len(self.ids)
         rvals = tuple(rval for rval, _ in bodies)
         h = histories.get((rvals, rts))
         if h is None:
@@ -635,11 +644,11 @@ class _Walk:
                 EventRecord(ids[e], self.names[self.client[e]], self.objs[e], self.ops[e],
                             self.fences[e], rvals[e], frozenset(), self.index[e])
                 for e in self.order)
-            rt = frozenset((ids[x], ids[e]) for e in range(n) for x in range(n)
-                           if rts[e] >> x & 1)
+            rt = frozenset(row[x] for row, m in zip(into, rts) for x in range(n)
+                           if m >> x & 1)
             h = histories[rvals, rts] = _history(records, rt)
-        vis = frozenset((ids[x], ids[e]) for e, (_, view) in enumerate(bodies)
-                        for x in range(n) if view >> x & 1)
+        vis = frozenset(row[x] for row, (_, view) in zip(into, bodies) for x in range(n)
+                        if view >> x & 1)
         return h, AbstractExecution(h, Relation(self.domain, vis),
                                     TotalOrder(tuple(ids[e] for e in server)))
 
@@ -697,13 +706,16 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     pending entries, bodies and rts), so deduplication by state flushes
     each distinct terminal once.  The flush makes only the pushes of
     ``flush_suffix`` (``_Walk.flushed``): the output reads the flushed
-    server log alone, and pulls never change it.  A flushed terminal is
-    then deduplicated by its key (flushed server log, bodies, rts), a
-    plain tuple that determines its pair before anything is built: ids are
+    server log alone, and pulls never change it; a terminal with nothing
+    pending is keyed on its own server log.  A flushed terminal is then
+    deduplicated by its key (flushed server log, bodies, rts), a plain
+    tuple that determines its pair before anything is built: ids are
     client:index, no view holds its own event, and the server log is the
     arbitration.  A new key builds only its execution, since the walk
     builds one history per (return values, rts), the views being no part
-    of a history, and shares it between the executions that have it.
+    of a history, and shares it between the executions that have it.  The
+    visibility pairs, and a new history's rt pairs, are read from a
+    per-walk table of id pairs, one per (source, target) event.
 
     Where some client's open event is unfenced and its body has not run,
     that body (of the first such client by name) is the state's only move,

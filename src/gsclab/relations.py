@@ -16,7 +16,8 @@ and Lowe 2017).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -170,16 +171,22 @@ class Relation:
 
 @dataclass(frozen=True)
 class TotalOrder:
-    """A strict total order given as the sequence of its elements."""
+    """A strict total order given as the sequence of its elements.
+
+    The sequence is its only field, so equality, hash and repr read it
+    alone.  The position of each element is built when ``before`` first
+    reads it: most orders (every explored execution's arbitration) are
+    never asked."""
 
     sequence: tuple[str, ...]
-    _index: Mapping[str, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        idx = {a: i for i, a in enumerate(self.sequence)}
-        if len(idx) != len(self.sequence):
+        if len(set(self.sequence)) != len(self.sequence):
             raise ValueError("total order repeats an element")
-        object.__setattr__(self, "_index", idx)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.sequence)}
 
     def before(self, a: str, b: str) -> bool:
         return self._index[a] < self._index[b]

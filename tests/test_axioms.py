@@ -718,6 +718,7 @@ def test_check_axioms_matches_pairwise_reference_on_failing_executions(sem):
             assert got == pairwise_check_axioms(y, sem)
             assert not got.structural
             failing += not got.ok
+            assert got.ok is not bool(got.failed())  # read again, a failing report stays failing
             failed.update(got.failed())
     assert failing >= 1000
     assert failed == set(AXIOM_NAMES) - {"EVENTUAL"}

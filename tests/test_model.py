@@ -227,9 +227,14 @@ def test_fence_presets_keep_the_structure_verdict(monkeypatch):
 def test_history_pickles_without_its_caches():
     w = fixture("fig3a").witness
     assert check_axioms(w, SEM).ok  # caches the verdict, the index and its RETVAL table
+    c = w.history.canonical()  # caches the layout verdict
+    caches = {"_violations", "_in_client_index_layout", "index"}
+    assert caches <= w.history.__dict__.keys()
     back = pickle.loads(pickle.dumps(w))
-    assert back == w and "index" not in back.history.__dict__
+    assert back == w and not caches & back.history.__dict__.keys()
     assert check_axioms(back, SEM).ok
+    assert back.history.canonical() == c
+    assert pickle.loads(pickle.dumps(c)).canonical() == c
 
 
 def test_index_rows_match_the_relations():

@@ -1,6 +1,7 @@
 """Relation algebra: constructors, operators, closures, orders."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -68,8 +69,18 @@ def test_restrict_successors_predecessors():
 
 def test_total_order_helpers():
     t = TotalOrder(("b", "a", "c"))
+    fresh = TotalOrder(("b", "a", "c"))
+    assert (t == fresh, hash(t), repr(t)) == (True, hash(fresh), repr(fresh))
     assert t.before("b", "c") and not t.before("c", "b")
+    # the position index built by before changes neither eq, hash nor repr
+    assert (t == fresh, hash(t), repr(t)) == (True, hash(fresh), repr(fresh))
+    assert repr(t) == "TotalOrder(sequence=('b', 'a', 'c'))"
     assert t.as_relation().pairs == {("b", "a"), ("b", "c"), ("a", "c")}
+    with pytest.raises(ValueError, match="total order repeats an element"):
+        TotalOrder(("a", "a"))
+    for order in (t, fresh):
+        back = pickle.loads(pickle.dumps(order))
+        assert back == order and back.before("a", "c") and not back.before("c", "b")
 
 
 def test_extend_to_total_deterministic_and_minimal():
