@@ -61,9 +61,9 @@ check_axioms checks the eight laws in one pass over those rows, the same
 pass the search runs on its closures.  A law's missing pairs are one mask
 per target event, and become sorted id pairs only when the law fails; a
 passing report is a shared constant.  How the closure derived a pair
-(``Closure.why`` and ``chain``) and the wording of a conflict come from a
-worklist that records each pair's law; it runs only when a refutation is
-narrated or a caller asks, and reaches the same pairs and conflicts.
+(``Closure.why`` and ``chain``) and the wording of a conflict come from the
+same closure, built again with a log of each row it grows; only a narrated
+refutation or a caller that asks builds it.
 
 Enumerating update subsets only (when the semantics classifies operations)
 is justified by the read-only law: eval ignores read-only context entries,
@@ -139,13 +139,6 @@ class AxiomReport:
 
 def _limit(pairs, n=4):
     return tuple(sorted(pairs))[:n]
-
-
-def _successors(pairs) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for a, b in pairs:
-        out.setdefault(a, []).append(b)
-    return out
 
 
 _RETVAL_NOTE = "rval must equal eval over visible same-object context"
@@ -319,102 +312,6 @@ class Derivation:
     via: tuple[str, str] | None = None
 
 
-def _narration_rules(h: History) -> tuple:
-    """The per-history rules the worklist reads: session order sorted and
-    as successor lists, rt into pullers as successor lists, and the pushed
-    ground pairs of ar? ; (rt? & EPush x EPull) <= vis?, independent of
-    vis, as sorted (source, targets) items.  Built by a history's first
-    narration and kept on its index; the search never builds them."""
-    ix = h.index
-    if ix.narration is None:
-        pushers, pullers = h.pushers(), h.pullers()
-        so_pairs = sorted(h.so.pairs)
-        base = {p for p in h.rt.pairs if p[0] in pushers and p[1] in pullers}
-        base |= {(e, e) for e in pushers & pullers}
-        ix.narration = (so_pairs, _successors(so_pairs),
-                        _successors(p for p in h.rt.pairs if p[1] in pullers),
-                        tuple(_successors(sorted(base)).items()))
-    return ix.narration
-
-
-class _Derivations:
-    """The closure's pairs as a worklist derives them over a fixed
-    arbitration prefix, each with the law that forced it, and the wording
-    of the first conflict met; computed only to narrate.  The order in
-    which pairs and conflicts are met is part of the narrated text."""
-
-    def __init__(self, h: History, placed: list[str], seed):
-        self.h = h
-        self.placed = placed
-        self.pos = {a: i for i, a in enumerate(placed)}
-        self.why: dict[tuple[str, str], Derivation] = {}  # the pairs, with how
-        self.conflict: str | None = None
-        so_pairs, self._so_succ, self._rt_pull_succ, pushed = _narration_rules(h)
-        for a, b in so_pairs:
-            self.add(a, b, "session-order")
-        for a, b in sorted(seed):
-            self.add(a, b, "seed")
-        for a, targets in pushed:
-            for b in targets:
-                for c in self._ar_preds_refl(a):
-                    if c != b:
-                        self.add(c, b, "pushed-visibility", (a, b))
-        self.close(sorted(self.why))
-
-    def _ar_preds_refl(self, a: str) -> list[str]:
-        i = self.pos.get(a)
-        return [a] if i is None else self.placed[: i + 1]
-
-    def add(self, a: str, b: str, rule: str, via=None) -> bool:
-        if a == b:
-            if rule in ("monotonic-view", "observed-visibility"):
-                self.conflict = (f"law {rule} forces {a} to observe itself "
-                                 f"(via {via})")
-            return False
-        if (a, b) in self.why:
-            return False
-        self.why[(a, b)] = Derivation(rule, via)
-        return True
-
-    def close(self, queue: list[tuple[str, str]]) -> None:
-        so_pairs = self.h.so.pairs
-        while queue and self.conflict is None:
-            a, b = queue.pop()
-            for c in self._so_succ.get(b, ()):
-                if self.add(a, c, "monotonic-view", (a, b)):
-                    queue.append((a, c))
-                if self.conflict:
-                    return
-            if (a, b) not in so_pairs:
-                # ar? ; {(a, b)} ; (rt & E x EPull)? <= vis
-                rights = (b, *self._rt_pull_succ.get(b, ()))
-                for left in self._ar_preds_refl(a):
-                    for right in rights:
-                        if (left, right) != (a, b):
-                            if self.add(left, right, "observed-visibility", (a, b)):
-                                queue.append((left, right))
-                            if self.conflict:
-                                return
-
-    def chain(self, pair: tuple[str, str]) -> list[str]:
-        """Narrate how a pair was derived, walking via-links back to seeds."""
-        out: list[str] = []
-        seen = set()
-        todo = [pair]
-        while todo:
-            p = todo.pop()
-            if p in seen or p not in self.why:
-                continue
-            seen.add(p)
-            d = self.why[p]
-            step = f"{p[0]} -> {p[1]} by {d.rule}"
-            if d.via:
-                step += f" (from {d.via[0]} -> {d.via[1]})"
-                todo.append(d.via)
-            out.append(step)
-        return list(reversed(out))
-
-
 class Closure:
     """Least visibility relation containing session order, the seed and the
     pushed ground edges, closed under the monotone laws, over a prefix of an
@@ -429,31 +326,37 @@ class Closure:
     before it, so a copy is three list copies.  conflicted is set when a
     law demands a reflexive pair where the law's right-hand side is vis
     rather than vis?; no execution over any completion of the prefix can
-    satisfy the laws then.  The derivations (why, chain and the conflict's
-    wording) are worked out only when asked for.
+    satisfy the laws then.  How each pair was derived (why, chain and the
+    conflict's wording) is read, only when asked for, from the log of the
+    same closure built again (see _narration); the search keeps no log.
     """
 
     __slots__ = ("h", "ix", "vis", "before", "order", "placed", "conflicted", "seed",
-                 "_rules", "_derived")
+                 "_rules", "_narrated")
 
-    def __init__(self, h: History, placed, seed):
+    def __init__(self, h: History, placed, seed, _log: list | None = None):
         self.h, ix = h, h.index
         self.ix = ix
         n, pos = len(ix.ids), ix.pos
         self.seed = frozenset(seed)
-        self.vis = list(ix.so)
+        self.vis = vis = list(ix.so)
         for a, b in self.seed:
             if a != b:
-                self.vis[pos[b]] |= 1 << pos[a]
+                vis[pos[b]] |= 1 << pos[a]
+        if _log is not None:
+            _log += [("session-order", t, m, None, 0) for t, m in enumerate(ix.so) if m]
+            _log += [("seed", t, v & ~m, None, 0)
+                     for t, (v, m) in enumerate(zip(vis, ix.so)) if v & ~m]
         self.before, self.order, self.placed = [0] * n, [], 0
         for a in placed:
             self._append(pos[a])
         # per-history successor lists, shared by copies: session order, rt
-        # into pullers, and the pushed ground pairs
+        # into pullers, and the pushed ground pairs; sorted, so a log does
+        # not follow the hash order of the history's relations
         so_succ, rt_pull, pushed = ([[] for _ in range(n)] for _ in range(3))
-        for i, j in zip(*ix.so_pairs):
+        for i, j in sorted(zip(*ix.so_pairs)):
             so_succ[i].append(j)
-        for i, j in zip(*ix.rt_pairs):
+        for i, j in sorted(zip(*ix.rt_pairs)):
             if ix.pullers >> j & 1:
                 rt_pull[i].append(j)
                 if ix.pushers >> i & 1:
@@ -462,12 +365,17 @@ class Closure:
             pushed[i].append(i)
         self._rules = so_succ, rt_pull, pushed
         self.conflicted = False
-        self._derived = None
-        for a, targets in enumerate(pushed):
+        self._narrated = None
+        # pushers by id, so a pair two pushers force is logged from the first
+        for a in sorted(_bits(ix.pushers), key=ix.ids.__getitem__):
             upto = self.before[a] | 1 << a if self.placed >> a & 1 else 1 << a
-            for b in targets:
-                self.vis[b] |= upto & ~(1 << b)
-        self._close(sum(1 << t for t, v in enumerate(self.vis) if v))
+            for b in pushed[a]:
+                new = upto & ~(1 << b) & ~vis[b]
+                if new:
+                    vis[b] |= new
+                    if _log is not None:
+                        _log.append(("pushed-visibility", b, new, a, 0))
+        self._close(sum(1 << t for t, v in enumerate(vis) if v), _log)
 
     def _append(self, i: int) -> None:
         self.before[i] = self.placed
@@ -478,7 +386,7 @@ class Closure:
         new = object.__new__(Closure)
         new.h, new.ix, new.seed, new._rules = self.h, self.ix, self.seed, self._rules
         new.vis, new.before, new.order = self.vis[:], self.before[:], self.order[:]
-        new.placed, new.conflicted, new._derived = self.placed, self.conflicted, None
+        new.placed, new.conflicted, new._narrated = self.placed, self.conflicted, None
         return new
 
     def place(self, a: str) -> None:
@@ -511,12 +419,13 @@ class Closure:
             self.vis[i] |= new
             self._close(1 << i)
 
-    def _close(self, dirty: int) -> None:
+    def _close(self, dirty: int, log: list | None = None) -> None:
         """Close again after the rows in mask dirty grew, or the prefixes
         of their members did.  A law that demands a reflexive pair puts the
         target in its own row, which is the conflict once the row is
         revisited; only pushed visibility, whose right-hand side is vis?,
-        leaves the target out."""
+        leaves the target out.  With a log, each row growth is appended to
+        it as (law, row, new mask, source row, the source's observed mask)."""
         vis, before, placed, so = self.vis, self.before, self.placed, self.ix.so
         so_succ, rt_pull, _ = self._rules
         while dirty and not self.conflicted:
@@ -529,20 +438,29 @@ class Closure:
                 break
             # vis ; so <= vis
             for c in so_succ[t]:
-                if v & ~vis[c]:
-                    vis[c] |= v
+                new = v & ~vis[c]
+                if new:
+                    vis[c] |= new
                     dirty |= 1 << c
+                    if log is not None:
+                        log.append(("monotonic-view", c, new, t, 0))
             # ar? ; (vis \ so) ; (rt & E x EPull)? <= vis
             observed = v & ~so[t]
             if observed:
                 need = observed & ~placed | _upto(observed & placed, before)
-                if need & ~v:
+                new = need & ~v
+                if new:
                     vis[t] = v | need
                     dirty |= low
+                    if log is not None:
+                        log.append(("observed-visibility", t, new, t, observed))
                 for r in rt_pull[t]:
-                    if need & ~vis[r]:
-                        vis[r] |= need
+                    new = need & ~vis[r]
+                    if new:
+                        vis[r] |= new
                         dirty |= 1 << r
+                        if log is not None:
+                            log.append(("observed-visibility", r, new, t, observed))
 
     def escapes(self) -> bool:
         """Whether some pair (x, y) has y placed and x not placed before y."""
@@ -559,33 +477,70 @@ class Closure:
         return Relation(self.ix.domain, frozenset(
             (ids[j], ids[i]) for i, v in enumerate(self.vis) for j in _bits(v)))
 
-    def _derivations(self) -> _Derivations:
-        if self._derived is None:
-            self._derived = _Derivations(self.h, [self.ix.ids[i] for i in self.order],
-                                         self.seed)
-        return self._derived
+    def _narration(self) -> tuple[dict[tuple[str, str], Derivation], str | None]:
+        """The log of a closure built again over this prefix and seed, read
+        back as (why, conflict).  A pair's via is the pair it was derived
+        from: for monotonic view the same source at the row whose session
+        successor forced it, for observed visibility the lowest-position
+        observed source whose reflexive prefix holds the pair's source, and
+        for pushed visibility the pushed pair.  The first reflexive pair is
+        the conflict, and why stops there."""
+        if self._narrated is not None:
+            return self._narrated
+        ids, before, placed, log = self.ix.ids, self.before, self.placed, []
+        Closure(self.h, [ids[i] for i in self.order], self.seed, log)
+        why: dict[tuple[str, str], Derivation] = {}
+        self._narrated = why, None
+        for rule, t, new, src, observed in log:
+            for x in _bits(new):
+                if rule == "monotonic-view":
+                    via = ids[x], ids[src]
+                elif rule == "observed-visibility":
+                    sources = observed & placed & ~before[x] if placed >> x & 1 else 1 << x
+                    via = ids[(sources & -sources).bit_length() - 1], ids[src]
+                elif rule == "pushed-visibility":
+                    via = ids[src], ids[t]
+                else:
+                    via = None
+                if x == t:
+                    self._narrated = why, (f"law {rule} forces {ids[t]} to observe itself "
+                                           f"(via {via})")
+                    return self._narrated
+                why[ids[x], ids[t]] = Derivation(rule, via)
+        return self._narrated
 
     @property
     def why(self) -> dict[tuple[str, str], Derivation]:
         """Each derived pair with the law that forced it, in derivation
         order; up to the first conflict when there is one."""
-        return self._derivations().why
+        return self._narration()[0]
 
     @property
     def conflict(self) -> str | None:
-        return self._derivations().conflict if self.conflicted else None
+        return self._narration()[1] if self.conflicted else None
 
     def chain(self, pair: tuple[str, str]) -> list[str]:
-        """Narrate how a pair was derived, walking via-links back to seeds."""
-        return self._derivations().chain(pair)
+        """Narrate how a pair was derived, walking via-links back to ground
+        pairs.  A via was derived before the pair it explains, except that
+        a pushed pair may be its own."""
+        why, out = self.why, []
+        while pair in why:
+            d = why[pair]
+            step = f"{pair[0]} -> {pair[1]} by {d.rule}"
+            if d.via:
+                step += f" (from {d.via[0]} -> {d.via[1]})"
+            out.append(step)
+            pair = None if d.via == pair else d.via
+        return out[::-1]
 
 
 def minimal_visibility(h: History, ar: TotalOrder,
                        seed: Relation | None = None) -> tuple[Relation, Closure]:
     """Least visibility over a fixed arbitration: session order, the pushed
-    ground edges, plus the optional seed, closed under the monotone laws.
-    With a conflict there is no least visibility; the relation is then the
-    pairs derived before the conflict was met."""
+    ground edges, plus the optional seed, closed under the monotone laws,
+    and the Closure, which words how it derived each pair.  With a
+    conflict there is no least visibility; the relation is then the pairs
+    ``Closure.why`` lists, those derived before the first reflexive one."""
     cl = Closure(h, ar.sequence, frozenset() if seed is None else seed.pairs)
     if cl.conflicted:
         return Relation(h.ids, frozenset(cl.why)), cl
@@ -719,10 +674,6 @@ def _required_ar_seed(h: History, decoded: DecodedConstraints | None
     return Relation(h.ids, frozenset(pairs)), labels
 
 
-def _narrate_escape(cl: Closure, pair: tuple[str, str], reason: str) -> str:
-    return reason + ": " + "; ".join(cl.chain(pair))
-
-
 def _updates(ix: EventIndex, semantics: ObjectSemantics) -> list[int]:
     """Per event the mask of the updates on its object."""
     updates = ix.mask(e.id for e in ix.events if semantics.is_update(e.op))
@@ -733,18 +684,17 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
             exact: dict[str, frozenset[str]], semantics: ObjectSemantics,
             stats: dict) -> tuple[AbstractExecution | None, str | None]:
     """Close the forced visibility over one arbitration and check the laws.
-    Returns (witness, None) or (None, refutation)."""
+    Returns (witness, None) or (None, refutation).  ar extends the forced
+    order, so it holds every seed pair, session order and every pushed rt
+    pair, and an unconflicted closure stays inside it: each law derives
+    forward pairs from forward ones, except observed visibility along rt
+    into a puller r, which puts x in r's row for x in the reflexive prefix
+    of an observed source; if r is not after x, r is in that prefix too,
+    so r is in its own row and the closure is conflicted."""
     stats["closures"] = stats.get("closures", 0) + 1
     cl = Closure(h, ar.sequence, seed_vis)
     if cl.conflicted:
         return None, f"ar {list(ar.sequence)}: {cl.conflict}"
-    if cl.escapes():
-        # the first escaping pair as the derived pairs list them
-        a, b = next(p for p in frozenset(cl.why) if not ar.before(*p))
-        return None, _narrate_escape(
-            cl, (a, b),
-            f"ar {list(ar.sequence)}: forced visibility {a} -> {b} "
-            f"contradicts this arbitration")
     ix = h.index
     updates = _updates(ix, semantics)
     for obs, want in exact.items():
@@ -756,7 +706,7 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
                    f"{sorted(want)} to return {ix.events[i].rval!r} (RETVAL) "
                    f"but the laws force {got}")
             if extra:
-                msg = _narrate_escape(cl, (extra[0], obs), msg)
+                msg += ": " + "; ".join(cl.chain((extra[0], obs)))
             return None, msg
     broken = cl.broken_laws(semantics)
     if not broken:

@@ -217,11 +217,10 @@ class EventIndex:
     events with each fence.  Fences are part of it, so a refenced history
     gets an index of its own.  retval is where ``axioms`` keeps the part
     of the return-value law that depends on the history and the semantics
-    only, and narration the successor lists its refutations are worded
-    from, once one is."""
+    only."""
 
     __slots__ = ("events", "ids", "pos", "domain", "so", "rt", "so_pairs", "rt_pairs",
-                 "same", "pushers", "pullers", "retval", "narration")
+                 "same", "pushers", "pullers", "retval")
 
     def __init__(self, h: History) -> None:
         self.events = events = h.events
@@ -250,7 +249,7 @@ class EventIndex:
                     pullers |= 1 << i
         self.pushers, self.pullers = pushers, pullers
         self.same = [objects[e.obj] for e in events]
-        self.retval = self.narration = None
+        self.retval = None
 
     def mask(self, ids: Iterable[str]) -> int:
         """The mask of the positions of ids."""

@@ -243,16 +243,20 @@ def _is_osc_witness(h, lin, sem) -> bool:
 
 def test_criterion_8_derived_model_agreement(sem):
     """On every small history under each derived fence discipline, the
-    dedicated checker agrees with the global membership test, and the
-    converters between the two witness shapes land in the other model."""
+    dedicated checker agrees with the global membership test, with and
+    without return-value decoding (a checker that shared the decoder could
+    hide a decoder bug on both sides), and the converters between the two
+    witness shapes land in the other model."""
     histories = _discipline_histories()
     assert len(histories) > 5000
+    slow_sem = dataclasses.replace(sem, decode_visibility=None)
     agreements = 0
     for h in histories:
         for model, checker in (("lin", check_lin), ("osc", check_osc)):
             hd = apply_fence_preset(h, model, sem)
             res = checker(hd, sem)
             assert res.member == is_gsc(hd, sem).member, (model, hd)
+            assert res.member == is_gsc(hd, slow_sem).member, (model, hd)
             agreements += 1
             if res.member:
                 x = osc_execution_from_lin(res.witness, sem)

@@ -1,17 +1,18 @@
 """Law checker and membership tests: per-law verdicts on known-good and
 deliberately broken executions, the frozen verdict table over all fence
 presets, refutation narratives, agreement with and without return-value
-decoding, the bitmask closure against the worklist that words its
-derivations, an observer's options against the candidate sets, the law
-check against its literal relational definition and against the
-pair-by-pair reference on passing and failing executions, and verdicts
-that do not depend on the hash seed."""
+decoding, the closure's worded derivations as single law steps, an
+observer's options against the candidate sets, the law check against its
+literal relational definition and against the pair-by-pair reference on
+passing and failing executions, and verdicts that do not depend on the
+hash seed."""
 
 import dataclasses
 import itertools
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -247,6 +248,22 @@ def test_long_fork_refutation_narrative(sem):
     assert "monotonic-view" in text
 
 
+def test_refutation_texts_are_pinned(sem):
+    # A conflict is worded from the first reflexive pair; a RETVAL failure
+    # gets the chain that forced the extra update.
+    events = [Event("e1", "A", "x", Op("append", 1), None, frozenset({"push", "pull"})),
+              Event("e0", "B", "x", Op("read"), (1,), frozenset({"pull"}))]
+    h = make_history(events, {"A": ["e1"], "B": ["e0"]},
+                     {"e0": Interval(0, 1), "e1": Interval(2, 3)})
+    assert is_gsc(h, sem).refutations == (
+        "ar ['e1', 'e0']: law observed-visibility forces e1 to observe itself "
+        "(via ('e1', 'e0'))",)
+    assert is_gsc(fixture("fig3d").history, sem).refutations[0] == (
+        "ar ['a', 'b', 'c1', 'c2', 'd1', 'd2']: d2 must see exactly [] to return () "
+        "(RETVAL) but the laws force ['a']: b -> d1 by seed; a -> d1 by "
+        "observed-visibility (from b -> d1); a -> d2 by monotonic-view (from a -> d1)")
+
+
 def test_membership_event_cap(sem):
     with pytest.raises(HistoryError, match="over the cap"):
         is_gsc(fixture("fig3d").history, sem, max_events=3)
@@ -423,27 +440,76 @@ def closure_cases(sem):
     return out
 
 
-def test_derivations_reach_the_mask_closure(sem):
-    # The worklist that words refutations derives exactly the mask
-    # closure's pairs and meets a conflict exactly when it has one, over
-    # every arbitration prefix; with a conflict it stops early, so only
-    # the verdict is compared then.
+def one_step(h, placed, seed, pair, d, earlier) -> bool:
+    """Whether pair follows in one step of d's law over the arbitration
+    prefix placed: from d.via, itself derived earlier, or from a ground
+    rule (session order, the seed, or a pushed real-time pair into a
+    puller, which is d.via)."""
+    rank = {a: i for i, a in enumerate(placed)}
+
+    def upto(x, a):  # x in a's reflexive arbitration prefix
+        return x == a or x in rank and a in rank and rank[x] < rank[a]
+
+    x, y = pair
+    if d.rule in ("session-order", "seed"):
+        return d.via is None and pair in (h.so.pairs if d.rule == "session-order" else seed)
+    a, b = d.via
+    if d.rule == "pushed-visibility":
+        return (x != y and y == b and a in h.pushers() and b in h.pullers()
+                and ((a, b) in h.rt.pairs or a == b) and upto(x, a))
+    if d.via not in earlier:
+        return False
+    if d.rule == "monotonic-view":
+        return a == x and (b, y) in h.so.pairs
+    return (d.rule == "observed-visibility" and d.via not in h.so.pairs and upto(x, a)
+            and (y == b or (b, y) in h.rt.pairs and y in h.pullers()))
+
+
+CONFLICT = re.compile(r"law (\S+) forces (\S+) to observe itself \(via \('(\S+)', '(\S+)'\)\)")
+
+
+def test_closure_words_each_pair_as_one_law_step(sem):
+    # Over every arbitration prefix, each pair the closure words, and the
+    # reflexive pair its conflict names, is one step of its law from a
+    # pair worded before it or from a ground rule; without a conflict the
+    # worded pairs are the closure's, and over a full arbitration they
+    # keep the monotone laws, so the closure is closed.
     conflicts = compared = 0
     for h, ar, seed in closure_cases(sem):
         for k in (0, len(ar) // 2, len(ar)):
             placed = ar.sequence[:k]
             cl = axioms.Closure(h, placed, seed)
-            derived = axioms._Derivations(h, list(placed), seed)
-            assert cl.conflicted == bool(derived.conflict)
             assert (cl.conflict is None) == (not cl.conflicted)
+            earlier = set()
+            for pair, d in cl.why.items():
+                assert one_step(h, placed, seed, pair, d, earlier), (pair, d)
+                earlier.add(pair)
             if cl.conflicted:
                 conflicts += 1
-                assert cl.conflict == derived.conflict
-            else:
-                compared += 1
-                assert cl.relation().pairs == frozenset(derived.why)
-                assert cl.why == derived.why
+                rule, a, *via = CONFLICT.fullmatch(cl.conflict).groups()
+                assert one_step(h, placed, seed, (a, a), axioms.Derivation(rule, tuple(via)),
+                                earlier), cl.conflict
+                continue
+            compared += 1
+            assert set(cl.why) == cl.relation().pairs
+            if k == len(ar):
+                report = pairwise_check_axioms(AbstractExecution(h, cl.relation(), ar), sem)
+                for law in ("RYW", "MONOTONICVIEW", "OBSERVEDVIS", "PUSHEDVIS"):
+                    assert verdict(report, law).holds, law
     assert conflicts > 100 and compared > 1000
+
+
+def test_forward_seeds_never_escape(sem):
+    # Over a full arbitration that holds every seed pair, as every
+    # arbitration a refutation narrates holds the forced order, an
+    # unconflicted closure stays inside the arbitration.
+    cases = 0
+    for h, ar, seed in closure_cases(sem):
+        if all(ar.before(a, b) for a, b in seed if a != b):
+            cl = axioms.Closure(h, ar.sequence, seed)
+            cases += not cl.conflicted
+            assert cl.conflicted or not cl.escapes()
+    assert cases > 2000
 
 
 def test_options_match_the_candidate_sets(sem):
@@ -751,3 +817,28 @@ def test_fixture_verdicts_do_not_depend_on_hash_seed():
     assert [child.returncode for child in children] == [0, 0]
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") > 30
+
+
+CONFLICT_WORDINGS = """
+from gsclab import axioms, get_semantics
+from test_axioms import closure_cases
+
+for h, ar, seed in closure_cases(get_semantics("sequence")):
+    cl = axioms.Closure(h, ar.sequence, seed)
+    if cl.conflicted:
+        print(cl.conflict, list(cl.why.items()))
+"""
+
+
+def test_conflict_wording_does_not_depend_on_hash_seed():
+    # A conflict is worded from the first reflexive pair the closure logs,
+    # so the log must not follow the hash order of a history's relations.
+    paths = [str(pathlib.Path(axioms.__file__).resolve().parents[1]),
+             str(pathlib.Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    outputs = [subprocess.run([sys.executable, "-c", CONFLICT_WORDINGS], check=True, text=True,
+                              stdout=subprocess.PIPE, env=dict(env, PYTHONHASHSEED=seed),
+                              timeout=120).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 100
