@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .axioms import DEFAULT_MAX_EVENTS, minimal_visibility, require_searchable
 from .model import PULL, PUSH, AbstractExecution, History, HistoryError
-from .relations import CycleError, Relation, TotalOrder, extend_to_total, extensions
+from .relations import Relation, TotalOrder, extend_to_total, extensions
 from .semantics import ObjectSemantics
 
 
@@ -55,7 +55,9 @@ def _linearized(h: History, semantics: ObjectSemantics, base: Relation,
     ``base`` in which every event's return value matches evaluation of the
     same-object prefix placed before it, or a non-member with ``note``.
     The walk's state is that prefix's operations per object, exactly the
-    evaluation context, so a mismatch cuts the branch."""
+    evaluation context, so a mismatch cuts the branch.  ``base`` lies in
+    h's rt, which ``require_searchable`` has checked to be an interval
+    order, so it is acyclic."""
     events = h.by_id
 
     def place(prefix_ops: dict, eid: str) -> dict | None:
@@ -65,10 +67,7 @@ def _linearized(h: History, semantics: ObjectSemantics, base: Relation,
             return None
         return {**prefix_ops, e.obj: ctx + (e.op,)}
 
-    try:
-        seq = next((seq for seq, _ in extensions(base, place, {})), None)
-    except CycleError:
-        seq = None
+    seq = next((seq for seq, _ in extensions(base, place, {})), None)
     if seq is None:
         return LinearizationResult(False, note=note)
     return LinearizationResult(True, Linearization(h, TotalOrder(seq)))

@@ -17,11 +17,11 @@ pinned here.  The five canonical names are part of the tool's interface:
 Behavioural aliases (stale_read, reordered_appends, store_buffering,
 long_fork, unfenced_handoff) resolve to the same fixtures.
 
-fig3a, fig3b and fig3c carry golden schedules: replaying them through the
-log protocol reproduces the fixture history exactly (ids, return values,
-returns-before pairs) and ends with a pinned server order.  Their witness
-executions are extracted from those replays at import time, so a fixture
-that disagreed with the protocol would fail to import.
+fig3a, fig3b and fig3c are defined by their golden schedules: the
+history, the witness execution and the server order of each are those of
+the schedule's replay through the log protocol (sequence semantics), so
+the protocol produces each of them by construction.  fig3d and fig5 are
+stated as interval histories, fig5 with a hand-written witness.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .model import (
 )
 from .protocol import Schedule, body, call, extract_execution, pull, push, ret, run_schedule
 from .relations import Relation, TotalOrder
+from .semantics import SEQUENCE
 
 FIXTURE_NAMES = ("fig3a", "fig3b", "fig3c", "fig3d", "fig5")
 
@@ -57,8 +58,9 @@ class Fixture:
     """A named history plus its pinned verdict per fence preset.
 
     ``membership[model]`` is the expected membership verdict after applying
-    that model's fence preset.  ``schedule`` (when present) replays to
-    ``history`` exactly and leaves the server holding ``server_order``.
+    that model's fence preset.  ``schedule`` (when present) defines the
+    fixture: ``history`` and ``witness`` are its replay's, and
+    ``server_order`` is the server log the replay leaves.
     """
 
     name: str
@@ -83,51 +85,6 @@ def _ev(eid: str, client: str, obj: str, op: Op, rval, fences=()) -> Event:
 
 
 # --- histories -------------------------------------------------------------
-
-
-def _stale_read_history() -> History:
-    events = [
-        _ev("e1", "A", "x", _append(1), None),
-        _ev("e2", "A", "x", _READ, (1, 2)),
-        _ev("f1", "B", "x", _append(2), None),
-        _ev("f2", "B", "x", _READ, (2,)),
-    ]
-    sessions = {"A": ["e1", "e2"], "B": ["f1", "f2"]}
-    intervals = {
-        "e1": Interval(0, 2),
-        "f1": Interval(1, 3),
-        "e2": Interval(4, 5),
-        "f2": Interval(6, 7),
-    }
-    return make_history(events, sessions, intervals)
-
-
-def _reordered_appends_history() -> History:
-    events = [
-        _ev("e1", "A", "x", _append(1), None),
-        _ev("f1", "B", "x", _append(2), None),
-        _ev("f2", "B", "x", _READ, (2, 1)),
-    ]
-    sessions = {"A": ["e1"], "B": ["f1", "f2"]}
-    intervals = {"e1": Interval(0, 1), "f1": Interval(2, 3), "f2": Interval(4, 5)}
-    return make_history(events, sessions, intervals)
-
-
-def _store_buffering_history() -> History:
-    events = [
-        _ev("e1", "A", "x", _append(1), None),
-        _ev("e2", "A", "y", _READ, ()),
-        _ev("f1", "B", "y", _append(1), None),
-        _ev("f2", "B", "x", _READ, ()),
-    ]
-    sessions = {"A": ["e1", "e2"], "B": ["f1", "f2"]}
-    intervals = {
-        "e1": Interval(0, 1),
-        "f1": Interval(0, 1),
-        "e2": Interval(2, 3),
-        "f2": Interval(2, 3),
-    }
-    return make_history(events, sessions, intervals)
 
 
 def _long_fork_history() -> History:
@@ -171,7 +128,7 @@ def _unfenced_handoff_history() -> History:
 # --- golden schedules ------------------------------------------------------
 
 
-def _stale_read_schedule() -> tuple[Schedule, tuple[str, ...]]:
+def _stale_read_schedule() -> Schedule:
     steps = [
         call("A", "x", _append(1), id="e1"),
         call("B", "x", _append(2), id="f1"),
@@ -198,10 +155,10 @@ def _stale_read_schedule() -> tuple[Schedule, tuple[str, ...]]:
         pull("B"),
         pull("B"),
     ]
-    return Schedule(tuple(steps)), ("e1", "f1", "e2", "f2")
+    return Schedule(tuple(steps))
 
 
-def _reordered_appends_schedule() -> tuple[Schedule, tuple[str, ...]]:
+def _reordered_appends_schedule() -> Schedule:
     steps = [
         call("A", "x", _append(1), id="e1"),
         body("A"),
@@ -222,10 +179,10 @@ def _reordered_appends_schedule() -> tuple[Schedule, tuple[str, ...]]:
         pull("A"),
         pull("B"),
     ]
-    return Schedule(tuple(steps)), ("f1", "e1", "f2")
+    return Schedule(tuple(steps))
 
 
-def _store_buffering_schedule() -> tuple[Schedule, tuple[str, ...]]:
+def _store_buffering_schedule() -> Schedule:
     steps = [
         call("A", "x", _append(1), id="e1"),
         call("B", "y", _append(1), id="f1"),
@@ -252,26 +209,19 @@ def _store_buffering_schedule() -> tuple[Schedule, tuple[str, ...]]:
         pull("B"),
         pull("B"),
     ]
-    return Schedule(tuple(steps)), ("e1", "f1", "e2", "f2")
+    return Schedule(tuple(steps))
 
 
 # --- assembly --------------------------------------------------------------
 
 
-def _replayed_witness(
-    h: History, schedule: Schedule, server_order: tuple[str, ...]
-) -> AbstractExecution:
-    """Replay the golden schedule and check it reproduces ``h`` exactly."""
-    from .semantics import SEQUENCE
-
-    run = run_schedule(schedule, SEQUENCE)
-    x = extract_execution(run)
-    got = x.history
-    if got.canonical() != h.canonical():
-        raise AssertionError(f"golden schedule does not reproduce fixture: {got} != {h}")
-    if tuple(x.ar.sequence) != server_order:
-        raise AssertionError(f"golden server order {x.ar.sequence} != {server_order}")
-    return AbstractExecution(h, x.vis, x.ar)
+def _golden(name: str, alias: str, schedule: Schedule, membership: Mapping[str, bool],
+            description: str) -> Fixture:
+    """The fixture its golden schedule defines: history, witness and server
+    order are those of the schedule's replay."""
+    x = extract_execution(run_schedule(schedule, SEQUENCE))
+    return Fixture(name, alias, x.history, membership, x, schedule, x.ar.sequence,
+                   description)
 
 
 def _handoff_witness(h: History) -> AbstractExecution:
@@ -282,53 +232,29 @@ def _handoff_witness(h: History) -> AbstractExecution:
 
 def _build() -> dict[str, Fixture]:
     out: dict[str, Fixture] = {}
-
-    h = _stale_read_history()
-    sched, server = _stale_read_schedule()
-    out["fig3a"] = Fixture(
-        name="fig3a",
-        alias="stale_read",
-        history=h,
-        membership={
+    out["fig3a"] = _golden(
+        "fig3a", "stale_read", _stale_read_schedule(),
+        {
             "gsc": True, "gsp": True, "tso": False,
             "dual_tso": True, "osc": False, "lin": False,
         },
-        witness=_replayed_witness(h, sched, server),
-        schedule=sched,
-        server_order=server,
-        description="two racing appends; one reader sees both, the other only its own",
+        "two racing appends; one reader sees both, the other only its own",
     )
-
-    h = _reordered_appends_history()
-    sched, server = _reordered_appends_schedule()
-    out["fig3b"] = Fixture(
-        name="fig3b",
-        alias="reordered_appends",
-        history=h,
-        membership={
+    out["fig3b"] = _golden(
+        "fig3b", "reordered_appends", _reordered_appends_schedule(),
+        {
             "gsc": True, "gsp": True, "tso": True,
             "dual_tso": False, "osc": False, "lin": False,
         },
-        witness=_replayed_witness(h, sched, server),
-        schedule=sched,
-        server_order=server,
-        description="the log orders two appends against their real-time order",
+        "the log orders two appends against their real-time order",
     )
-
-    h = _store_buffering_history()
-    sched, server = _store_buffering_schedule()
-    out["fig3c"] = Fixture(
-        name="fig3c",
-        alias="store_buffering",
-        history=h,
-        membership={
+    out["fig3c"] = _golden(
+        "fig3c", "store_buffering", _store_buffering_schedule(),
+        {
             "gsc": True, "gsp": True, "tso": True,
             "dual_tso": True, "osc": False, "lin": False,
         },
-        witness=_replayed_witness(h, sched, server),
-        schedule=sched,
-        server_order=server,
-        description="both clients read the other object before either append lands",
+        "both clients read the other object before either append lands",
     )
 
     h = _long_fork_history()

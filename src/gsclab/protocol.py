@@ -777,11 +777,14 @@ def can_produce(h: History, semantics: ObjectSemantics, max_states: int = 2_000_
     the next call) reproduces h exactly (canonical ids).  Exhaustive up to
     the state cap.  ``explore``'s target pruning judges a call by the rt
     pairs it adds, which the pulls folded into it do not change, and a body
-    by its return value."""
+    by its return value.
+
+    Any history the targeted walk emits is the target: ``programs_of``
+    fixes its ids, clients, sessions, operations and fences, the pruning
+    admits only the target's return values, and each call's returned-before
+    set equals the target's rt predecessors of its event, so the rt pairs,
+    which calls alone add, are the target's too.  Hence the first emitted
+    pair decides."""
     target = h.canonical()
-    programs = programs_of(target)
-    for hist, _ in explore(programs, semantics, max_states, target=target):
-        if (hist.events == target.events and hist.rt == target.rt
-                and hist.sessions == target.sessions):
-            return True
-    return False
+    return next(explore(programs_of(target), semantics, max_states, target=target),
+                None) is not None

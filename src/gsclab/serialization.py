@@ -128,7 +128,7 @@ def doc_to_history(doc: Any) -> tuple[History, str]:
         if field not in doc:
             raise HistoryError(f"history document missing field {field!r}")
     semantics = doc["semantics"]
-    if semantics not in SEMANTICS:
+    if not isinstance(semantics, str) or semantics not in SEMANTICS:
         raise HistoryError(f"unknown semantics {semantics!r}; known: {sorted(SEMANTICS)}")
     if not _strings(doc["objects"]):
         raise HistoryError("objects must be a list of names")
@@ -237,6 +237,8 @@ def doc_to_schedule(doc: Any) -> Schedule:
         if not isinstance(sdoc["client"], str):
             raise ScheduleError(f"{where}: client must be a string")
         kind = sdoc["kind"]
+        if not isinstance(kind, str):
+            raise ScheduleError(f"{where}: kind must be a string")
         if kind == "call":
             if "obj" not in sdoc or "op" not in sdoc:
                 raise ScheduleError(f"{where}: call needs obj and op")

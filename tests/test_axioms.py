@@ -264,6 +264,38 @@ def test_refutation_texts_are_pinned(sem):
         "observed-visibility (from b -> d1); a -> d2 by monotonic-view (from a -> d1)")
 
 
+@pytest.mark.parametrize("rval", [(7,), 5], ids=["missing-value", "not-a-sequence"])
+def test_unattainable_read_is_refuted_before_any_search(sem, rval):
+    # No subset of the appends evaluates to the read's value, so is_gsc
+    # refutes it from the decoded options alone and tries nothing.
+    events = [Event("e1", "A", "x", Op("append", 1), None, frozenset()),
+              Event("e2", "B", "x", Op("read"), rval, frozenset())]
+    h = make_history(events, {"A": ["e1"], "B": ["e2"]},
+                     {"e1": Interval(0, 1), "e2": Interval(2, 3)})
+    res = is_gsc(h, sem)
+    assert not res.member and res.witness is None
+    assert res.refutations == (
+        f"e2 returned {rval!r} but no subset of the other x updates evaluates "
+        f"to that (RETVAL)",)
+    assert res.stats == {"ars_tried": 0, "closures": 0, "assignments_tried": 0,
+                         "prunes": 0}
+    assert not check_lin(apply_fence_preset(h, "lin", sem), sem).member
+
+
+def test_check_axioms_reports_an_execution_off_its_events(sem):
+    w = fixture("fig3a").witness
+    h = w.history
+    cases = [
+        (w.vis.restrict(h.ids - {"f2"}), w.ar, "vis domain differs from the event set"),
+        (w.vis, TotalOrder(("e1", "f1", "e2")), "ar does not enumerate the event set"),
+        (w.vis, TotalOrder(("e1", "f1", "e2", "zz")), "ar does not enumerate the event set"),
+    ]
+    for vis, ar, problem in cases:
+        report = check_axioms(AbstractExecution(h, vis, ar), sem)
+        assert not report.ok
+        assert (report.verdicts, report.structural) == ((), (problem,))
+
+
 def test_membership_event_cap(sem):
     with pytest.raises(HistoryError, match="over the cap"):
         is_gsc(fixture("fig3d").history, sem, max_events=3)

@@ -1,8 +1,11 @@
 """End-to-end command-line tests: every subcommand, every exit-code class,
 and determinism of the enumeration output."""
 
+import copy
 import hashlib
+import json
 import pathlib
+import random
 
 import pytest
 
@@ -607,3 +610,102 @@ def test_enumerate_file_write_error_is_exit_2(tmp_path, capsys):
     assert main(["enumerate", fixture_path("fig3b"), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out / 'history-0003.json'}: ")
+
+
+# -- refusals and fuzzing ----------------------------------------------------------
+
+
+def test_check_unattainable_read_is_exit_1(tmp_path, capsys):
+    h = make_history(
+        [Event("e1", "A", "x", Op("append", 1), None, frozenset()),
+         Event("e2", "B", "x", Op("read"), (7,), frozenset())],
+        {"A": ["e1"], "B": ["e2"]}, Relation.from_pairs({"e1", "e2"}, [("e1", "e2")]))
+    path = tmp_path / "h.json"
+    path.write_text(dumps(history_to_doc(h, "sequence")))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "non-member\n  e2 returned (7,) but no subset of the other x updates "
+        "evaluates to that (RETVAL)\n")
+
+
+def test_pairs_naming_an_unknown_id_are_exit_2(tmp_path, capsys):
+    history = loads((FIXDIR / "fig3b.json").read_text())
+    history["rt"]["pairs"].append(["e1", "zz"])
+    witness = loads((FIXDIR / "fig3b-witness.json").read_text())
+    witness["vis"].append(["zz", "f2"])
+    path = tmp_path / "doc.json"
+    for doc, argv in ((history, ["check", str(path)]),
+                      (witness, ["synthesize", str(path), "-o", str(tmp_path / "s.json")])):
+        path.write_text(dumps(doc))
+        assert main(argv) == 2
+        assert "outside domain" in capsys.readouterr().err
+
+
+def test_compose_refuses_a_two_object_witness(tmp_path, capsys):
+    rc = main(["compose", fixture_path("fig3c"), str(FIXDIR / "fig3c-witness.json"),
+               "-o", str(tmp_path / "c.json")])
+    assert rc == 2
+    assert "witness must cover exactly one object" in capsys.readouterr().err
+
+
+def _mutated(rng, doc, values):
+    """``doc`` after one to three random edits, each replacing a value,
+    deleting a key or list item, or duplicating a list item."""
+    for _ in range(rng.randint(1, 3)):
+        slots = []
+        stack = [doc]
+        while stack:
+            node = stack.pop()
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            for k in keys:
+                slots.append((node, k))
+                if isinstance(node[k], (dict, list)):
+                    stack.append(node[k])
+        if not slots:
+            return doc
+        node, k = rng.choice(slots)
+        action = rng.randrange(3)
+        if action == 0:
+            node[k] = rng.choice(values)
+        elif action == 1:
+            del node[k]
+        elif isinstance(node, list):
+            node.insert(k, copy.deepcopy(node[k]))
+    return doc
+
+
+FUZZ_VALUES = (None, True, 0, -1, 7, 2.5, "", "x", "e1", "append", "read", "push",
+               "zz", [], [1], ["e1"], [["e1", "f1"]], {}, {"kind": "append"},
+               {"kind": "pairs", "pairs": []})
+
+
+def test_mutated_documents_never_raise(tmp_path, capsys):
+    # Seeded mutations of every shipped document through each command that
+    # reads its kind: any outcome but an exception is fine (0, 1 or 2).
+    rng = random.Random(20171)
+    out = str(tmp_path / "out")
+    commands = {
+        "history": (["check"], ["check", "--model", "lin", "--apply-preset"],
+                    ["check", "--model", "osc", "--apply-preset"],
+                    ["enumerate", "--max-schedules", "40", "--out-dir", out]),
+        "witness": (["synthesize", "-o", out + ".json"],
+                    ["equiv", "--push-out", out + ".p", "--pull-out", out + ".q"]),
+        "schedule": (["simulate", "--history-out", out + ".h",
+                      "--execution-out", out + ".x"],),
+    }
+    originals = sorted(FIXDIR.iterdir())
+    path = tmp_path / "doc.json"
+    for _ in range(300):
+        source = rng.choice(originals)
+        kind = ("witness" if source.stem.endswith("-witness") else
+                "schedule" if source.stem.endswith("-schedule") else "history")
+        doc = _mutated(rng, json.loads(source.read_text()), FUZZ_VALUES)
+        path.write_text(json.dumps(doc))
+        for command in commands[kind]:
+            argv = [command[0], str(path), *command[1:]]
+            try:
+                rc = main(argv)
+            except Exception as err:
+                raise AssertionError(f"{argv[0]} on {json.dumps(doc)} raised") from err
+            assert rc in (0, 1, 2), (argv, json.dumps(doc))
+    capsys.readouterr()

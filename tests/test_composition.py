@@ -3,6 +3,7 @@ arbitration constraints, the least-closure visibility (checked against the
 paper's closed form), refusal behaviour, and the relational identities the
 construction's correctness rests on."""
 
+import dataclasses
 import random
 
 import pytest
@@ -193,6 +194,24 @@ def test_compose_refuses_missing_object(sem):
     w = PerObjectWitnesses(fix.history, {"x": fix.witness})
     with pytest.raises(HistoryError):
         compose(w, sem)
+
+
+def test_compose_refuses_inputs_it_cannot_compose(sem):
+    # Each refusal names what is wrong with the input, checked in this order:
+    # the history, its objects against the witnesses', each witness's history.
+    fix = fixture("fig3a")
+    h, w = fix.history, fix.witness
+    unordered = dataclasses.replace(h, rt=Relation.from_pairs(h.ids, []))
+    cases = [
+        (PerObjectWitnesses(unordered, {"x": w}), "so not contained in rt"),
+        (PerObjectWitnesses(h, {"x": w, "y": w}),
+         r"witness objects \['x', 'y'\] differ from history objects \['x'\]"),
+        (PerObjectWitnesses(h, {"x": fixture("fig3b").witness}),
+         "witness for object 'x' is not over the projection"),
+    ]
+    for witnesses, message in cases:
+        with pytest.raises(HistoryError, match=message):
+            compose(witnesses, sem)
 
 
 def test_compose_refuses_lawless_witness(sem):

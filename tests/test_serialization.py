@@ -204,11 +204,16 @@ def _schedule_step(**changes):
      r"steps\[0\]: op value missing: append"),
     (doc_to_schedule, _schedule_step(op={"kind": "read", "value": 1}), ScheduleError,
      r"steps\[0\]: op value given: read"),
+    (doc_to_history, _history_doc(semantics=[1]), HistoryError, "semantics"),
+    (doc_to_history, _history_doc(semantics={}), HistoryError, "semantics"),
+    (doc_to_schedule, _schedule_step(kind={}), ScheduleError, r"steps\[0\]: kind"),
+    (doc_to_schedule, _schedule_step(kind=["push"]), ScheduleError, r"steps\[0\]: kind"),
 ], ids=["events-int", "session-int", "interval-one-bound", "id-list", "steps-int",
         "fences-null", "objects-int", "rt-pairs-int", "vis-short-pair", "client-list",
         "step-id-list", "op-value-list", "op-value-string", "rval-object",
         "rval-mixed-list", "fences-nested-list", "append-no-value", "write-no-value",
-        "read-with-value", "step-append-no-value", "step-read-with-value"])
+        "read-with-value", "step-append-no-value", "step-read-with-value",
+        "semantics-list", "semantics-object", "step-kind-object", "step-kind-list"])
 def test_malformed_documents_name_the_field(parse, doc, error, field):
     with pytest.raises(error, match=field):
         parse(doc)
