@@ -613,7 +613,8 @@ class MembershipResult:
 def _find_cycle_text(rel: Relation, labels: dict) -> str:
     """A short narrative for a cyclic arbitration seed: the first cycle a
     depth-first search meets, taking nodes and successors in sorted order.
-    The search keeps its own stack, so a long cycle cannot exhaust Python's."""
+    ``rel`` must be cyclic, as it is at every caller, so the search finds a
+    cycle.  It keeps its own stack, so a long cycle cannot exhaust Python's."""
     graph: dict[str, list[str]] = {v: [] for v in rel.domain}
     for a, b in sorted(rel.pairs):
         graph[a].append(b)
@@ -639,8 +640,6 @@ def _find_cycle_text(rel: Relation, labels: dict) -> str:
                 untried.pop()
         if cycle:
             break
-    if not cycle:
-        return "arbitration constraints are cyclic"
     steps = []
     for a, b in zip(cycle, cycle[1:]):
         steps.append(f"{a} -> {b} ({labels.get((a, b), 'required')})")

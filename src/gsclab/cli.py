@@ -4,8 +4,9 @@ Subcommands: check, simulate, synthesize, compose, equiv, enumerate.
 A command builds only its own subparser; the full parser is built for
 top-level help, for unknown commands, and for the top-level errors.
 Exit codes: 0 member / success, 1 non-member, 2 input error (parse,
-validation, precondition), 3 internal assertion failure (theorem or
-replay verification violated, which signals a bug, not bad input).
+validation, precondition), 3 internal check failed: synthesize's
+SynthesisError, no schedule for a lawful witness or a replay that does not
+reproduce it (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .serialization import (
     loads,
     schedule_to_doc,
 )
-from .synthesis import synthesize_schedule
+from .synthesis import SynthesisError, synthesize_schedule
 
 MODEL_FLAGS = tuple(m.replace("_", "-") for m in MODELS)
 COMMANDS = ("check", "simulate", "synthesize", "compose", "equiv", "enumerate")
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
     except (HistoryError, ScheduleError, EnumerationCapError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except AssertionError as err:
+    except SynthesisError as err:
         print(f"internal check failed: {err}", file=sys.stderr)
         return 3
 

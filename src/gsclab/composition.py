@@ -32,7 +32,7 @@ from .model import (
     project,
     validate_history,
 )
-from .relations import CycleError, Relation, extend_to_total
+from .relations import Relation, extend_to_total
 from .semantics import ObjectSemantics
 
 
@@ -41,7 +41,7 @@ class PerObjectWitnesses:
     """A global history plus one witness execution per object.
 
     Each witness must be an execution over exactly ``project(history, x)``
-    and pass the axioms; :func:`compose` re-checks both.
+    and pass the axioms; :func:`compose` checks both.
     """
 
     history: History
@@ -118,10 +118,13 @@ def compose(w: PerObjectWitnesses, semantics: ObjectSemantics) -> AbstractExecut
 
     Refuses histories that are not well-fenced and witnesses that are not
     over the projections or fail the axioms (input errors).  On valid
-    inputs the constraint relation is guaranteed acyclic, the composed
-    execution passes all axioms, and its visibility restricted to each
-    object equals that object's witness visibility exactly; violations of
-    these guarantees raise AssertionError."""
+    inputs the constraint relation is acyclic, the composed execution
+    passes all axioms, and its visibility restricted to each object equals
+    that object's witness visibility exactly.  These are theorems, not
+    re-checked here: test_criterion_6_composition and
+    test_compose_random_two_object_runs check the output,
+    test_identities_on_random_instances the acyclicity and
+    test_closed_visibility_is_least_closure the unconflicted closure."""
     h = w.history
     errs = validate_history(h)
     if errs:
@@ -150,27 +153,6 @@ def compose(w: PerObjectWitnesses, semantics: ObjectSemantics) -> AbstractExecut
             )
     so0, vis0, ar0 = union_relations(w)
     prec = composition_precedence(h, vis0, so0)
-    constraints = arbitration_constraints(h, vis0, ar0, prec)
-    try:
-        ar = extend_to_total(constraints)
-    except CycleError as err:
-        raise AssertionError("arbitration constraints cyclic on a well-fenced input; "
-                             "an upstream invariant is broken") from err
-    vis, cl = minimal_visibility(h, ar, seed=vis0)
-    if cl.conflict:
-        raise AssertionError(f"visibility closure over the composed arbitration "
-                             f"conflicts: {cl.conflict}")
-    x = AbstractExecution(h, vis, ar)
-    for obj in sorted(w.per_object):
-        wit = w.per_object[obj]
-        keep = wit.history.ids
-        got = frozenset(p for p in vis.pairs if p[0] in keep and p[1] in keep)
-        if got != wit.vis.pairs:
-            raise AssertionError(
-                f"composed visibility restricted to {obj!r} differs from the "
-                f"witness: {sorted(got ^ wit.vis.pairs)}"
-            )
-    rep = check_axioms(x, semantics)
-    if not rep.ok:
-        raise AssertionError(f"composed execution fails {', '.join(rep.failed())}")
-    return x
+    ar = extend_to_total(arbitration_constraints(h, vis0, ar0, prec))
+    vis, _ = minimal_visibility(h, ar, seed=vis0)
+    return AbstractExecution(h, vis, ar)

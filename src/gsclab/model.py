@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .relations import Relation, TotalOrder
@@ -262,12 +263,11 @@ class EventIndex:
 
 
 def session_order(sessions: Mapping[str, Sequence[str]], domain: Iterable[str]) -> Relation:
-    pairs: set[tuple[str, str]] = set()
-    for ids in sessions.values():
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pairs.add((ids[i], ids[j]))
-    return Relation(frozenset(domain), frozenset(pairs))
+    """Each session's ordered pairs; an id outside ``domain`` gets none, for
+    :func:`validate_history` to name with its session."""
+    domain = frozenset(domain)
+    return Relation(domain, frozenset(
+        p for ids in sessions.values() for p in combinations([i for i in ids if i in domain], 2)))
 
 
 def make_history(

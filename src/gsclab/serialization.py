@@ -82,10 +82,14 @@ def _strings(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _pairs_from(doc: Any, field: str) -> frozenset[tuple[str, str]]:
+def _pairs_from(doc: Any, field: str, ids: frozenset[str]) -> Relation:
     if not (isinstance(doc, list) and all(_strings(p) and len(p) == 2 for p in doc)):
         raise HistoryError(f"{field} must be a list of [before, after] id pairs")
-    return frozenset((a, b) for a, b in doc)
+    outside = sorted(p for p in doc if not ids.issuperset(p))
+    if outside:
+        a, b = outside[0]
+        raise HistoryError(f"{field}: pair ({a!r}, {b!r}) outside domain")
+    return Relation(ids, frozenset((a, b) for a, b in doc))
 
 
 def _rval_doc(rval: Any) -> Any:
@@ -170,14 +174,13 @@ def doc_to_history(doc: Any) -> tuple[History, str]:
         rt: Any = {}
         for eid, se in rt_doc["map"].items():
             if not (isinstance(se, list) and len(se) == 2
-                    and all(isinstance(t, (int, float)) for t in se)):
-                raise HistoryError(f"rt map entry {eid!r} must be [start, end]")
+                    and all(isinstance(t, (int, float)) for t in se) and se[0] < se[1]):
+                raise HistoryError(f"rt map entry {eid!r} must be [start, end] with start < end")
             rt[eid] = Interval(float(se[0]), float(se[1]))
     else:
         if "pairs" not in rt_doc:
             raise HistoryError("rt of kind pairs needs pairs")
-        ids = frozenset(e.id for e in events)
-        rt = Relation(ids, _pairs_from(rt_doc["pairs"], "rt pairs"))
+        rt = _pairs_from(rt_doc["pairs"], "rt pairs", frozenset(e.id for e in events))
     h = make_history(events, {c: list(ids) for c, ids in sessions.items()}, rt)
     problems = validate_history(h)
     if problems:
@@ -197,7 +200,7 @@ def doc_to_execution(doc: Any) -> tuple[AbstractExecution, str]:
     for field in ("vis", "ar"):
         if field not in doc:
             raise HistoryError(f"execution document missing field {field!r}")
-    vis = Relation(h.ids, _pairs_from(doc["vis"], "vis"))
+    vis = _pairs_from(doc["vis"], "vis", h.ids)
     if not (_strings(doc["ar"]) and sorted(doc["ar"]) == sorted(h.ids)):
         raise HistoryError("ar must list every event id exactly once")
     x = AbstractExecution(h, vis, TotalOrder(tuple(doc["ar"])))

@@ -14,7 +14,6 @@ from gsclab import (
     Event,
     Op,
     Relation,
-    SynthesisError,
     TotalOrder,
     check_axioms,
     extract_execution,
@@ -25,7 +24,7 @@ from gsclab import (
     project,
     run_to_quiescence,
 )
-from gsclab import cli
+from gsclab import cli, synthesis
 from gsclab.axioms import DEFAULT_MAX_EVENTS
 from gsclab.cli import main
 from gsclab.generators import random_well_fenced_run
@@ -330,14 +329,14 @@ def test_synthesize_in_window_witness_replays(tmp_path, capsys, sem):
     assert extract_execution(run).vis == x.vis
 
 
-def test_synthesis_error_is_exit_3(monkeypatch, capsys):
-    # Every lawful witness the tests draw synthesizes, so a stand-in
-    # SynthesisError reaches the exit-3 path.
-    def fail(x, semantics):
-        raise SynthesisError("replay arbitration differs")
-    monkeypatch.setattr(cli, "synthesize_schedule", fail)
+def test_synthesis_error_is_exit_3(monkeypatch, capsys, sem):
+    # Every lawful witness the tests draw replays to itself, so a replay of
+    # another fixture's schedule stands in for a diverging one.
+    replay = synthesis.run_schedule(fixture("fig3a").schedule, sem)
+    monkeypatch.setattr(synthesis, "run_schedule", lambda schedule, semantics: replay)
     assert main(["synthesize", str(FIXDIR / "fig3b-witness.json")]) == 3
-    assert "internal check failed: replay arbitration differs" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "internal check failed: replay produced a different history\n")
 
 
 # -- compose -----------------------------------------------------------------------

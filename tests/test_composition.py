@@ -224,7 +224,7 @@ def test_compose_refuses_lawless_witness(sem):
         good.history, good.vis,
         TotalOrder(tuple(reversed(good.ar.sequence))),
     )
-    with pytest.raises((HistoryError, AssertionError)):
+    with pytest.raises(HistoryError, match=f"witness for object '{obj}' fails"):
         compose(PerObjectWitnesses(h, per), sem)
 
 

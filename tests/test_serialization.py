@@ -166,6 +166,12 @@ def _fig3a_event(index, **changes):
     return doc
 
 
+def _execution_doc(name, **changes):
+    doc = execution_to_doc(fixture(name).witness, "sequence")
+    doc.update(changes)
+    return doc
+
+
 def _schedule_step(**changes):
     doc = schedule_to_doc(fixture("fig3a").schedule)
     doc["steps"][0].update(changes)
@@ -183,8 +189,7 @@ def _schedule_step(**changes):
     (doc_to_history, _history_doc(objects=5), HistoryError, "objects"),
     (doc_to_history, _history_doc(rt={"kind": "pairs", "pairs": 5}), HistoryError,
      "rt pairs"),
-    (doc_to_execution, dict(execution_to_doc(fixture("fig3b").witness, "sequence"),
-                            vis=[["e1"]]), HistoryError, "vis"),
+    (doc_to_execution, _execution_doc("fig3b", vis=[["e1"]]), HistoryError, "vis"),
     (doc_to_schedule, _schedule_step(client=["A"]), ScheduleError, r"steps\[0\]: client"),
     (doc_to_schedule, _schedule_step(id=["e1"]), ScheduleError, r"steps\[0\]: obj and id"),
     (doc_to_history, _fig3a_event(0, op={"kind": "append", "value": [1]}), HistoryError,
@@ -208,12 +213,30 @@ def _schedule_step(**changes):
     (doc_to_history, _history_doc(semantics={}), HistoryError, "semantics"),
     (doc_to_schedule, _schedule_step(kind={}), ScheduleError, r"steps\[0\]: kind"),
     (doc_to_schedule, _schedule_step(kind=["push"]), ScheduleError, r"steps\[0\]: kind"),
+    (doc_to_history, _history_doc(rt={"kind": "pairs", "pairs": [["e1", "zz"]]}),
+     HistoryError, r"rt pairs: pair \('e1', 'zz'\) outside domain"),
+    (doc_to_execution, _execution_doc("fig3b", vis=[["zz", "f2"]]), HistoryError,
+     r"vis: pair \('zz', 'f2'\) outside domain"),
+    (doc_to_history, _history_doc(rt={"kind": "intervals", "map": {"e1": [2, 1]}}),
+     HistoryError, "rt map entry 'e1'"),
+    (doc_to_history, _history_doc(sessions={"A": ["e1"], "B": ["f1", "zz", "f2"]}),
+     HistoryError, "session B lists unknown event zz"),
+    (doc_to_history, [], HistoryError, "history document must be an object"),
+    (doc_to_history, _history_doc(rt={"kind": "intervals"}), HistoryError,
+     "rt of kind intervals needs a map"),
+    (doc_to_execution, {k: v for k, v in _execution_doc("fig3b").items() if k != "vis"},
+     HistoryError, "execution document missing field 'vis'"),
+    (doc_to_execution, _execution_doc("fig5", vis=[["g", "e"]]), HistoryError,
+     r"vis not contained in ar: \(g, e\)"),
 ], ids=["events-int", "session-int", "interval-one-bound", "id-list", "steps-int",
         "fences-null", "objects-int", "rt-pairs-int", "vis-short-pair", "client-list",
         "step-id-list", "op-value-list", "op-value-string", "rval-object",
         "rval-mixed-list", "fences-nested-list", "append-no-value", "write-no-value",
         "read-with-value", "step-append-no-value", "step-read-with-value",
-        "semantics-list", "semantics-object", "step-kind-object", "step-kind-list"])
+        "semantics-list", "semantics-object", "step-kind-object", "step-kind-list",
+        "rt-pair-unknown-id", "vis-pair-unknown-id", "interval-reversed",
+        "session-unknown-id", "history-list", "intervals-no-map", "execution-no-vis",
+        "vis-outside-ar"])
 def test_malformed_documents_name_the_field(parse, doc, error, field):
     with pytest.raises(error, match=field):
         parse(doc)

@@ -28,7 +28,7 @@ from gsclab import (
     scheduling_precedence,
     synthesize_schedule,
 )
-from gsclab import protocol
+from gsclab import protocol, synthesis
 from gsclab.axioms import _required_ar_seed, minimal_visibility
 from gsclab.generators import random_well_fenced_run
 from gsclab.relations import linear_extensions
@@ -196,6 +196,28 @@ def test_cyclic_token_graph_is_a_synthesis_error():
     with pytest.raises(SynthesisError, match=f"cyclic; unplaced: {unplaced}"):
         _topological_order(succ)
     assert isinstance(SynthesisError("x"), AssertionError)
+
+
+def two_appends(ar, vis):
+    """Two concurrent appends on x, with the given arbitration and visibility."""
+    events = [Event("a", "A", "x", Op("append", 1), None, frozenset()),
+              Event("b", "B", "x", Op("append", 2), None, frozenset())]
+    h = make_history(events, {"A": ["a"], "B": ["b"]}, Relation.from_pairs(["a", "b"], []))
+    return AbstractExecution(h, Relation.from_pairs(h.ids, vis), TotalOrder(ar))
+
+
+@pytest.mark.parametrize("other, message", [
+    (fixture("fig3b").witness, "replay produced a different history"),
+    (two_appends(("a", "b"), [("a", "b")]), r"replay visibility differs: \[\('a', 'b'\)\]"),
+    (two_appends(("b", "a"), []), "replay arbitration differs"),
+], ids=["history", "visibility", "arbitration"])
+def test_replay_divergence_is_a_synthesis_error(monkeypatch, sem, other, message):
+    # The replay check compares history, visibility and arbitration; a
+    # replay that reproduces another witness fails on the part that differs.
+    replay = protocol.run_schedule(synthesize_schedule(other, sem), sem)
+    monkeypatch.setattr(synthesis, "run_schedule", lambda schedule, semantics: replay)
+    with pytest.raises(SynthesisError, match=message):
+        synthesize_schedule(two_appends(("a", "b"), []), sem)
 
 
 def test_synthesis_round_trips_generated_runs(sem):
