@@ -49,7 +49,6 @@ from .protocol import (
     World,
     body,
     call,
-    can_produce,
     explore,
     extract_execution,
     extract_history,
@@ -99,7 +98,6 @@ __all__ = [
     "body",
     "body_order",
     "call",
-    "can_produce",
     "check_axioms",
     "check_fence_preset",
     "check_lin",

@@ -143,14 +143,12 @@ def compose(w: PerObjectWitnesses, semantics: ObjectSemantics) -> AbstractExecut
         )
     for obj in sorted(w.per_object):
         x = w.per_object[obj]
-        proj = project(h, obj)
-        if x.history != proj and x.history.canonical() != proj.canonical():
+        if x.history != project(h, obj):
             raise HistoryError(f"witness for object {obj!r} is not over the projection")
         rep = check_axioms(x, semantics)
         if not rep.ok:
-            raise HistoryError(
-                f"witness for object {obj!r} fails {', '.join(rep.failed())}"
-            )
+            reasons = "; ".join(rep.structural) or ", ".join(rep.failed())
+            raise HistoryError(f"witness for object {obj!r} fails {reasons}")
     so0, vis0, ar0 = union_relations(w)
     prec = composition_precedence(h, vis0, so0)
     ar = extend_to_total(arbitration_constraints(h, vis0, ar0, prec))

@@ -17,10 +17,11 @@ pinned here.  The five canonical names are part of the tool's interface:
 Behavioural aliases (stale_read, reordered_appends, store_buffering,
 long_fork, unfenced_handoff) resolve to the same fixtures.
 
-fig3a, fig3b and fig3c are defined by their golden schedules: the
-history, the witness execution and the server order of each are those of
-the schedule's replay through the log protocol (sequence semantics), so
-the protocol produces each of them by construction.  fig3d and fig5 are
+fig3a, fig3b and fig3c are defined by their golden schedules, each a
+prefix and its ``flush_suffix``: the history, the witness execution and
+the server order of each are those of the schedule's replay through the
+log protocol (sequence semantics), so the protocol produces each of them
+by construction.  fig3d and fig5 are
 stated as interval histories, fig5 with a hand-written witness.
 """
 
@@ -38,7 +39,17 @@ from .model import (
     Op,
     make_history,
 )
-from .protocol import Schedule, body, call, extract_execution, pull, push, ret, run_schedule
+from .protocol import (
+    Schedule,
+    body,
+    call,
+    extract_execution,
+    flush_suffix,
+    pull,
+    push,
+    ret,
+    run_schedule,
+)
 from .relations import Relation, TotalOrder
 from .semantics import SEQUENCE
 
@@ -128,8 +139,8 @@ def _unfenced_handoff_history() -> History:
 # --- golden schedules ------------------------------------------------------
 
 
-def _stale_read_schedule() -> Schedule:
-    steps = [
+def _stale_read_prefix() -> Schedule:
+    return Schedule((
         call("A", "x", _append(1), id="e1"),
         call("B", "x", _append(2), id="f1"),
         body("A"),
@@ -146,20 +157,11 @@ def _stale_read_schedule() -> Schedule:
         call("B", "x", _READ, id="f2"),
         body("B"),
         ret("B"),
-        push("A"),
-        push("B"),
-        pull("A"),
-        pull("A"),
-        pull("B"),
-        pull("B"),
-        pull("B"),
-        pull("B"),
-    ]
-    return Schedule(tuple(steps))
+    ))
 
 
-def _reordered_appends_schedule() -> Schedule:
-    steps = [
+def _reordered_appends_prefix() -> Schedule:
+    return Schedule((
         call("A", "x", _append(1), id="e1"),
         body("A"),
         ret("A"),
@@ -173,17 +175,11 @@ def _reordered_appends_schedule() -> Schedule:
         call("B", "x", _READ, id="f2"),
         body("B"),
         ret("B"),
-        push("B"),
-        pull("A"),
-        pull("A"),
-        pull("A"),
-        pull("B"),
-    ]
-    return Schedule(tuple(steps))
+    ))
 
 
-def _store_buffering_schedule() -> Schedule:
-    steps = [
+def _store_buffering_prefix() -> Schedule:
+    return Schedule((
         call("A", "x", _append(1), id="e1"),
         call("B", "y", _append(1), id="f1"),
         body("A"),
@@ -196,29 +192,19 @@ def _store_buffering_schedule() -> Schedule:
         body("B"),
         ret("A"),
         ret("B"),
-        push("A"),
-        push("B"),
-        push("A"),
-        push("B"),
-        pull("A"),
-        pull("A"),
-        pull("A"),
-        pull("A"),
-        pull("B"),
-        pull("B"),
-        pull("B"),
-        pull("B"),
-    ]
-    return Schedule(tuple(steps))
+    ))
 
 
 # --- assembly --------------------------------------------------------------
 
 
-def _golden(name: str, alias: str, schedule: Schedule, membership: Mapping[str, bool],
+def _golden(name: str, alias: str, prefix: Schedule, membership: Mapping[str, bool],
             description: str) -> Fixture:
-    """The fixture its golden schedule defines: history, witness and server
-    order are those of the schedule's replay."""
+    """The fixture its golden schedule defines: the schedule is ``prefix``
+    followed by the ``flush_suffix`` of the world it reaches, and history,
+    witness and server order are those of the schedule's replay."""
+    tail = flush_suffix(run_schedule(prefix, SEQUENCE).world)
+    schedule = Schedule(prefix.steps + tuple(tail))
     x = extract_execution(run_schedule(schedule, SEQUENCE))
     return Fixture(name, alias, x.history, membership, x, schedule, x.ar.sequence,
                    description)
@@ -233,7 +219,7 @@ def _handoff_witness(h: History) -> AbstractExecution:
 def _build() -> dict[str, Fixture]:
     out: dict[str, Fixture] = {}
     out["fig3a"] = _golden(
-        "fig3a", "stale_read", _stale_read_schedule(),
+        "fig3a", "stale_read", _stale_read_prefix(),
         {
             "gsc": True, "gsp": True, "tso": False,
             "dual_tso": True, "osc": False, "lin": False,
@@ -241,7 +227,7 @@ def _build() -> dict[str, Fixture]:
         "two racing appends; one reader sees both, the other only its own",
     )
     out["fig3b"] = _golden(
-        "fig3b", "reordered_appends", _reordered_appends_schedule(),
+        "fig3b", "reordered_appends", _reordered_appends_prefix(),
         {
             "gsc": True, "gsp": True, "tso": True,
             "dual_tso": False, "osc": False, "lin": False,
@@ -249,7 +235,7 @@ def _build() -> dict[str, Fixture]:
         "the log orders two appends against their real-time order",
     )
     out["fig3c"] = _golden(
-        "fig3c", "store_buffering", _store_buffering_schedule(),
+        "fig3c", "store_buffering", _store_buffering_prefix(),
         {
             "gsc": True, "gsp": True, "tso": True,
             "dual_tso": True, "osc": False, "lin": False,

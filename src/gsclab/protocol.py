@@ -485,8 +485,7 @@ class _Walk:
     unacked entries are its own events on the server past ``known``.
     """
 
-    def __init__(self, programs: Mapping[str, Program], semantics: ObjectSemantics,
-                 target: History | None) -> None:
+    def __init__(self, programs: Mapping[str, Program], semantics: ObjectSemantics) -> None:
         names = tuple(sorted(programs))
         progs = tuple(programs[c] for c in names)
         for c, program in zip(names, progs):
@@ -510,31 +509,16 @@ class _Walk:
         self.into = tuple(tuple((a, b) for a in ids) for b in ids)
         self.eval = semantics.eval
         self.evaluated: dict[tuple, tuple] = {}
-        # With a target: per event the returned mask its call needs (-1
-        # when no call of it fits) and the return value its body needs.
-        # A body runs only after its call fits, so every event whose body
-        # runs is in the target.
-        self.target = None
-        if target is not None:
-            number = {eid: e for e, eid in enumerate(ids)}
-            rvals = {e.id: e.rval for e in target.events}
-            preds = [-1] * len(ids)
-            for e, eid in enumerate(ids):
-                if eid in rvals:
-                    before = target.rt.predecessors(eid)
-                    if before <= number.keys():
-                        preds[e] = sum(1 << number[p] for p in before)
-            self.target = (tuple(preds), tuple(rvals.get(eid) for eid in ids))
         self.initial = ((), ((0, 0, 0, 0),) * len(names), (None,) * len(ids),
                         (0,) * len(ids), 0)
 
-    def body(self, state: tuple, i: int) -> tuple | None:
-        """``state`` after client ``i`` runs its open event's body, or None
-        when the target rules its return value out.  A pull-fenced body
-        first pulls the whole server log, and a push-fenced body then
-        pushes every pending entry.  Bodies are memoized by the event, the
-        known length and the server log, which fix the client's logs: its
-        own entries on the server are the ones it has pushed."""
+    def body(self, state: tuple, i: int) -> tuple:
+        """``state`` after client ``i`` runs its open event's body.  A
+        pull-fenced body first pulls the whole server log, and a
+        push-fenced body then pushes every pending entry.  Bodies are
+        memoized by the event, the known length and the server log, which
+        fix the client's logs: its own entries on the server are the ones
+        it has pushed."""
         server, clients, bodies, rts, returned = state
         known, pushed, called, _ = clients[i]
         first = self.offsets[i]
@@ -551,8 +535,6 @@ class _Walk:
             result = self.evaluated[key] = (
                 self.eval(tuple(ops[x] for x in logs if objs[x] == obj), ops[e]),
                 sum(1 << x for x in logs))
-        if self.target is not None and result[0] != self.target[1][e]:
-            return None
         if self.pushes[e]:
             server = server + tuple(range(first + pushed, e + 1))
             pushed = called
@@ -569,21 +551,17 @@ class _Walk:
         after pulling j unseen server entries (only j = 0 before a
         pull-fenced call), then a push of its pending work."""
         server, clients, bodies, rts, returned = state
-        offsets, sizes, pulls, target, body = (
-            self.offsets, self.sizes, self.pulls, self.target, self.body)
+        offsets, sizes, pulls, body = self.offsets, self.sizes, self.pulls, self.body
         for i, (_, _, called, phase) in enumerate(clients):
             if phase == 1 and not self.fences[offsets[i] + called - 1]:
-                nxt = body(state, i)
-                return [] if nxt is None else [nxt]
+                return [body(state, i)]
         out = []
         terminal = True
         size = len(server)
         for i, (known, pushed, called, phase) in enumerate(clients):
             if phase == 1:
                 terminal = False
-                nxt = body(state, i)
-                if nxt is not None:
-                    out.append(nxt)
+                out.append(body(state, i))
                 continue
             head, tail = clients[:i], clients[i + 1:]
             e = offsets[i] + called
@@ -596,11 +574,10 @@ class _Walk:
                 continue
             if called < sizes[i]:
                 terminal = False
-                if target is None or target[0][e] == returned:
-                    nrts = rts[:e] + (returned,) + rts[e + 1:]
-                    for k in range(known, known + 1 if pulls[e] else size + 1):
-                        out.append((server, head + ((k, pushed, called + 1, 1),) + tail,
-                                    bodies, nrts, returned))
+                nrts = rts[:e] + (returned,) + rts[e + 1:]
+                for k in range(known, known + 1 if pulls[e] else size + 1):
+                    out.append((server, head + ((k, pushed, called + 1, 1),) + tail,
+                                bodies, nrts, returned))
             if pushed < called:
                 out.append((server + (offsets[i] + pushed,),
                             head + ((known, pushed + 1, called, 0),) + tail,
@@ -653,8 +630,7 @@ class _Walk:
 
 
 def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
-            max_states: int = 2_000_000, target: History | None = None
-            ) -> Iterator[tuple[History, AbstractExecution]]:
+            max_states: int = 2_000_000) -> Iterator[tuple[History, AbstractExecution]]:
     """Depth-first walk of the schedules of the given programs in which
     each client pushes and pulls only between its events, deduplicated by
     reachable state.  Each terminal state is driven to quiescence by a
@@ -725,22 +701,12 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
     state with an open event is never terminal.  Fenced bodies read or
     write the server and stay interleaved.
 
-    With ``target`` (canonical client:index ids) the walk prunes branches
-    that provably cannot reproduce the target history: a wrong return
-    value, an rt pair outside the target's, or a required rt pair already
-    missed.  A call adds the pairs from every returned event, so it fits
-    exactly when the returned mask equals the target's rt predecessors of
-    the called event.  All three conditions are monotone along a run, so
-    pruning is sound, and both reductions keep it so: a call's pairs do
-    not depend on the pulls folded into it, and a body's return value is
-    fixed by the state it is taken from.
-
     Raises EnumerationCapError, with the states seen, (distinct) terminal
     states reached and pairs emitted so far, once more than ``max_states``
     states are seen, and ScheduleError when a program call has fences other
     than push and pull.
     """
-    walk = _Walk(programs, semantics, target)
+    walk = _Walk(programs, semantics)
     seen = {walk.initial}
     stack = [walk.initial]
     terminals = 0
@@ -768,22 +734,3 @@ def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
                     f"{terminals} terminal states reached, {len(emitted)} distinct "
                     f"executions emitted")
             stack.append(nxt)
-
-
-def can_produce(h: History, semantics: ObjectSemantics, max_states: int = 2_000_000) -> bool:
-    """Whether some schedule of h's own programs that ``explore`` walks
-    (pushes and pulls only between a client's events, pulls folded into
-    the next call) reproduces h exactly (canonical ids).  Exhaustive up to
-    the state cap.  ``explore``'s target pruning judges a call by the rt
-    pairs it adds, which the pulls folded into it do not change, and a body
-    by its return value.
-
-    Any history the targeted walk emits is the target: ``programs_of``
-    fixes its ids, clients, sessions, operations and fences, the pruning
-    admits only the target's return values, and each call's returned-before
-    set equals the target's rt predecessors of its event, so the rt pairs,
-    which calls alone add, are the target's too.  Hence the first emitted
-    pair decides."""
-    target = h.canonical()
-    return next(explore(programs_of(target), semantics, max_states, target=target),
-                None) is not None

@@ -1,11 +1,14 @@
 """Builders that only the tests use: hand-made witnesses, fence-flipped
-variants of the litmus histories, a seeded generator of unconstrained
+variants of the litmus histories, an append that misreports its return
+value, a seeded generator of unconstrained
 histories with its value-folded and register translations, the
 four-loop well-fencing check the one-pass scan is checked against, the
 enumerative membership search that criterion 9 checks is_gsc against, the
 pair-by-pair law check that the bitmask check_axioms is checked against,
-and three helpers the package does not need: a relation's inverse, the
-product of two sets as a relation and a report's verdict by law name."""
+the token-run search with its fit rules that the schedule and
+producibility oracles share, and three helpers the package does not need:
+a relation's inverse, the product of two sets as a relation and a
+report's verdict by law name."""
 
 from __future__ import annotations
 
@@ -24,12 +27,13 @@ from gsclab import (
     PUSH,
     Relation,
     TotalOrder,
+    World,
     fixture,
     make_history,
     project,
     validate_history,
 )
-from gsclab import axioms
+from gsclab import axioms, protocol
 from gsclab.generators import FENCE_CHOICES
 from gsclab.model import refenced
 from gsclab.relations import linear_extensions
@@ -104,6 +108,16 @@ def fig3d_projection_executions() -> dict[str, AbstractExecution]:
             TotalOrder(("b", "d1", "c2")),
         ),
     }
+
+
+def misreported_append() -> History:
+    """One session that appends 1 as e1 but reports the return value 7,
+    then reads (1,) as r.  An append's return value needs no context, so
+    RETVAL fails on e1 under every visibility and arbitration."""
+    events = [Event("e1", "A", "x", Op("append", 1), 7),
+              Event("r", "A", "x", Op("read"), (1,))]
+    return make_history(events, {"A": ["e1", "r"]},
+                        Relation.from_pairs({"e1", "r"}, [("e1", "r")]))
 
 
 def random_history(rng: random.Random, max_events: int = 6) -> History:
@@ -339,3 +353,70 @@ def pairwise_check_axioms(x: AbstractExecution, semantics) -> axioms.AxiomReport
 
     verdicts.append(verdict("EVENTUAL", True, (), "vacuously true: histories here are finite"))
     return axioms.AxiomReport(tuple(verdicts))
+
+
+def target_tables(target: History):
+    """The target's return values, rt pairs and rt predecessors by id."""
+    rvals = {e.id: e.rval for e in target.events}
+    preds = {e.id: target.rt.predecessors(e.id) for e in target.events}
+    return rvals, target.rt.pairs, preds
+
+
+def call_fits(tables, event_id, rt, events):
+    """Whether a call of ``event_id`` that gives the run ``rt`` can still
+    lead to the target.  Returned-before pairs only ever get added when an
+    event is called, so a call whose required predecessors have not all
+    returned, or that pairs up with something the target does not, cannot."""
+    rvals, rt_pairs, preds = tables
+    return (event_id in rvals and rt <= rt_pairs
+            and preds[event_id] <= {r.id for r in events})
+
+
+def body_fits(tables, fr):
+    rvals = tables[0]
+    return fr.event_id in rvals and fr.rval == rvals[fr.event_id]
+
+
+def search_runs(target: History, semantics, done, keep=None, moves=protocol._moves):
+    """Depth-first search, deduplicated by run, over the token runs of the
+    programs of ``target`` (client:index ids) for a run ``done(run,
+    programs)`` accepts.  A move is kept only if the fit rules allow it (a
+    call adds exactly the target's rt predecessors of its event, a body
+    returns the target's value) and ``keep(run, token)``, when given,
+    accepts the run it reaches.  Returns the tokens of the first accepted
+    run, or None when ``moves`` reach none."""
+    programs = protocol.programs_of(target)
+    tables = target_tables(target)
+    init = protocol.Run(World.initial(programs), (), frozenset())
+    seen = {init}
+    stack = [(init, ())]
+    while stack:
+        run, path = stack.pop()
+        if done(run, programs):
+            return path
+        for token in moves(run.world, programs):
+            nxt = protocol._apply(run, token, semantics)
+            if keep is not None and not keep(nxt, token):
+                continue
+            fr = nxt.world.client(token.client).frame
+            if token.kind == "call" and not call_fits(tables, fr.event_id, nxt.rt, nxt.events):
+                continue
+            if token.kind == "body" and not body_fits(tables, fr):
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, path + (token,)))
+    return None
+
+
+def producible(h: History, semantics) -> bool:
+    """Whether some run over ``protocol._moves`` of h's own programs
+    reproduces h exactly (canonical ids).  Programs fix ids, clients,
+    sessions, operations and fences; the fit rules fix every return value
+    and every rt pair, which calls alone add; so the first run in which
+    every client has returned its last event is the target.  The search
+    steps tokens through ``step`` and shares nothing with ``explore``'s
+    compact walk, so it checks that walk's reductions."""
+    return search_runs(h.canonical(), semantics,
+                       lambda run, programs: protocol._terminal(run.world, programs)
+                       ) is not None

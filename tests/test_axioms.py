@@ -50,6 +50,7 @@ from helpers import (
     fig3b_push_variant,
     fig3c_fence_variant,
     fold_values,
+    misreported_append,
     pairwise_check_axioms,
     product,
     random_history,
@@ -106,6 +107,17 @@ def test_retval_failure(sem):
     assert "RETVAL" in report.failed()
     bad = verdict(report, "RETVAL")
     assert any("b" in pair for pair in bad.counterexamples) or bad.counterexamples
+
+
+def test_retval_failure_of_a_context_insensitive_event(sem):
+    # eval decides e1's return value without a context, once per history,
+    # so the failure comes from the index's RETVAL plan, not from a view.
+    h = misreported_append()
+    x = AbstractExecution(h, Relation.from_pairs(h.ids, [("e1", "r")]), TotalOrder(("e1", "r")))
+    assert verdict(check_axioms(x, sem), "RETVAL").counterexamples == (("e1", None),)
+    res = is_gsc(h, sem)
+    assert not res.member
+    assert res.refutations == ("ar ['e1', 'r']: laws violated: RETVAL",)
 
 
 def test_ryw_failure(sem):

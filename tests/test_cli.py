@@ -38,7 +38,7 @@ from gsclab.serialization import (
     loads,
 )
 
-from helpers import fig3b_push_variant, to_register
+from helpers import fig3b_push_variant, misreported_append, to_register
 
 FIXDIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -61,6 +61,14 @@ def test_check_non_member_prints_narrative(capsys):
     out = capsys.readouterr().out
     assert "non-member" in out
     assert "RETVAL" in out and "observed-visibility" in out
+
+
+def test_check_misreported_append_is_non_member(tmp_path, capsys):
+    path = tmp_path / "append.json"
+    path.write_text(dumps(history_to_doc(misreported_append(), "sequence")))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "non-member\n  ar ['e1', 'r']: laws violated: RETVAL\n")
 
 
 def test_check_fence_preset_guard(capsys):

@@ -224,8 +224,27 @@ def test_compose_refuses_lawless_witness(sem):
         good.history, good.vis,
         TotalOrder(tuple(reversed(good.ar.sequence))),
     )
-    with pytest.raises(HistoryError, match=f"witness for object '{obj}' fails"):
+    # Reversing the arbitration breaks the structure, and the refusal says how.
+    with pytest.raises(HistoryError, match=rf"^witness for object '{obj}' fails "
+                       r"vis not contained in ar: \(B:0, B:1\)$"):
         compose(PerObjectWitnesses(h, per), sem)
+
+
+def test_compose_refuses_a_witness_over_renamed_events(sem):
+    # The witness's history is the projection with e1 and e2 swapped: equal
+    # up to renaming, but its vis and ar name the other append, so a
+    # composition over it would give r a context that evaluates to (1, 2).
+    def history(a, b):
+        events = [Event(a, "A", "x", Op("append", 1), None),
+                  Event("r", "A", "x", Op("read"), (2, 1)),
+                  Event(b, "B", "x", Op("append", 2), None)]
+        return make_history(events, {"A": [a, "r"], "B": [b]},
+                            Relation.from_pairs({a, b, "r"}, [(a, "r")]))
+    h, swapped = history("e1", "e2"), history("e2", "e1")
+    assert swapped.canonical() == h.canonical()
+    w = PerObjectWitnesses(h, {"x": is_gsc(swapped, sem).witness})
+    with pytest.raises(HistoryError, match="witness for object 'x' is not over the projection"):
+        compose(w, sem)
 
 
 def test_compose_random_two_object_runs(sem):

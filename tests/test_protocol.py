@@ -18,7 +18,6 @@ from gsclab import (
     World,
     body,
     call,
-    can_produce,
     explore,
     extract_execution,
     extract_history,
@@ -35,6 +34,8 @@ from gsclab import (
 from gsclab import protocol
 from gsclab.generators import _random_walk, soundness_grid_programs, soundness_sampled_programs
 from gsclab.serialization import dumps, execution_to_doc
+
+from helpers import producible
 
 
 def exec_tokens(client, obj, op, fences=()):
@@ -523,7 +524,7 @@ def test_explored_states_are_untracked_by_the_collector(sem):
     # rescanning it.  Tuples nest four deep (state, bodies, a body, its
     # return value), so four collections untrack them whatever order the
     # collector visits them in.
-    walk = protocol._Walk(EXPLORED_PROGRAMS["fig5"](), sem, None)
+    walk = protocol._Walk(EXPLORED_PROGRAMS["fig5"](), sem)
     seen, stack = {walk.initial}, [walk.initial]
     while stack:
         for nxt in walk.successors(stack.pop()) or ():
@@ -566,20 +567,22 @@ def test_enumerate_histories_fig3b_programs(sem):
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig5"])
 def test_can_produce_member(sem, name):
-    assert can_produce(fixture(name).history, sem)
+    assert producible(fixture(name).history, sem)
 
 
 @pytest.mark.parametrize("name", ["fig3b", "grid20", "grid21", "grid22", "grid23"])
 def test_can_produce_every_explored_history(sem, name):
-    # can_produce's target pruning runs on calls with pulls folded into
-    # them: every history the unpruned walk emits must survive it.
+    # Cross-checks explore's reductions against the token oracle: every
+    # history the compact walk emits, with pulls folded into calls and
+    # open unfenced bodies taken first, is reached by some run over the
+    # unreduced token moves too.
     histories = {h for h, _ in explore(REDUCTION_PROGRAMS[name](), sem)}
     assert histories
-    assert all(can_produce(h, sem) for h in histories)
+    assert all(producible(h, sem) for h in histories)
 
 
 def test_can_produce_rejects_long_fork(sem):
     # Exhaustive negative: no schedule of the long-fork programs reproduces
     # its read pattern, because the server log orders the two appends one
     # way and every reader's view extends a log prefix.
-    assert not can_produce(fixture("fig3d").history, sem)
+    assert not producible(fixture("fig3d").history, sem)

@@ -16,14 +16,12 @@ from gsclab import (
     SynthesisError,
     TotalOrder,
     body_order,
-    can_produce,
     check_axioms,
     extract_execution,
     fixture,
     is_gsc,
     make_history,
     Schedule,
-    World,
     run_to_quiescence,
     scheduling_precedence,
     synthesize_schedule,
@@ -33,6 +31,8 @@ from gsclab.axioms import _required_ar_seed, minimal_visibility
 from gsclab.generators import random_well_fenced_run
 from gsclab.relations import linear_extensions
 from gsclab.synthesis import _topological_order
+
+from helpers import producible, search_runs
 
 
 def pull_race_execution():
@@ -148,7 +148,7 @@ def test_pull_race_is_member_but_not_schedulable(sem):
     x = pull_race_execution()
     assert is_gsc(x.history, sem).member
     assert realizes(synthesize_schedule(x, sem).steps, x, sem)
-    assert not can_produce(x.history, sem)
+    assert not producible(x.history, sem)
 
 
 def test_synthesis_rejects_lawless_witness(sem):
@@ -244,69 +244,33 @@ def open_moves(world, programs):
     return out
 
 
-def target_tables(target):
-    """The target's return values, rt pairs and rt predecessors by id."""
-    rvals = {e.id: e.rval for e in target.events}
-    preds = {e.id: target.rt.predecessors(e.id) for e in target.events}
-    return rvals, target.rt.pairs, preds
-
-
-def call_fits(tables, event_id, rt, events):
-    """Whether a call of ``event_id`` that gives the run ``rt`` can still
-    lead to the target.  Returned-before pairs only ever get added when an
-    event is called, so a call whose required predecessors have not all
-    returned, or that pairs up with something the target does not, cannot."""
-    rvals, rt_pairs, preds = tables
-    return (event_id in rvals and rt <= rt_pairs
-            and preds[event_id] <= {r.id for r in events})
-
-
-def body_fits(tables, fr):
-    rvals = tables[0]
-    return fr.event_id in rvals and fr.rval == rvals[fr.event_id]
-
-
 def schedule_oracle(x, sem, moves=protocol._moves):
     """Exhaustive search for a schedule whose run realizes the witness ``x``
     exactly (history, visibility and arbitration, ids renamed to the
     client:index form the simulator gives).  Returns its tokens, or None
     when no schedule over ``moves`` realizes ``x``.
 
-    The search walks ``moves`` depth first, deduplicated by state.
-    A push or body is kept only while the server stays a prefix of the
-    arbitration, a body only if its view is the event's visibility, and a
-    call or body only if the target tables allow it; after the programs end
-    it keeps pushing until the server holds every event."""
+    The search (``search_runs``) keeps a push or body only while the server
+    stays a prefix of the arbitration, a body only if its view is the
+    event's visibility, and a call or body only if it fits the target;
+    after the programs end it keeps pushing until the server holds every
+    event."""
     h = x.history
     name = {eid: f"{c}:{i}" for c, ids in h.sessions for i, eid in enumerate(ids)}
-    target = h.renamed(name)
     ar = tuple(name[e] for e in x.ar.sequence)
     sees = {name[e]: frozenset(name[v] for v in x.vis.predecessors(e)) for e in h.ids}
-    programs = protocol.programs_of(target)
-    tables = target_tables(target)
-    init = protocol.Run(World.initial(programs), (), frozenset())
-    seen = {init}
-    stack = [(init, ())]
-    while stack:
-        run, path = stack.pop()
-        if len(run.world.server) == len(ar) and protocol._terminal(run.world, programs):
-            return path
-        for token in moves(run.world, programs):
-            nxt = protocol._apply(run, token, sem)
-            log = tuple(eid for eid, _, _ in nxt.world.server)
-            if log != ar[:len(log)]:
-                continue
-            fr = nxt.world.client(token.client).frame
-            if token.kind == "call" and not call_fits(
-                    tables, fr.event_id, nxt.rt, nxt.events):
-                continue
-            if token.kind == "body" and (fr.view != sees[fr.event_id]
-                                         or not body_fits(tables, fr)):
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, path + (token,)))
-    return None
+
+    def keep(run, token):
+        log = tuple(eid for eid, _, _ in run.world.server)
+        if log != ar[:len(log)]:
+            return False
+        fr = run.world.client(token.client).frame
+        return token.kind != "body" or fr.view == sees[fr.event_id]
+
+    def done(run, programs):
+        return len(run.world.server) == len(ar) and protocol._terminal(run.world, programs)
+
+    return search_runs(h.renamed(name), sem, done, keep, moves)
 
 
 def realizes(tokens, x, sem):
@@ -355,7 +319,7 @@ def completeness_gap_run(sem):
 def test_completeness_gap_history_is_producible(sem):
     h, _ = completeness_gap_run(sem)
     assert len(h.events) == 4
-    assert can_produce(h, sem)
+    assert producible(h, sem)
     assert is_gsc(h, sem).member
 
 
