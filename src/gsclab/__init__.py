@@ -32,13 +32,12 @@ from .model import (
     Interval,
     Op,
     apply_fence_preset,
-    check_fence_preset,
     erase_fences,
+    fence_preset_violation,
     is_well_fenced,
     make_history,
     project,
     rt_from_intervals,
-    set_all_fences,
     validate_history,
 )
 from .protocol import (
@@ -99,7 +98,6 @@ __all__ = [
     "body_order",
     "call",
     "check_axioms",
-    "check_fence_preset",
     "check_lin",
     "check_osc",
     "compose",
@@ -108,6 +106,7 @@ __all__ = [
     "extend_to_total",
     "extract_execution",
     "extract_history",
+    "fence_preset_violation",
     "fixture",
     "flush_suffix",
     "get_semantics",
@@ -126,7 +125,6 @@ __all__ = [
     "run_schedule",
     "run_to_quiescence",
     "scheduling_precedence",
-    "set_all_fences",
     "step",
     "synthesize_schedule",
     "to_dual_tso",

@@ -24,11 +24,12 @@ from .model import (
     History,
     HistoryError,
     apply_fence_preset,
-    check_fence_preset,
+    fence_preset_violation,
     normalize_model,
 )
 from .generators import random_well_fenced_run
 from .protocol import (
+    DEFAULT_MAX_STATES,
     EnumerationCapError,
     ScheduleError,
     explore,
@@ -101,12 +102,8 @@ def cmd_check(args) -> int:
     model = normalize_model(args.model)
     if args.apply_preset:
         h = apply_fence_preset(h, model, semantics)
-    elif not check_fence_preset(h, model, semantics):
-        print(
-            f"fence preset violated: history fences do not match the "
-            f"{args.model} preset (pass --apply-preset to rewrite them)",
-            file=sys.stderr,
-        )
+    elif (violation := fence_preset_violation(h, model, semantics)) is not None:
+        print(f"{violation} (pass --apply-preset to rewrite them)", file=sys.stderr)
         return 2
     if model == "lin":
         result = check_lin(h, semantics, max_events=args.max_events)
@@ -310,7 +307,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("history", nargs="?",
                        help="history file whose programs to explore")
         p.add_argument("--out-dir", required=True)
-        p.add_argument("--max-schedules", type=_count(1), default=2_000_000,
+        p.add_argument("--max-schedules", type=_count(1), default=DEFAULT_MAX_STATES,
                        help="exploration state cap")
         p.add_argument("--sample", type=_count(0), default=0,
                        help="emit N random well-fenced runs instead of exploring")

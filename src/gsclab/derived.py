@@ -12,8 +12,12 @@ end in an update.
 Both checkers walk the linear extensions of that order (relations.extensions,
 desk scale), so they can serve as independent cross-checks of the axiomatic
 membership test under the corresponding fence presets.  The converters
-translate between the two witness shapes: a linearization of an all-fenced
-history and a full visibility/arbitration execution.
+translate between the two witness shapes: a linearization of a history
+with serialized updates and a full visibility/arbitration execution.
+
+Which fences a preset demands is ``model``'s to decide: every entry point
+here refuses a history that ``model.fence_preset_violation`` faults, with
+its message, and then only searches.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import DEFAULT_MAX_EVENTS, minimal_visibility, require_searchable
-from .model import PULL, PUSH, AbstractExecution, History, HistoryError
+from .model import AbstractExecution, History, HistoryError, fence_preset_violation
 from .relations import Relation, TotalOrder, extend_to_total, extensions
 from .semantics import ObjectSemantics
 
@@ -44,9 +48,10 @@ class LinearizationResult:
         return self.member
 
 
-def _require_classifier(semantics: ObjectSemantics) -> None:
-    if semantics.classify is None:
-        raise HistoryError(f"semantics {semantics.name!r} cannot classify updates")
+def _require_preset(h: History, model: str, semantics: ObjectSemantics) -> None:
+    violation = fence_preset_violation(h, model, semantics)
+    if violation is not None:
+        raise HistoryError(violation)
 
 
 def _linearized(h: History, semantics: ObjectSemantics, base: Relation,
@@ -80,11 +85,7 @@ def check_lin(h: History, semantics: ObjectSemantics,
     real-time order whose prefix evaluation reproduces every return value.
     Histories over ``max_events`` events are refused, as by ``is_gsc``."""
     require_searchable(h, max_events)
-    for e in h.events:
-        if PUSH not in e.fences or PULL not in e.fences:
-            raise HistoryError(
-                f"fence preset violated: event {e.id} must both push and pull"
-            )
+    _require_preset(h, "lin", semantics)
     return _linearized(h, semantics, h.so | h.rt,
                        "no total order contains session order and real-time order "
                        "while reproducing every return value by prefix evaluation")
@@ -97,14 +98,7 @@ def check_osc(h: History, semantics: ObjectSemantics,
     events that finished earlier, so only real-time edges into updates are
     enforced.  Histories over ``max_events`` events are refused."""
     require_searchable(h, max_events)
-    _require_classifier(semantics)
-    for e in h.events:
-        if PUSH not in e.fences:
-            raise HistoryError(f"fence preset violated: event {e.id} must push")
-        if semantics.is_update(e.op) and PULL not in e.fences:
-            raise HistoryError(
-                f"fence preset violated: update event {e.id} must pull"
-            )
+    _require_preset(h, "osc", semantics)
     updates = {e.id for e in h.events if semantics.is_update(e.op)}
     rt_into_updates = Relation(
         h.ids, frozenset((a, b) for (a, b) in h.rt.pairs if b in updates)
@@ -121,9 +115,10 @@ def lin_from_osc_execution(
     into one total order: updates keep their arbitration order and each read
     goes right after the last update it observed (reads that observed none
     go first).  Reads sharing an anchor stay in arbitration order, which
-    also respects session order since session order is contained in it."""
+    also respects session order since session order is contained in it.
+    A history off the osc preset is refused."""
     h = x.history
-    _require_classifier(semantics)
+    _require_preset(h, "osc", semantics)
     by_id = h.by_id
     rank = {u: k for k, u in enumerate(
         (i for i in x.ar.sequence if semantics.is_update(by_id[i].op)), 1)}
@@ -149,9 +144,10 @@ def osc_execution_from_lin(
     pull-fenced event additionally sees the pushed work arbitrated up to it.
     With every update push- and pull-fenced that last part makes each update
     see all its arbitration predecessors; with all events fully fenced it
-    makes visibility the whole arbitration order."""
+    makes visibility the whole arbitration order.  A history off the osc
+    preset is refused."""
     h = l.history
-    _require_classifier(semantics)
+    _require_preset(h, "osc", semantics)
     ids, by_id = h.ids, h.by_id
     upd = {i for i in ids if semantics.is_update(by_id[i].op)}
     r_upd = Relation(ids, frozenset(p for p in l.lin.as_relation().pairs if p[0] in upd))

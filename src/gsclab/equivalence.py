@@ -13,27 +13,18 @@ preserved when returns-before is pinned.
 from __future__ import annotations
 
 from .axioms import check_axioms
-from .model import (
-    PULL,
-    PUSH,
-    AbstractExecution,
-    HistoryError,
-    erase_fences,
-    refenced,
-)
+from .model import PULL, PUSH, AbstractExecution, HistoryError, fence_preset_violation, refenced
 from .relations import extend_to_total
 from .semantics import ObjectSemantics
 from .synthesis import scheduling_precedence
 
-__all__ = ["to_dual_tso", "to_tso", "erase_fences"]
+__all__ = ["to_dual_tso", "to_tso"]
 
 
 def _checked_fence_free(x: AbstractExecution, semantics: ObjectSemantics) -> None:
-    fenced = sorted(e.id for e in x.history.events if e.fences)
-    if fenced:
-        raise HistoryError(
-            f"transformation requires a fence-free history; fenced: {fenced}"
-        )
+    violation = fence_preset_violation(x.history, "gsp")
+    if violation is not None:
+        raise HistoryError(f"transformation requires a fence-free history; {violation}")
     rep = check_axioms(x, semantics)
     if rep.structural:
         raise HistoryError("; ".join(rep.structural))

@@ -18,9 +18,8 @@ Behavioural aliases (stale_read, reordered_appends, store_buffering,
 long_fork, unfenced_handoff) resolve to the same fixtures.
 
 fig3a, fig3b and fig3c are defined by their golden schedules, each a
-prefix and its ``flush_suffix``: the history, the witness execution and
-the server order of each are those of the schedule's replay through the
-log protocol (sequence semantics), so the protocol produces each of them
+prefix and its ``flush_suffix``: the history and the witness execution
+of each are those of the schedule's replay through the log protocol (sequence semantics), so the protocol produces each of them
 by construction.  fig3d and fig5 are
 stated as interval histories, fig5 with a hand-written witness.
 """
@@ -70,8 +69,7 @@ class Fixture:
 
     ``membership[model]`` is the expected membership verdict after applying
     that model's fence preset.  ``schedule`` (when present) defines the
-    fixture: ``history`` and ``witness`` are its replay's, and
-    ``server_order`` is the server log the replay leaves.
+    fixture: ``history`` and ``witness`` are its replay's.
     """
 
     name: str
@@ -80,7 +78,6 @@ class Fixture:
     membership: Mapping[str, bool]
     witness: AbstractExecution | None = None
     schedule: Schedule | None = None
-    server_order: tuple[str, ...] | None = None
     description: str = ""
 
 
@@ -201,13 +198,12 @@ def _store_buffering_prefix() -> Schedule:
 def _golden(name: str, alias: str, prefix: Schedule, membership: Mapping[str, bool],
             description: str) -> Fixture:
     """The fixture its golden schedule defines: the schedule is ``prefix``
-    followed by the ``flush_suffix`` of the world it reaches, and history,
-    witness and server order are those of the schedule's replay."""
+    followed by the ``flush_suffix`` of the world it reaches, and history
+    and witness are those of the schedule's replay."""
     tail = flush_suffix(run_schedule(prefix, SEQUENCE).world)
     schedule = Schedule(prefix.steps + tuple(tail))
     x = extract_execution(run_schedule(schedule, SEQUENCE))
-    return Fixture(name, alias, x.history, membership, x, schedule, x.ar.sequence,
-                   description)
+    return Fixture(name, alias, x.history, membership, x, schedule, description)
 
 
 def _handoff_witness(h: History) -> AbstractExecution:

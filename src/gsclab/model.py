@@ -50,9 +50,6 @@ class Op(NamedTuple):
     kind: str
     value: int | None = None
 
-    def __str__(self) -> str:
-        return self.kind if self.value is None else f"{self.kind}({self.value})"
-
 
 @dataclass(frozen=True)
 class Event:
@@ -354,13 +351,8 @@ def refenced(h: History, fences_of: Callable[[Event], Iterable[str]],
     return out
 
 
-def set_all_fences(h: History, fences: Iterable[str]) -> History:
-    fen = frozenset(fences)
-    return refenced(h, lambda e: fen)
-
-
 def erase_fences(h: History) -> History:
-    return set_all_fences(h, ())
+    return apply_fence_preset(h, "gsp")
 
 
 def is_well_fenced(h: History) -> tuple[bool, tuple[str, str] | None]:
@@ -434,19 +426,29 @@ def _preset(model: str, semantics) -> Callable[[Event], frozenset[str]] | None:
     if update == read_only:
         return lambda e: update
     if semantics is None or semantics.classify is None:
-        raise ValueError(f"{m} preset needs semantics with a classifier")
+        raise HistoryError(f"{m} preset needs semantics with a classifier")
     return lambda e: update if semantics.is_update(e.op) else read_only
 
 
-def check_fence_preset(h: History, model: str, semantics=None) -> bool:
-    """Whether every event carries the fences its model preset mandates.
+def fence_preset_violation(h: History, model: str, semantics=None) -> str | None:
+    """Why h does not keep the model's fence preset, or None when it does.
 
     An empty preset entry (gsp) demands exactly no fences; the others
-    demand at least the tabled fences.  gsc demands nothing.
+    demand at least the tabled fences.  gsc demands nothing.  The message
+    names the model, the first event in history order that breaks the
+    preset, and the fences that event lacks or that it must carry none.
     """
-    fences_of = _preset(model, semantics)
-    return fences_of is None or all(
-        need <= e.fences if (need := fences_of(e)) else not e.fences for e in h.events)
+    m = normalize_model(model)
+    fences_of = _preset(m, semantics)
+    if fences_of is None:
+        return None
+    for e in h.events:
+        need = fences_of(e)
+        if need <= e.fences if need else not e.fences:
+            continue
+        wrong = f"lacks {', '.join(sorted(need - e.fences))}" if need else "must carry no fences"
+        return f"fence preset violated: under {m}, event {e.id} {wrong}"
+    return None
 
 
 def apply_fence_preset(h: History, model: str, semantics=None) -> History:

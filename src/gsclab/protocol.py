@@ -70,6 +70,7 @@ from .relations import Relation, TotalOrder
 from .semantics import ObjectSemantics
 
 Entry = tuple[str, str, Op]  # (event id, object, operation)
+DEFAULT_MAX_STATES = 2_000_000  # explore's state cap
 
 
 class ScheduleError(ValueError):
@@ -630,7 +631,7 @@ class _Walk:
 
 
 def explore(programs: Mapping[str, Program], semantics: ObjectSemantics,
-            max_states: int = 2_000_000) -> Iterator[tuple[History, AbstractExecution]]:
+            max_states: int = DEFAULT_MAX_STATES) -> Iterator[tuple[History, AbstractExecution]]:
     """Depth-first walk of the schedules of the given programs in which
     each client pushes and pulls only between its events, deduplicated by
     reachable state.  Each terminal state is driven to quiescence by a

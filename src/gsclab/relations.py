@@ -162,9 +162,6 @@ class Relation:
 
     # -- views -------------------------------------------------------------
 
-    def successors(self, a: str) -> frozenset[str]:
-        return frozenset(b for x, b in self.pairs if x == a)
-
     def predecessors(self, b: str) -> frozenset[str]:
         return frozenset(a for a, x in self.pairs if x == b)
 

@@ -203,6 +203,19 @@ def test_minimal_visibility_includes_seed(sem):
     assert ("e1", "f2") in vis.pairs
 
 
+def test_minimal_visibility_with_a_conflicting_seed():
+    # r is arbitrated before a, so the seed (a, r) makes the closure
+    # reflexive: there is no least visibility, and the relation returned
+    # is the pairs derived before the conflict.
+    h = make_history([Event("a", "A", "x", Op("append", 1), None),
+                      Event("r", "B", "x", Op("read"), (1,))],
+                     {"A": ["a"], "B": ["r"]}, Relation(frozenset("ar"), frozenset()))
+    vis, closure = minimal_visibility(h, TotalOrder(("r", "a")),
+                                      Relation.from_pairs(h.ids, [("a", "r")]))
+    assert closure.conflicted
+    assert vis.pairs == frozenset(closure.why) == {("a", "r")}
+
+
 # -- membership: frozen verdict table ----------------------------------------------
 
 VERDICTS = {

@@ -1,8 +1,10 @@
 """End-to-end command-line tests: every subcommand, every exit-code class,
 and determinism of the enumeration output."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import pathlib
 import random
@@ -12,21 +14,30 @@ import pytest
 from gsclab import (
     AbstractExecution,
     Event,
+    HistoryError,
     Op,
     Relation,
     TotalOrder,
     check_axioms,
+    check_lin,
+    check_osc,
     extract_execution,
     extract_history,
+    fence_preset_violation,
     fixture,
     is_gsc,
+    lin_from_osc_execution,
     make_history,
+    osc_execution_from_lin,
     project,
     run_to_quiescence,
+    to_dual_tso,
+    to_tso,
 )
 from gsclab import cli, synthesis
 from gsclab.axioms import DEFAULT_MAX_EVENTS
 from gsclab.cli import main
+from gsclab.derived import Linearization
 from gsclab.generators import random_well_fenced_run
 from gsclab.serialization import (
     doc_to_execution,
@@ -75,6 +86,45 @@ def test_check_fence_preset_guard(capsys):
     assert main(["check", fixture_path("fig3a"), "--model", "tso"]) == 2
     err = capsys.readouterr().err
     assert "fence preset violated" in err and "--apply-preset" in err
+
+
+def _raised(refuse):
+    def refusal(name, sem):
+        with pytest.raises(HistoryError) as err:
+            refuse(fixture(name).witness, sem)
+        return str(err.value)
+    return refusal
+
+
+def _check_refused(model):
+    def refusal(name, sem):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["check", fixture_path(name), "--model", model]) == 2
+        assert err.getvalue().endswith(" (pass --apply-preset to rewrite them)\n")
+        return err.getvalue()
+    return refusal
+
+
+# refusal site -> (fixture, model, the site's refusal text for that fixture)
+PRESET_REFUSALS = {
+    "check_lin": ("fig3a", "lin", _raised(lambda x, sem: check_lin(x.history, sem))),
+    "check_osc": ("fig3a", "osc", _raised(lambda x, sem: check_osc(x.history, sem))),
+    "lin_from_osc_execution": ("fig3a", "osc", _raised(lin_from_osc_execution)),
+    "osc_execution_from_lin": ("fig3a", "osc", _raised(
+        lambda x, sem: osc_execution_from_lin(Linearization(x.history, x.ar), sem))),
+    "to_tso": ("fig5", "gsp", _raised(to_tso)),
+    "to_dual_tso": ("fig5", "gsp", _raised(to_dual_tso)),
+    **{f"check --model {m}": ("fig5" if m == "gsp" else "fig3a", m, _check_refused(m))
+       for m in ("gsp", "tso", "dual-tso", "osc", "lin")},
+}
+
+
+@pytest.mark.parametrize("site", sorted(PRESET_REFUSALS))
+def test_every_preset_refusal_states_the_violation(sem, site):
+    name, model, refusal = PRESET_REFUSALS[site]
+    violation = fence_preset_violation(fixture(name).history, model, sem)
+    assert violation is not None and violation in refusal(name, sem)
 
 
 def test_check_preset_verdicts(capsys):

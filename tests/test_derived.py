@@ -53,18 +53,18 @@ def explains_by_prefixes(h, lin, sem) -> bool:
 
 
 def test_check_lin_requires_full_fences(sem):
-    with pytest.raises(HistoryError, match="must both push and pull"):
+    with pytest.raises(HistoryError, match="under lin, event e1 lacks pull, push"):
         check_lin(fixture("fig3a").history, sem)
 
 
 def test_check_osc_requires_pushes(sem):
-    with pytest.raises(HistoryError, match="must push"):
+    with pytest.raises(HistoryError, match="under osc, event e1 lacks pull, push"):
         check_osc(fixture("fig3a").history, sem)
 
 
 def test_check_osc_requires_update_pulls(sem):
     h = apply_fence_preset(fixture("fig3a").history, "dual_tso", sem)
-    with pytest.raises(HistoryError, match="update event .* must pull"):
+    with pytest.raises(HistoryError, match="under osc, event e1 lacks pull$"):
         check_osc(h, sem)
 
 
@@ -72,7 +72,7 @@ def test_check_osc_requires_classifier(sem):
     import dataclasses
     h = apply_fence_preset(fenced_chain(), "lin", sem)
     no_classes = dataclasses.replace(sem, classify=None)
-    with pytest.raises(HistoryError, match="cannot classify"):
+    with pytest.raises(HistoryError, match="osc preset needs semantics with a classifier"):
         check_osc(h, no_classes)
 
 

@@ -21,22 +21,21 @@ from gsclab import (
     TotalOrder,
     apply_fence_preset,
     check_axioms,
-    check_fence_preset,
     erase_fences,
+    fence_preset_violation,
     get_semantics,
     is_well_fenced,
     make_history,
     project,
     rt_from_intervals,
-    set_all_fences,
     validate_history,
 )
 from gsclab import model
-from gsclab.fixtures import FIXTURE_NAMES, fixture
+from gsclab.fixtures import FIXTURE_NAMES, all_fixtures, fixture
 from gsclab.generators import FENCE_CHOICES, random_well_fenced_run
 from gsclab.model import MODELS
 
-from helpers import well_fenced_reference
+from helpers import random_history, well_fenced_reference
 
 SEM = get_semantics("sequence")
 
@@ -150,7 +149,7 @@ def test_project_restricts_everything():
 
 def test_fence_helpers():
     h = two_client_history()
-    hp = set_all_fences(h, {PUSH})
+    hp = apply_fence_preset(h, "dual_tso")
     assert all(e.fences == frozenset({PUSH}) for e in hp.events)
     assert hp.pushers() == h.ids and not hp.pullers()
     assert erase_fences(hp) == h
@@ -159,9 +158,9 @@ def test_fence_helpers():
 
 def test_fence_presets_table():
     h = two_client_history()
-    assert check_fence_preset(h, "gsc", SEM)
-    assert check_fence_preset(h, "gsp", SEM)
-    assert not check_fence_preset(h, "tso", SEM)
+    assert fence_preset_violation(h, "gsc", SEM) is None
+    assert fence_preset_violation(h, "gsp", SEM) is None
+    assert fence_preset_violation(h, "tso", SEM) is not None
     tso = apply_fence_preset(h, "tso", SEM)
     assert all(e.fences == frozenset({PULL}) for e in tso.events)
     dual = apply_fence_preset(h, "dual-tso", SEM)
@@ -171,15 +170,32 @@ def test_fence_presets_table():
     osc = apply_fence_preset(h, "osc", SEM)
     assert osc.by_id["e1"].fences == frozenset({PUSH, PULL})
     assert osc.by_id["e2"].fences == frozenset({PUSH})
-    assert not check_fence_preset(tso, "gsp", SEM)
-    assert check_fence_preset(lin, "tso", SEM)
+    assert fence_preset_violation(tso, "gsp", SEM) is not None
+    assert fence_preset_violation(lin, "tso", SEM) is None
     assert apply_fence_preset(h, "gsc", SEM) is h
     assert apply_fence_preset(h, "GSP") == erase_fences(h)
-    for preset in (check_fence_preset, apply_fence_preset):
+    for preset in (fence_preset_violation, apply_fence_preset):
         with pytest.raises(ValueError, match="^osc preset needs semantics with a classifier$"):
             preset(h, "osc")
         with pytest.raises(ValueError, match="unknown model 'sc'"):
             preset(h, "sc", SEM)
+
+
+def test_applied_preset_is_kept():
+    rng = random.Random(31)
+    histories = [f.history for f in all_fixtures()] + [random_history(rng) for _ in range(40)]
+    for h in histories:
+        for m in MODELS:
+            assert fence_preset_violation(apply_fence_preset(h, m, SEM), m, SEM) is None
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Event("e", "A", "x", Op("read"), (), frozenset({"sync"})), "unknown fences"),
+    (lambda: Interval(2, 2), r"start < end, got \[2, 2\]"),
+], ids=["event-fence", "empty-interval"])
+def test_malformed_parts_are_refused(build, match):
+    with pytest.raises(HistoryError, match=match):
+        build()
 
 
 def one_session_chain(events):

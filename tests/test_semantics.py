@@ -31,6 +31,13 @@ def test_register_eval():
     assert REGISTER.classify(Op("write", 1)) == "update"
 
 
+@pytest.mark.parametrize("use", [lambda op: REGISTER.eval((), op), REGISTER.classify],
+                         ids=["eval", "classify"])
+def test_register_refuses_unknown_ops(use):
+    with pytest.raises(ValueError, match="^register does not implement 'increment'$"):
+        use(Op("increment"))
+
+
 def test_registry():
     assert set(SEMANTICS) == {"sequence", "register"}
     assert get_semantics("sequence") is SEQUENCE
