@@ -147,7 +147,7 @@ def cmd_synthesize(args) -> int:
     sched = synthesize_schedule(x, semantics)
     out = args.out or str(pathlib.Path(args.execution).with_suffix("")) + ".schedule.json"
     _write(out, dumps(schedule_to_doc(sched)))
-    print(f"schedule with {len(sched.steps)} steps; replay verified "
+    print(f"schedule with {len(sched)} steps; replay verified "
           f"(history, visibility, arbitration all reproduced)")
     print(f"wrote {out}")
     return 0
@@ -156,7 +156,7 @@ def cmd_synthesize(args) -> int:
 def cmd_compose(args) -> int:
     h, sem_name = _load_history(args.history, args)
     semantics = get_semantics(sem_name)
-    per_object = {}
+    per_object, sources = {}, {}
     for path in args.witnesses:
         w, _ = doc_to_execution(_read(path))
         objs = w.history.objects()
@@ -164,7 +164,10 @@ def cmd_compose(args) -> int:
             raise HistoryError(
                 f"{path}: witness must cover exactly one object, has {objs}"
             )
-        per_object[objs[0]] = w
+        if objs[0] in sources:
+            raise HistoryError(
+                f"{sources[objs[0]]} and {path} are both witnesses for object {objs[0]!r}")
+        per_object[objs[0]], sources[objs[0]] = w, path
     x = compose(PerObjectWitnesses(h, per_object), semantics)
     out = args.out or str(pathlib.Path(args.history).with_suffix("")) + ".composed.json"
     _write(out, dumps(execution_to_doc(x, semantics.name)))

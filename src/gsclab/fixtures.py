@@ -19,14 +19,16 @@ long_fork, unfenced_handoff) resolve to the same fixtures.
 
 fig3a, fig3b and fig3c are defined by their golden schedules, each a
 prefix and its ``flush_suffix``: the history and the witness execution
-of each are those of the schedule's replay through the log protocol (sequence semantics), so the protocol produces each of them
-by construction.  fig3d and fig5 are
-stated as interval histories, fig5 with a hand-written witness.
+of each are those of the schedule's replay through the log protocol
+(sequence semantics), so the protocol produces each of them by
+construction.  fig3d and fig5 are stated as interval histories, fig5
+with a hand-written witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .model import (
@@ -137,7 +139,7 @@ def _unfenced_handoff_history() -> History:
 
 
 def _stale_read_prefix() -> Schedule:
-    return Schedule((
+    return (
         call("A", "x", _append(1), id="e1"),
         call("B", "x", _append(2), id="f1"),
         body("A"),
@@ -154,11 +156,11 @@ def _stale_read_prefix() -> Schedule:
         call("B", "x", _READ, id="f2"),
         body("B"),
         ret("B"),
-    ))
+    )
 
 
 def _reordered_appends_prefix() -> Schedule:
-    return Schedule((
+    return (
         call("A", "x", _append(1), id="e1"),
         body("A"),
         ret("A"),
@@ -172,11 +174,11 @@ def _reordered_appends_prefix() -> Schedule:
         call("B", "x", _READ, id="f2"),
         body("B"),
         ret("B"),
-    ))
+    )
 
 
 def _store_buffering_prefix() -> Schedule:
-    return Schedule((
+    return (
         call("A", "x", _append(1), id="e1"),
         call("B", "y", _append(1), id="f1"),
         body("A"),
@@ -189,7 +191,7 @@ def _store_buffering_prefix() -> Schedule:
         body("B"),
         ret("A"),
         ret("B"),
-    ))
+    )
 
 
 # --- assembly --------------------------------------------------------------
@@ -201,7 +203,7 @@ def _golden(name: str, alias: str, prefix: Schedule, membership: Mapping[str, bo
     followed by the ``flush_suffix`` of the world it reaches, and history
     and witness are those of the schedule's replay."""
     tail = flush_suffix(run_schedule(prefix, SEQUENCE).world)
-    schedule = Schedule(prefix.steps + tuple(tail))
+    schedule = prefix + tuple(tail)
     x = extract_execution(run_schedule(schedule, SEQUENCE))
     return Fixture(name, alias, x.history, membership, x, schedule, description)
 
@@ -212,6 +214,7 @@ def _handoff_witness(h: History) -> AbstractExecution:
     return AbstractExecution(h, vis, ar)
 
 
+@cache
 def _build() -> dict[str, Fixture]:
     out: dict[str, Fixture] = {}
     out["fig3a"] = _golden(
@@ -266,20 +269,10 @@ def _build() -> dict[str, Fixture]:
     return out
 
 
-_REGISTRY: dict[str, Fixture] | None = None
-
-
-def _registry() -> dict[str, Fixture]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build()
-    return _REGISTRY
-
-
 def fixture(name: str) -> Fixture:
     """Look up a fixture by canonical name or behavioural alias."""
     key = ALIASES.get(name, name)
-    reg = _registry()
+    reg = _build()
     if key not in reg:
         known = ", ".join(list(FIXTURE_NAMES) + sorted(ALIASES))
         raise KeyError(f"unknown fixture {name!r}; known: {known}")
@@ -287,4 +280,4 @@ def fixture(name: str) -> Fixture:
 
 
 def all_fixtures() -> tuple[Fixture, ...]:
-    return tuple(_registry()[n] for n in FIXTURE_NAMES)
+    return tuple(_build()[n] for n in FIXTURE_NAMES)

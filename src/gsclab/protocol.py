@@ -9,7 +9,7 @@ restricted to the operation's object, then appends a fresh entry to pending.
 A push fence flushes pending inside the execution; a pull fence first runs
 pulls until known covers the whole server log.
 
-Schedules are explicit token sequences: call/body/ret triples per event and
+Schedules are plain tuples of tokens: call/body/ret triples per event and
 push/pull transitions per client.  A client may push or pull at any point,
 also between an event's call and return.  ``step`` alone judges each token:
 a malformed call, a phase out of order and a disabled transition are all
@@ -22,16 +22,19 @@ are folded into its next call, which may pull any number of unseen server
 entries first.
 
 ``run_schedule`` and the random walk of ``generators`` fold tokens into
-one run type, ``Run(world, events, rt)``: each ``ret`` adds an
-``EventRecord`` and each ``call`` adds its returned-before pairs, and one
-builder (``_history``, ``_execution``) turns the records into a history
-and an execution.  Each run is flushed once, at its end, with the pushes
-of ``flush_suffix`` made on the world itself (``_flushed``; ``_quiesce``
-adds the pulls).  The token-level types (``Token``, ``Frame``,
-``ClientState``, ``World``, ``EventRecord`` and ``Run``) are named tuples.
-A ``World`` is the server log, the sorted client names (one tuple shared
-by a whole run) and the client states by position: ``step`` finds its
-client with ``names.index`` and replaces one slot of ``states``.
+one run type, ``Run(world, events, rt)``: each ``call`` opens an
+``EventRecord`` on its client and adds its returned-before pairs, its
+``body`` fills in the record's return value and view, its ``ret`` hands
+the record to the run, and one builder (``_history``, ``_execution``)
+turns the records into a history and an execution.  Each run is flushed
+once, at its end, with the pushes of ``flush_suffix`` made on the world
+itself (``_flushed``; ``_quiesce`` adds the pulls); ``_round_robin``
+alone states the flush order.  The token-level types (``Token``,
+``ClientState``, ``World``, ``EventRecord`` and ``Run``) are named
+tuples.  A ``World`` is the server log, the sorted client names (one
+tuple shared by a whole run) and the client states by position: ``step``
+finds its client with ``names.index`` and replaces one slot of
+``states``.
 
 ``explore`` keeps none of those types in its states.  It numbers the
 events of its programs and walks compact states (``_Walk``): exact tuples
@@ -50,9 +53,8 @@ reference ``explore`` is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     FENCE_KINDS,
@@ -121,35 +123,32 @@ def pull(client: str) -> Token:
     return Token("pull", client)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    steps: tuple[Token, ...]
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
+Schedule = tuple[Token, ...]
 
 
 # -- world state -------------------------------------------------------------
 
 
-class Frame(NamedTuple):
-    event_id: str
+class EventRecord(NamedTuple):
+    """An event of a run: what its body evaluated and saw, and ``index``, its
+    position in its client's session.  A client's open event is its record,
+    with ``view`` None until its body runs."""
+
+    id: str
+    client: str
     obj: str
     op: Op
     fences: frozenset[str]
-    done: bool = False
-    rval: Rval = None
-    view: frozenset[str] = frozenset()
+    rval: Rval
+    view: frozenset[str] | None
+    index: int
 
 
 class ClientState(NamedTuple):
     known_len: int = 0
     unacked: tuple[Entry, ...] = ()
     pending: tuple[Entry, ...] = ()
-    frame: Frame | None = None
+    frame: EventRecord | None = None
     next_index: int = 0
 
 
@@ -198,20 +197,6 @@ def _pulled(server: tuple[Entry, ...], st: ClientState) -> ClientState:
     return ClientState(st.known_len + 1, unacked, st.pending, st.frame, st.next_index)
 
 
-class EventRecord(NamedTuple):
-    """A returned event: what its body evaluated and saw, and ``index``, its
-    position in its client's session."""
-
-    id: str
-    client: str
-    obj: str
-    op: Op
-    fences: frozenset[str]
-    rval: Rval
-    view: frozenset[str]
-    index: int
-
-
 def _body(server: tuple[Entry, ...], st: ClientState, semantics: ObjectSemantics
           ) -> tuple[tuple[Entry, ...], ClientState]:
     fr = st.frame
@@ -222,9 +207,10 @@ def _body(server: tuple[Entry, ...], st: ClientState, semantics: ObjectSemantics
     view = frozenset(eid for eid, _, _ in logs)
     context = tuple(op for _, obj, op in logs if obj == fr.obj)
     rval = semantics.eval(context, fr.op)
-    entry: Entry = (fr.event_id, fr.obj, fr.op)
+    entry: Entry = (fr.id, fr.obj, fr.op)
     st = ClientState(st.known_len, st.unacked, st.pending + (entry,),
-                     Frame(fr.event_id, fr.obj, fr.op, fr.fences, True, rval, view),
+                     EventRecord(fr.id, fr.client, fr.obj, fr.op, fr.fences, rval, view,
+                                 fr.index),
                      st.next_index)
     if PUSH in fr.fences:
         while st.pending:
@@ -237,17 +223,10 @@ def _check_fences(client: str, fences: frozenset[str]) -> None:
         raise ScheduleError(f"call({client}) with unknown fences {sorted(fences - FENCE_KINDS)}")
 
 
-def _called(st: ClientState, event_id: str, obj: str, op: Op, fences: frozenset[str]
-            ) -> ClientState:
-    return ClientState(st.known_len, st.unacked, st.pending,
-                       Frame(event_id, obj, op, fences), st.next_index + 1)
-
-
-def _returned(st: ClientState, client: str) -> tuple[ClientState, EventRecord]:
-    fr = st.frame
-    record = EventRecord(fr.event_id, client, fr.obj, fr.op, fr.fences, fr.rval, fr.view,
-                         st.next_index - 1)
-    return ClientState(st.known_len, st.unacked, st.pending, None, st.next_index), record
+def _called(st: ClientState, client: str, event_id: str, token: Token) -> ClientState:
+    fr = EventRecord(event_id, client, token.obj, token.op, token.fences, None, None,
+                     st.next_index)
+    return ClientState(st.known_len, st.unacked, st.pending, fr, st.next_index + 1)
 
 
 def step(world: World, token: Token, semantics: ObjectSemantics
@@ -275,7 +254,7 @@ def step(world: World, token: Token, semantics: ObjectSemantics
             raise ScheduleError(f"pull({c}) not enabled: known equals server log")
         return _with(world, server, i, _pulled(server, st)), None
     if kind == "body":
-        if st.frame is None or st.frame.done:
+        if st.frame is None or st.frame.view is not None:
             raise ScheduleError(f"body({c}) without a pending call")
         server, st = _body(server, st, semantics)
         return _with(world, server, i, st), None
@@ -286,13 +265,13 @@ def step(world: World, token: Token, semantics: ObjectSemantics
             raise ScheduleError("call without obj/op")
         _check_fences(c, token.fences)
         event_id = token.id if token.id is not None else f"{c}:{st.next_index}"
-        st = _called(st, event_id, token.obj, token.op, token.fences)
+        st = _called(st, c, event_id, token)
         return _with(world, server, i, st), None
     if kind == "ret":
-        if st.frame is None or not st.frame.done:
+        if st.frame is None or st.frame.view is None:
             raise ScheduleError(f"ret({c}) without an evaluated body")
-        st, record = _returned(st, c)
-        return _with(world, server, i, st), record
+        cleared = ClientState(st.known_len, st.unacked, st.pending, None, st.next_index)
+        return _with(world, server, i, cleared), st.frame
     raise ScheduleError(f"unknown token kind {kind!r}")
 
 
@@ -312,7 +291,7 @@ def _apply(run: Run, token: Token, semantics: ObjectSemantics) -> Run:
     world, record = step(run.world, token, semantics)
     events, rt = run.events, run.rt
     if token.kind == "call":
-        new_id = world.client(token.client).frame.event_id
+        new_id = world.client(token.client).frame.id
         rt = rt | frozenset((r.id, new_id) for r in events)
     elif record is not None:
         # Ids are unique, so the records sort by id alone.
@@ -353,7 +332,7 @@ def run_schedule(schedule: Schedule, semantics: ObjectSemantics) -> Run:
         except ScheduleError as exc:
             raise ScheduleError(f"step {i}: {exc}") from None
         if token.kind == "call":
-            eid = run.world.client(token.client).frame.event_id
+            eid = run.world.client(token.client).frame.id
             if eid in ids:
                 kind = "explicit event id" if token.id is not None else "event id"
                 raise ScheduleError(f"step {i}: duplicate {kind} {eid}")
@@ -376,26 +355,28 @@ def extract_execution(run: Run) -> AbstractExecution:
     return _execution(extract_history(run), run.events, run.world.server)
 
 
+def _round_robin(queues: list[Sequence]) -> list:
+    """The flush order: one item from each queue in turn, FIFO within each
+    queue.  A flush pushes the clients' pending entries in this order, the
+    queues being the clients by position."""
+    return [q[k] for k in range(max(map(len, queues), default=0)) for q in queues
+            if k < len(q)]
+
+
 def flush_suffix(world: World) -> list[Token]:
-    """Tokens that drive a world to quiescence: round-robin pushes over the
-    sorted clients (FIFO within each), then pulls client by client."""
-    pending = [len(st.pending) for st in world.states]
-    out = [push(c) for k in range(max(pending, default=0))
-           for c, n in zip(world.names, pending) if k < n]
-    total = len(world.server) + sum(pending)
+    """Tokens that drive a world to quiescence: the pushes of the pending
+    entries in flush order, then pulls client by client."""
+    out = _round_robin([[push(c)] * len(st.pending)
+                        for c, st in zip(world.names, world.states)])
+    total = len(world.server) + len(out)
     for c, st in zip(world.names, world.states):
         out.extend([pull(c)] * (total - st.known_len))
     return out
 
 
 def _flushed(world: World) -> tuple[Entry, ...]:
-    """The server log after the pushes of ``flush_suffix``: pending entries
-    appended round-robin over the clients by position, FIFO within each."""
-    pending = [st.pending for st in world.states]
-    server = list(world.server)
-    for k in range(max(map(len, pending), default=0)):
-        server.extend(p[k] for p in pending if k < len(p))
-    return tuple(server)
+    """The server log after the pushes of ``flush_suffix``."""
+    return world.server + tuple(_round_robin([st.pending for st in world.states]))
 
 
 def _quiesce(run: Run) -> Run:
@@ -447,7 +428,7 @@ def _moves(world: World, programs: Mapping[str, Program]) -> list[Token]:
     out: list[Token] = []
     for c, st in zip(world.names, world.states):
         if st.frame is not None:
-            out.append(body(c) if not st.frame.done else ret(c))
+            out.append(body(c) if st.frame.view is None else ret(c))
             continue
         if st.next_index < len(programs[c]):
             obj, op, fences = programs[c][st.next_index]
@@ -587,19 +568,15 @@ class _Walk:
 
     def flushed(self, state: tuple) -> tuple:
         """A terminal state's key: the server log after the pushes of
-        ``flush_suffix`` (each client's pending entries, round-robin over
-        the clients by position, FIFO within each), the bodies and the
-        rts masks.  With nothing pending the server log is already the
-        flushed one, and keys the terminal as it is."""
+        ``flush_suffix`` (each client's pending entries in flush order),
+        the bodies and the rts masks.  With nothing pending the server log
+        is already the flushed one, and keys the terminal as it is."""
         server, clients, bodies, rts, _ = state
         if all(pushed == called for _, pushed, called, _ in clients):
             return server, bodies, rts
         pending = [range(first + pushed, first + called)
                    for first, (_, pushed, called, _) in zip(self.offsets, clients)]
-        log = list(server)
-        for k in range(max(map(len, pending), default=0)):
-            log.extend(p[k] for p in pending if k < len(p))
-        return tuple(log), bodies, rts
+        return server + tuple(_round_robin(pending)), bodies, rts
 
     def pair(self, key: tuple, histories: dict[tuple, History]
              ) -> tuple[History, AbstractExecution]:

@@ -212,7 +212,7 @@ def doc_to_execution(doc: Any) -> tuple[AbstractExecution, str]:
 
 def schedule_to_doc(s: Schedule) -> dict:
     steps = []
-    for t in s.steps:
+    for t in s:
         if t.kind == "call":
             step: dict[str, Any] = {
                 "kind": "call",
@@ -266,7 +266,7 @@ def doc_to_schedule(doc: Any) -> Schedule:
             tokens.append(_TOKENS[kind](sdoc["client"]))
         else:
             raise ScheduleError(f"{where}: unknown kind {kind!r}")
-    return Schedule(tuple(tokens))
+    return tuple(tokens)
 
 
 def dumps(doc: dict) -> str:

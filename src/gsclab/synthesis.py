@@ -34,7 +34,7 @@ from .axioms import check_axioms
 from .model import PULL, PUSH, AbstractExecution, HistoryError
 from .protocol import Schedule, Token, body, call, pull, push, ret
 from .protocol import extract_execution, run_schedule
-from .relations import CycleError, Relation, TotalOrder, extend_to_total, least_order
+from .relations import Relation, TotalOrder, extend_to_total, least_order
 from .semantics import ObjectSemantics
 
 
@@ -77,8 +77,8 @@ def scheduling_precedence(x: AbstractExecution) -> Relation:
 def body_order(x: AbstractExecution, prec: Relation | None = None) -> TotalOrder:
     """A total order on executions extending real-time order, visibility,
     arbitration into pushing events, and the scheduling precedence.  The
-    union is acyclic for every execution satisfying the axioms; a cycle
-    means the witness is invalid."""
+    union is acyclic for every execution satisfying the axioms; on a cycle,
+    which means the witness is invalid, it raises CycleError."""
     h = x.history
     lt = scheduling_precedence(x) if prec is None else prec
     pushers = h.pushers()
@@ -86,13 +86,7 @@ def body_order(x: AbstractExecution, prec: Relation | None = None) -> TotalOrder
         h.ids,
         frozenset(p for p in x.ar.as_relation().pairs if p[1] in pushers),
     )
-    q_rel = h.rt | x.vis | ar_push | lt
-    try:
-        return extend_to_total(q_rel)
-    except CycleError as err:
-        raise AssertionError(
-            f"scheduling constraints cyclic; the witness is invalid: {err}"
-        ) from err
+    return extend_to_total(h.rt | x.vis | ar_push | lt)
 
 
 # A token-graph node is (kind, position, client): the event's arbitration
@@ -192,7 +186,7 @@ def synthesize_schedule(x: AbstractExecution, semantics: ObjectSemantics) -> Sch
             on_server = k + 1
         else:
             tokens.append(ret(c))
-    sched = Schedule(tuple(tokens))
+    sched = tuple(tokens)
 
     got_x = extract_execution(run_schedule(sched, semantics))
     if got_x.history.canonical() != h.canonical():

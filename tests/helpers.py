@@ -374,7 +374,7 @@ def call_fits(tables, event_id, rt, events):
 
 def body_fits(tables, fr):
     rvals = tables[0]
-    return fr.event_id in rvals and fr.rval == rvals[fr.event_id]
+    return fr.id in rvals and fr.rval == rvals[fr.id]
 
 
 def search_runs(target: History, semantics, done, keep=None, moves=protocol._moves):
@@ -399,7 +399,7 @@ def search_runs(target: History, semantics, done, keep=None, moves=protocol._mov
             if keep is not None and not keep(nxt, token):
                 continue
             fr = nxt.world.client(token.client).frame
-            if token.kind == "call" and not call_fits(tables, fr.event_id, nxt.rt, nxt.events):
+            if token.kind == "call" and not call_fits(tables, fr.id, nxt.rt, nxt.events):
                 continue
             if token.kind == "body" and not body_fits(tables, fr):
                 continue

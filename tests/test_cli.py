@@ -8,6 +8,8 @@ import io
 import json
 import pathlib
 import random
+import runpy
+import sys
 
 import pytest
 
@@ -266,6 +268,20 @@ def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", spy)
     assert main(["check", fixture_path("fig3a")]) == 0
     assert built == [["check"]]
+
+
+def test_module_entry_runs_main_on_the_command_line(monkeypatch, capsys):
+    # ``python -m gsclab.cli --help``, run in this process: the module runs
+    # afresh as __main__ and exits with main's outcome.
+    with pytest.raises(SystemExit) as direct:
+        main(["--help"])
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["gsclab", "--help"])
+    monkeypatch.delitem(sys.modules, "gsclab.cli")
+    with pytest.raises(SystemExit) as entry:
+        runpy.run_module("gsclab.cli", run_name="__main__")
+    assert entry.value.code == direct.value.code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_event_cap_defaults_to_the_search_cap():
@@ -703,6 +719,18 @@ def test_compose_refuses_a_two_object_witness(tmp_path, capsys):
                "-o", str(tmp_path / "c.json")])
     assert rc == 2
     assert "witness must cover exactly one object" in capsys.readouterr().err
+
+
+def test_compose_refuses_a_second_witness_for_an_object(tmp_path, capsys):
+    first = str(FIXDIR / "fig3a-witness.json")
+    second = tmp_path / "again.json"
+    second.write_text(pathlib.Path(first).read_text())
+    out = tmp_path / "c.json"
+    rc = main(["compose", fixture_path("fig3a"), first, str(second), "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {first} and {second} are both witnesses for object 'x'\n")
+    assert not out.exists()
 
 
 def _mutated(rng, doc, values):

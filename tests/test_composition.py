@@ -96,14 +96,6 @@ def test_union_relations_long_fork():
                          ("b", "d1"), ("b", "c2"), ("d1", "c2")}
 
 
-def test_union_relations_rejects_wrong_events():
-    h = fixture("fig3d").history
-    per = dict(fig3d_projection_executions())
-    per["x"], per["y"] = per["y"], per["x"]
-    with pytest.raises(HistoryError, match="covers events"):
-        union_relations(PerObjectWitnesses(h, per))
-
-
 def test_precedence_on_handoff():
     # The pull-fenced read g forces anything e that reaches an invisible
     # same-object peer through a real-time edge into a puller to precede

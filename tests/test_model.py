@@ -198,6 +198,13 @@ def test_malformed_parts_are_refused(build, match):
         build()
 
 
+def test_a_list_return_value_is_stored_as_its_tuple():
+    listed = Event("e", "A", "x", Op("read"), [1, 2])
+    tupled = Event("e", "A", "x", Op("read"), (1, 2))
+    assert listed.rval == (1, 2)
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
 def one_session_chain(events):
     """events appends by one client, each returning before the next."""
     evs = [Event(f"A:{i}", "A", "x", Op("append", i), None) for i in range(events)]

@@ -506,7 +506,7 @@ def test_explore_matches_unreduced_walk(sem, name):
     assert reduced == unreduced
 
 
-@pytest.mark.parametrize("cls", [Op, Token, protocol.Frame, protocol.ClientState, World,
+@pytest.mark.parametrize("cls", [Op, Token, protocol.ClientState, World,
                                  protocol.EventRecord, protocol.Run])
 def test_explored_state_types_hash_in_c(cls):
     # ``explore`` no longer hashes these: its states are plain tuples (see

@@ -3,7 +3,7 @@
 import pytest
 
 from gsclab import Op, get_semantics
-from gsclab.semantics import REGISTER, SEMANTICS, SEQUENCE
+from gsclab.semantics import REGISTER, SEMANTICS, SEQUENCE, ObjectSemantics
 
 
 def test_sequence_eval():
@@ -21,6 +21,12 @@ def test_sequence_classify_and_context():
     assert not SEQUENCE.is_update(Op("read"))
     assert SEQUENCE.context_sensitive(Op("read"))
     assert not SEQUENCE.context_sensitive(Op("append", 1))
+
+
+def test_without_a_classifier_every_op_is_an_update():
+    plain = ObjectSemantics("plain", SEQUENCE.eval)
+    assert plain.is_update(Op("append", 1))
+    assert plain.is_update(Op("read"))
 
 
 def test_register_eval():

@@ -147,7 +147,7 @@ def test_pull_race_is_member_but_not_schedulable(sem):
     # it still cannot produce the history (ROADMAP item 1).
     x = pull_race_execution()
     assert is_gsc(x.history, sem).member
-    assert realizes(synthesize_schedule(x, sem).steps, x, sem)
+    assert realizes(synthesize_schedule(x, sem), x, sem)
     assert not producible(x.history, sem)
 
 
@@ -180,7 +180,7 @@ def test_synthesis_pushes_and_pulls_inside_windows(sem):
     x = AbstractExecution(h, Relation.from_pairs(h.ids, [("g", "e")]),
                           TotalOrder(("g", "e")))
     sched = synthesize_schedule(x, sem)
-    assert realizes(sched.steps, x, sem)
+    assert realizes(sched, x, sem)
     pos = event_positions(sched)
     kinds = [(tok.kind, tok.client) for tok in sched]
     assert pos[("call", "g")] < kinds.index(("push", "A")) < pos[("ret", "g")]
@@ -265,7 +265,7 @@ def schedule_oracle(x, sem, moves=protocol._moves):
         if log != ar[:len(log)]:
             return False
         fr = run.world.client(token.client).frame
-        return token.kind != "body" or fr.view == sees[fr.event_id]
+        return token.kind != "body" or fr.view == sees[fr.id]
 
     def done(run, programs):
         return len(run.world.server) == len(ar) and protocol._terminal(run.world, programs)
@@ -329,7 +329,7 @@ def test_completeness_gap_least_witness_has_no_schedule(sem):
     # the idle-only moves of ``explore`` exists (ROADMAP item 1).
     h, _ = completeness_gap_run(sem)
     x = is_gsc(h, sem).witness
-    assert realizes(synthesize_schedule(x, sem).steps, x, sem)
+    assert realizes(synthesize_schedule(x, sem), x, sem)
     assert schedule_oracle(x, sem) is None
 
 
@@ -355,7 +355,7 @@ def test_synthesis_covers_least_witnesses_of_every_arbitration(sem):
         for ar in linear_extensions(_required_ar_seed(h, None)[0]):
             w = AbstractExecution(h, minimal_visibility(h, ar)[0], ar)
             if check_axioms(w, sem).ok:
-                assert realizes(synthesize_schedule(w, sem).steps, w, sem)
+                assert realizes(synthesize_schedule(w, sem), w, sem)
                 witnesses += 1
     assert witnesses == 1409
 
