@@ -72,9 +72,11 @@ so visibility of read-only events never changes an rval.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 from .model import (
     AbstractExecution,
@@ -549,35 +551,17 @@ def minimal_visibility(h: History, ar: TotalOrder,
 # -- decoding forced visibility from return values ----------------------------
 
 
-@dataclass(frozen=True)
-class DecodedConstraints:
-    """Per-observer exact visible-update sets recovered from return values.
-
-    edges: forced update -> observer visibility pairs.
-    exact: observer id -> the exact set of same-object updates it sees.
-    chains: arbitration pairs forced by the order updates appear in an rval.
-    unattainable: observers whose rval no update subset can produce.
-    An observer with several decodings gets no entry; the search branches
-    on its options when it places it.
-    """
-
-    edges: frozenset[tuple[str, str]]
-    exact: tuple[tuple[str, frozenset[str]], ...]
-    chains: frozenset[tuple[str, str]]
-    unattainable: tuple[str, ...]
-
-    def exact_map(self) -> dict[str, frozenset[str]]:
-        return dict(self.exact)
-
-
-def decoded_visibility(h: History, semantics: ObjectSemantics) -> DecodedConstraints | None:
-    """Invert return values into visibility constraints, when the semantics
-    supports it.  None when there is no decoder."""
+def decoded_visibility(h: History, semantics: ObjectSemantics
+                       ) -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]] | None:
+    """What return values fix, or None when the semantics has no decoder:
+    (exact, unattainable).  exact maps each reader whose rval has one
+    decoding to the same-object updates it sees, in rval order; a reader
+    with several decodings gets no entry, and the search branches on its
+    options when it places it.  unattainable lists the readers whose rval no
+    update subset can produce."""
     if semantics.decode_visibility is None:
         return None
-    edges: set[tuple[str, str]] = set()
-    exact: list[tuple[str, frozenset[str]]] = []
-    chains: set[tuple[str, str]] = set()
+    exact: dict[str, tuple[str, ...]] = {}
     unattainable: list[str] = []
     for e in h.events:
         candidates = tuple(
@@ -588,12 +572,14 @@ def decoded_visibility(h: History, semantics: ObjectSemantics) -> DecodedConstra
         if options is not None and not options:
             unattainable.append(e.id)
         elif options is not None and len(options) == 1:
-            (order,) = options
-            exact.append((e.id, frozenset(order)))
-            edges.update((u, e.id) for u in order)
-            chains.update(zip(order, order[1:]))
-    return DecodedConstraints(frozenset(edges), tuple(exact), frozenset(chains),
-                              tuple(unattainable))
+            exact[e.id] = options[0]
+    return exact, tuple(unattainable)
+
+
+def _seen(exact: dict[str, tuple[str, ...]]) -> frozenset[tuple[str, str]]:
+    """The visibility pairs decoding fixed: each decoded update to its
+    reader."""
+    return frozenset((u, obs) for obs, order in exact.items() for u in order)
 
 
 # -- membership ----------------------------------------------------------------
@@ -610,67 +596,51 @@ class MembershipResult:
         return self.member
 
 
-def _find_cycle_text(rel: Relation, labels: dict) -> str:
-    """A short narrative for a cyclic arbitration seed: the first cycle a
-    depth-first search meets, taking nodes and successors in sorted order.
-    ``rel`` must be cyclic, as it is at every caller, so the search finds a
-    cycle.  It keeps its own stack, so a long cycle cannot exhaust Python's."""
-    graph: dict[str, list[str]] = {v: [] for v in rel.domain}
+def _find_cycle_text(rel: Relation, label: Callable[[str, str], str]) -> str:
+    """A short narrative for a cyclic arbitration seed, each step worded by
+    label(a, b).  The cycle is the one graphlib's CycleError names.
+    graphlib documents only that it names *a* cycle; with the nodes added
+    in sorted order and each node's successors in sorted order, CPython's
+    search is a depth-first walk from the least node, on its own stack, and
+    names the first cycle it meets.  ``rel`` must be cyclic, as it is at
+    every caller."""
+    ts = graphlib.TopologicalSorter()
+    for v in sorted(rel.domain):
+        ts.add(v)
     for a, b in sorted(rel.pairs):
-        graph[a].append(b)
-    state: dict[str, int] = {}  # 1 while on the path, 2 once finished
-    cycle = None
-    for root in sorted(graph):
-        if root in state:
-            continue
-        state[root] = 1
-        path, untried = [root], [iter(graph[root])]
-        while untried and cycle is None:
-            for w in untried[-1]:
-                if state.get(w) == 1:
-                    cycle = path[path.index(w):] + [w]
-                    break
-                if w not in state:
-                    state[w] = 1
-                    path.append(w)
-                    untried.append(iter(graph[w]))
-                    break
-            else:
-                state[path.pop()] = 2
-                untried.pop()
-        if cycle:
-            break
-    steps = []
-    for a, b in zip(cycle, cycle[1:]):
-        steps.append(f"{a} -> {b} ({labels.get((a, b), 'required')})")
+        ts.add(b, a)
+    try:
+        ts.prepare()
+    except graphlib.CycleError as err:
+        cycle = err.args[1]
+    steps = [f"{a} -> {b} ({label(a, b)})" for a, b in zip(cycle, cycle[1:])]
     return "arbitration constraints are cyclic: " + ", ".join(steps)
 
 
-def _required_ar_seed(h: History, decoded: DecodedConstraints | None
-                      ) -> tuple[Relation, dict]:
-    """Pairs every witness arbitration must contain, with labels for
-    refutation text.  Soundness: vis <= ar structurally, so session order
-    (RYW) and decoded update edges sit inside ar; PUSHEDAR puts pushed
-    real-time pairs there; RETVAL orders an observer's visible updates by
-    the rval order."""
-    labels: dict[tuple[str, str], str] = {}
-    pairs: set[tuple[str, str]] = set()
-    for p in h.so.pairs:
-        pairs.add(p)
-        labels.setdefault(p, "session order")
+def _required_ar_seed(h: History, exact: dict[str, tuple[str, ...]]) -> Relation:
+    """Pairs every witness arbitration must contain.  Soundness: vis <= ar
+    structurally, so session order (RYW) and each decoded update's pair to
+    its reader sit inside ar; PUSHEDAR puts pushed real-time pairs there;
+    RETVAL orders a reader's decoded updates by its rval."""
     pushers = h.pushers()
-    for p in h.rt.pairs:
-        if p[0] in pushers:
-            pairs.add(p)
-            labels.setdefault(p, "pushed before in real time (PUSHEDAR)")
-    if decoded is not None:
-        for p in decoded.chains:
-            pairs.add(p)
-            labels.setdefault(p, "return value orders these updates (RETVAL)")
-        for p in decoded.edges:
-            pairs.add(p)
-            labels.setdefault(p, "observed update (RETVAL, vis inside ar)")
-    return Relation(h.ids, frozenset(pairs)), labels
+    pairs = set(h.so.pairs) | _seen(exact)
+    pairs.update(p for p in h.rt.pairs if p[0] in pushers)
+    for order in exact.values():
+        pairs.update(zip(order, order[1:]))
+    return Relation(h.ids, frozenset(pairs))
+
+
+def _seed_reason(h: History, exact: dict[str, tuple[str, ...]], a: str, b: str) -> str:
+    """Why _required_ar_seed holds the pair (a, b): the first that applies
+    of session order, a pushed real-time pair, a decoded rval order and a
+    decoded visible update."""
+    if (a, b) in h.so.pairs:
+        return "session order"
+    if a in h.pushers() and (a, b) in h.rt.pairs:
+        return "pushed before in real time (PUSHEDAR)"
+    if any((a, b) in zip(order, order[1:]) for order in exact.values()):
+        return "return value orders these updates (RETVAL)"
+    return "observed update (RETVAL, vis inside ar)"
 
 
 def _updates(ix: EventIndex, semantics: ObjectSemantics) -> list[int]:
@@ -679,19 +649,19 @@ def _updates(ix: EventIndex, semantics: ObjectSemantics) -> list[int]:
     return [same & updates for same in ix.same]
 
 
-def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
-            exact: dict[str, frozenset[str]], semantics: ObjectSemantics,
-            stats: dict) -> tuple[AbstractExecution | None, str | None]:
+def _try_ar(h: History, ar: TotalOrder, exact: dict[str, tuple[str, ...]],
+            semantics: ObjectSemantics, stats: dict
+            ) -> tuple[AbstractExecution | None, str | None]:
     """Close the forced visibility over one arbitration and check the laws.
     Returns (witness, None) or (None, refutation).  ar extends the forced
-    order, so it holds every seed pair, session order and every pushed rt
-    pair, and an unconflicted closure stays inside it: each law derives
+    order, so it holds every decoded pair, session order and every pushed
+    rt pair, and an unconflicted closure stays inside it: each law derives
     forward pairs from forward ones, except observed visibility along rt
     into a puller r, which puts x in r's row for x in the reflexive prefix
     of an observed source; if r is not after x, r is in that prefix too,
     so r is in its own row and the closure is conflicted."""
     stats["closures"] = stats.get("closures", 0) + 1
-    cl = Closure(h, ar.sequence, seed_vis)
+    cl = Closure(h, ar.sequence, _seen(exact))
     if cl.conflicted:
         return None, f"ar {list(ar.sequence)}: {cl.conflict}"
     ix = h.index
@@ -700,7 +670,7 @@ def _try_ar(h: History, ar: TotalOrder, seed_vis: frozenset,
         i = ix.pos[obs]
         got = ix.names(cl.vis[i] & updates[i])
         if got != sorted(want):
-            extra = sorted(set(got) - want)
+            extra = sorted(set(got).difference(want))
             msg = (f"ar {list(ar.sequence)}: {obs} must see exactly "
                    f"{sorted(want)} to return {ix.events[i].rval!r} (RETVAL) "
                    f"but the laws force {got}")
@@ -748,9 +718,8 @@ def _options(ix: EventIndex, i: int, prior: list[int], semantics: ObjectSemantic
     return out
 
 
-def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
-                   exact: dict[str, frozenset[str]], observers: list[Event],
-                   semantics: ObjectSemantics, stats: dict
+def _prefix_search(h: History, seed_ar: Relation, exact: dict[str, tuple[str, ...]],
+                   observers: list[Event], semantics: ObjectSemantics, stats: dict
                    ) -> AbstractExecution | None:
     """The witness over the least accepting linear extension of seed_ar,
     or None; CycleError if seed_ar is cyclic.  Placing an open observer
@@ -788,7 +757,7 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
         stats["prunes"] += len(children) - len(live)
         return live or None
 
-    root = (Closure(h, (), seed_vis), hidden)
+    root = (Closure(h, (), _seen(exact)), hidden)
     walk = extensions(seed_ar, advance, [root])  # CycleError before any prune counts
     if refuted(*root):
         stats["prunes"] += 1
@@ -805,14 +774,13 @@ def _prefix_search(h: History, seed_ar: Relation, seed_vis: frozenset,
     return None
 
 
-def _narrate(h: History, ar: TotalOrder, seed_vis: frozenset,
-             exact: dict[str, frozenset[str]], observers: list[Event],
-             semantics: ObjectSemantics, stats: dict) -> str:
+def _narrate(h: History, ar: TotalOrder, exact: dict[str, tuple[str, ...]],
+             observers: list[Event], semantics: ObjectSemantics, stats: dict) -> str:
     """Why no witness uses arbitration ar: the first open observer, in ar
     order, with no options over it; else, with open observers, that every
     choice breaks the laws; else the closure over ar, narrated."""
     if not observers:
-        return _try_ar(h, ar, seed_vis, exact, semantics, stats)[1]
+        return _try_ar(h, ar, exact, semantics, stats)[1]
     ix = h.index
     order = [ix.pos[a] for a in ar.sequence]
     rank = {k: r for r, k in enumerate(order)}
@@ -845,26 +813,26 @@ def is_gsc(h: History, semantics: ObjectSemantics,
     stats: dict = {"ars_tried": 0, "closures": 0, "assignments_tried": 0,
                    "prunes": 0}
 
-    decoded = decoded_visibility(h, semantics)
-    if decoded and decoded.unattainable:
+    exact, unattainable = decoded_visibility(h, semantics) or ({}, ())
+    if unattainable:
         refutations = []
-        for obs in decoded.unattainable[:MAX_REFUTATIONS]:
+        for obs in unattainable[:MAX_REFUTATIONS]:
             e = h.by_id[obs]
             refutations.append(
                 f"{obs} returned {e.rval!r} but no subset of the other "
                 f"{e.obj} updates evaluates to that (RETVAL)")
         return MembershipResult(False, None, stats, tuple(refutations))
 
-    seed_ar, labels = _required_ar_seed(h, decoded)
-    exact, seed_vis = (decoded.exact_map(), decoded.edges) if decoded else ({}, frozenset())
+    seed_ar = _required_ar_seed(h, exact)
     observers = [e for e in h.events
                  if semantics.context_sensitive(e.op) and e.id not in exact]
     try:
-        witness = _prefix_search(h, seed_ar, seed_vis, exact, observers, semantics, stats)
+        witness = _prefix_search(h, seed_ar, exact, observers, semantics, stats)
     except CycleError:
-        return MembershipResult(False, None, stats, (_find_cycle_text(seed_ar, labels),))
+        return MembershipResult(False, None, stats, (
+            _find_cycle_text(seed_ar, partial(_seed_reason, h, exact)),))
     if witness is not None:
         return MembershipResult(True, witness, stats)
     return MembershipResult(False, None, stats, tuple(
-        _narrate(h, ar, seed_vis, exact, observers, semantics, stats)
+        _narrate(h, ar, exact, observers, semantics, stats)
         for ar in itertools.islice(linear_extensions(seed_ar), MAX_REFUTATIONS)))

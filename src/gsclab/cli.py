@@ -78,11 +78,6 @@ def _count(least: int):
     return count
 
 
-def _load_history(path: str, args) -> tuple[History, str]:
-    h, file_sem = doc_to_history(_read(path))
-    return h, (args.semantics or file_sem)
-
-
 def _print_membership(result) -> int:
     if result.member:
         w = result.witness
@@ -97,7 +92,7 @@ def _print_membership(result) -> int:
 
 
 def cmd_check(args) -> int:
-    h, sem_name = _load_history(args.history, args)
+    h, sem_name = doc_to_history(_read(args.history))
     semantics = get_semantics(sem_name)
     model = normalize_model(args.model)
     if args.apply_preset:
@@ -143,7 +138,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_synthesize(args) -> int:
     x, sem_name = doc_to_execution(_read(args.execution))
-    semantics = get_semantics(args.semantics or sem_name)
+    semantics = get_semantics(sem_name)
     sched = synthesize_schedule(x, semantics)
     out = args.out or str(pathlib.Path(args.execution).with_suffix("")) + ".schedule.json"
     _write(out, dumps(schedule_to_doc(sched)))
@@ -154,7 +149,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    h, sem_name = _load_history(args.history, args)
+    h, sem_name = doc_to_history(_read(args.history))
     semantics = get_semantics(sem_name)
     per_object, sources = {}, {}
     for path in args.witnesses:
@@ -179,7 +174,7 @@ def cmd_compose(args) -> int:
 
 def cmd_equiv(args) -> int:
     x, sem_name = doc_to_execution(_read(args.execution))
-    semantics = get_semantics(args.semantics or sem_name)
+    semantics = get_semantics(sem_name)
     stem = pathlib.Path(args.execution).with_suffix("")
     wrote = []
     if args.to in ("dual-tso", "both"):
@@ -198,9 +193,9 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    sem_name = args.semantics or "sequence"
+    sem_name = "sequence"
     if not args.sample:
-        h, sem_name = _load_history(args.history, args)
+        h, sem_name = doc_to_history(_read(args.history))
     semantics = get_semantics(sem_name)
     out_dir = pathlib.Path(args.out_dir)
     try:
@@ -245,10 +240,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--semantics", choices=("sequence", "register"),
-                       help="override the document's object semantics")
-
     def max_events(p):
         p.add_argument("--max-events", type=_count(1), default=DEFAULT_MAX_EVENTS,
                        help=f"membership search cap (default {DEFAULT_MAX_EVENTS})")
@@ -259,7 +250,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODEL_FLAGS, default="gsc")
         p.add_argument("--apply-preset", action="store_true",
                        help="rewrite fences to the model's preset before checking")
-        common(p)
         max_events(p)
         p.set_defaults(fn=cmd_check)
 
@@ -268,7 +258,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("schedule")
         p.add_argument("--history-out")
         p.add_argument("--execution-out")
-        common(p)
+        p.add_argument("--semantics", choices=("sequence", "register"),
+                       help="override the document's object semantics")
         p.set_defaults(fn=cmd_simulate)
 
     if only in (None, "synthesize"):
@@ -276,7 +267,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                            help="compile a witness execution into a schedule")
         p.add_argument("execution")
         p.add_argument("-o", "--out")
-        common(p)
         p.set_defaults(fn=cmd_synthesize)
 
     if only in (None, "compose"):
@@ -286,7 +276,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("witnesses", nargs="+",
                        help="execution files, one per object")
         p.add_argument("-o", "--out")
-        common(p)
         p.set_defaults(fn=cmd_compose)
 
     if only in (None, "equiv"):
@@ -296,7 +285,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--to", choices=("tso", "dual-tso", "both"), default="both")
         p.add_argument("--push-out")
         p.add_argument("--pull-out")
-        common(p)
         p.set_defaults(fn=cmd_equiv)
 
     if only in (None, "enumerate"):
@@ -315,7 +303,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--sample", type=_count(0), default=0,
                        help="emit N random well-fenced runs instead of exploring")
         p.add_argument("--seed", type=int, default=0)
-        common(p)
         max_events(p)
         p.set_defaults(fn=cmd_enumerate)
     return parser

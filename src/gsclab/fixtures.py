@@ -75,7 +75,6 @@ class Fixture:
     """
 
     name: str
-    alias: str
     history: History
     membership: Mapping[str, bool]
     witness: AbstractExecution | None = None
@@ -197,7 +196,7 @@ def _store_buffering_prefix() -> Schedule:
 # --- assembly --------------------------------------------------------------
 
 
-def _golden(name: str, alias: str, prefix: Schedule, membership: Mapping[str, bool],
+def _golden(name: str, prefix: Schedule, membership: Mapping[str, bool],
             description: str) -> Fixture:
     """The fixture its golden schedule defines: the schedule is ``prefix``
     followed by the ``flush_suffix`` of the world it reaches, and history
@@ -205,7 +204,7 @@ def _golden(name: str, alias: str, prefix: Schedule, membership: Mapping[str, bo
     tail = flush_suffix(run_schedule(prefix, SEQUENCE).world)
     schedule = prefix + tuple(tail)
     x = extract_execution(run_schedule(schedule, SEQUENCE))
-    return Fixture(name, alias, x.history, membership, x, schedule, description)
+    return Fixture(name, x.history, membership, x, schedule, description)
 
 
 def _handoff_witness(h: History) -> AbstractExecution:
@@ -218,7 +217,7 @@ def _handoff_witness(h: History) -> AbstractExecution:
 def _build() -> dict[str, Fixture]:
     out: dict[str, Fixture] = {}
     out["fig3a"] = _golden(
-        "fig3a", "stale_read", _stale_read_prefix(),
+        "fig3a", _stale_read_prefix(),
         {
             "gsc": True, "gsp": True, "tso": False,
             "dual_tso": True, "osc": False, "lin": False,
@@ -226,7 +225,7 @@ def _build() -> dict[str, Fixture]:
         "two racing appends; one reader sees both, the other only its own",
     )
     out["fig3b"] = _golden(
-        "fig3b", "reordered_appends", _reordered_appends_prefix(),
+        "fig3b", _reordered_appends_prefix(),
         {
             "gsc": True, "gsp": True, "tso": True,
             "dual_tso": False, "osc": False, "lin": False,
@@ -234,7 +233,7 @@ def _build() -> dict[str, Fixture]:
         "the log orders two appends against their real-time order",
     )
     out["fig3c"] = _golden(
-        "fig3c", "store_buffering", _store_buffering_prefix(),
+        "fig3c", _store_buffering_prefix(),
         {
             "gsc": True, "gsp": True, "tso": True,
             "dual_tso": True, "osc": False, "lin": False,
@@ -245,7 +244,6 @@ def _build() -> dict[str, Fixture]:
     h = _long_fork_history()
     out["fig3d"] = Fixture(
         name="fig3d",
-        alias="long_fork",
         history=h,
         membership={
             "gsc": False, "gsp": False, "tso": False,
@@ -257,7 +255,6 @@ def _build() -> dict[str, Fixture]:
     h = _unfenced_handoff_history()
     out["fig5"] = Fixture(
         name="fig5",
-        alias="unfenced_handoff",
         history=h,
         membership={
             "gsc": True, "gsp": True, "tso": True,

@@ -243,9 +243,10 @@ def enumerative_membership(h: History, semantics):
     candidate sets (events in arbitration order), each closed from scratch.
     Returns (member, witness, refutations), refutations narrating the first
     axioms.MAX_REFUTATIONS arbitrations."""
-    seed_ar, labels = axioms._required_ar_seed(h, None)
+    seed_ar = axioms._required_ar_seed(h, {})
     if not seed_ar.is_acyclic():
-        return False, None, (axioms._find_cycle_text(seed_ar, labels),)
+        return False, None, (axioms._find_cycle_text(
+            seed_ar, lambda a, b: axioms._seed_reason(h, {}, a, b)),)
     observers = [e for e in h.events if semantics.context_sensitive(e.op)]
     refutations = []
     for ar in linear_extensions(seed_ar):
@@ -261,8 +262,7 @@ def enumerative_membership(h: History, semantics):
         else:
             for choice in itertools.product(*(sets for _, sets in menus)):
                 exact = {obs: chosen for (obs, _), chosen in zip(menus, choice)}
-                seed_vis = frozenset((u, obs) for obs, chosen in exact.items() for u in chosen)
-                witness, _ = axioms._try_ar(h, ar, seed_vis, exact, semantics, {})
+                witness, _ = axioms._try_ar(h, ar, exact, semantics, {})
                 if witness is not None:
                     return True, witness, ()
             refutations.append(

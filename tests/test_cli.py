@@ -221,26 +221,26 @@ TEXT_DIGESTS = {
     "-h": "51e9324bc59b1642a431793eb75e7a08adae13cf6912844fe0613d3a490e3647",
     "-h check": "51e9324bc59b1642a431793eb75e7a08adae13cf6912844fe0613d3a490e3647",
     "bogus": "d83ee96fffbbbe31d5d2da11d6ae60e5f68a2c5d4c1ad8e2f8ed0f59361f5462",
-    "check -h": "bd168ca71b90b2331695afb65f3b5e7c81992a0dc83e14457a4a00a66c842fe4",
+    "check -h": "cc8ee654e96454e75c53a2ddb073be45a9a9b58a3d9c220e8a40eb0d489d93e3",
     "simulate -h": "d18c26e6db611a7d56253e8bd3d0bbd4ababb8a6dc6a3e5c838cb2306abb1fbc",
-    "synthesize -h": "78a298f31b434d2a034c359cea0ec9b936269c7bfe3b693a9b1ae5937422b883",
-    "compose -h": "6a657d301e572764149f1a8b8845f8f785d7211302c3b7329345391ba3d7bae0",
-    "equiv -h": "6347ac1c7075b1b82d6bb337b349009e0b2761e49253ae5fc10127be68332250",
-    "enumerate -h": "9f8b079b513ce0ab8fe26e293b4321f7edb74ff641353a2ec6a6069f7d49e96f",
+    "synthesize -h": "b0c849be8d161cb1c958716654af5564e914e800982562a9d1b3c8a413d46925",
+    "compose -h": "bfc974fd32fcd74a37188f24cac84e62d7f0380a7f307df509d6a949a2f9aace",
+    "equiv -h": "65fa27c3c51b53f4ae959b1661ce39842ab64b5912ed082f69023a654c863d65",
+    "enumerate -h": "7d304477e9b82d5f9d3e7a546d0b5cfb448a22bc09f999e931b1143d27ee3f3c",
     "check --model nope h.json":
-        "c66d2aa27684d37cd7d17b2e578a0e1898b24797ef08504a2d4426c3f1403a3f",
+        "8a39748cb88a28c1edcb614a8331cedcdb0b05fd2f02015b22c3dcae1b2c9651",
     "check h.json --max-events 0":
-        "c37762a33b5b919fe0421e24d5b30f723ea855d61e2397c3167010493a2484ec",
+        "09bb10056e8ba7cabf05e2d95431bb2da59fa451d7be1d39041d8ac1091d6854",
     "simulate s.json --max-events 3":
         "492c33a589ea9323b081d453f8cde7ec5a5c663ef5b8f893f44f95e546a27785",
-    "synthesize": "d0d98ac9a0d7cfae1f61c627fb330beb7a0af82bde89d56a211b01256ac44715",
-    "compose h.json": "064cc6f9e372fde5448f6bffcb16a889525521dd5ec56be19923d789e1447009",
+    "synthesize": "f415301820fc80a219e10d7bf9298246d098601cd4eeb7bb37a3edbf3af7a612",
+    "compose h.json": "f3e1cd4cab5045f14d7334cbad6c6df84a950f10bb8ffa293b84911175e21759",
     "equiv x.json --to nope":
-        "dceaa7609fbe73ff23d1795f5bdf27666dcec6551c55b3733d8799409fbb1633",
+        "8987f576298d648bf2ca9f3a15ef5ea309c5c437a444aae2691be7c3384b6500",
     "enumerate --out-dir D":
         "7bf9ade1609995a0c82dd7371950281b374b5153b4dce43e07e1ee2b31aae42b",
     "enumerate --sample -1 --out-dir D":
-        "c448f8d7533850cb4b4fdb50b4eacaa85820562b42ce8c536fee5435e5695661",
+        "56b22adad786dc81ab3445fa274ffbb1ad5efce9a65b004e89ac4834400273cd",
 }
 
 
@@ -615,11 +615,17 @@ def test_enumerate_uses_the_documents_semantics(tmp_path, capsys):
     assert all(doc_to_history(loads(text))[1] == "register" for text in files.values())
 
 
-def test_enumerate_semantics_flag_overrides_the_document(tmp_path, capsys):
+def test_commands_that_read_a_semantics_refuse_the_semantics_flag(tmp_path, capsys):
+    # Each of these reads a document that declares its semantics (enumerate
+    # --sample generates sequence runs), so only simulate takes --semantics.
     path = register_document(fixture("fig3a").history, tmp_path)
-    rc = main(["enumerate", path, "--semantics", "sequence", "--out-dir", str(tmp_path / "s")])
-    assert rc == 2
-    assert "sequence object does not implement 'write'" in capsys.readouterr().err
+    for argv in (["check", path], ["synthesize", path], ["compose", path, path],
+                 ["equiv", path], ["enumerate", path, "--out-dir", str(tmp_path / "s")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--semantics", "sequence"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --semantics sequence" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_enumerate_sampling_is_seeded(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Source hygiene: every module under ``src/gsclab`` and ``tests`` reads
 each name it imports, ``gsclab.__all__`` lists exactly what the package
 imports, in order, every function in ``src/gsclab`` has a caller there
-or is public API, every attribute the benchmark tracer wraps still exists,
-only ``relations`` imports ``heapq``, and no ``isinstance`` in
-``src/gsclab`` tests against a ``typing`` name.  No linter ships with the
+or is public API, every annotated class field in ``src/gsclab`` is read,
+every attribute the benchmark tracer wraps still exists, only
+``relations`` imports ``heapq``, and no ``isinstance`` in ``src/gsclab``
+tests against a ``typing`` name.  No linter ships with the
 project, so the check walks the syntax trees with ``ast`` alone."""
 
 import ast
@@ -183,6 +184,41 @@ def test_caller_rule_on_a_small_package(tmp_path):
     assert functions_without_callers(package, public | {"_unused"}) == [
         "mod.py:28: _unused", "mod.py:33: method", "mod.py:24: product",
         "mod.py:20: uncalled"]
+
+
+def unread_fields(package: pathlib.Path, readers: list[pathlib.Path]) -> list[str]:
+    """Annotated fields of the classes in ``package`` whose name no file
+    under ``readers`` reads as an attribute."""
+    read = {node.attr for root in readers for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{field.lineno}: {cls.name}.{field.target.id}"
+            for path in sorted(package.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(cls, ast.ClassDef)
+            for field in cls.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            and field.target.id not in read]
+
+
+def test_class_fields_are_read():
+    # A field nothing reads is state every instance carries for no one.
+    readers = [PACKAGE, ROOT / "tests", ROOT / "perfbench"]
+    assert unread_fields(PACKAGE, readers) == []
+
+
+def test_field_rule_on_a_small_package(tmp_path):
+    (tmp_path / "mod.py").write_text(textwrap.dedent("""\
+        class Pair:
+            left: int
+            right: int = 0
+            unused: str = ""
+            plain = 1
+
+            def total(self):
+                return self.left + self.right
+        """))
+    assert unread_fields(tmp_path, [tmp_path]) == ["mod.py:4: Pair.unused"]
 
 
 def test_tracer_patches_name_existing_attributes():

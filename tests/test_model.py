@@ -135,6 +135,10 @@ def test_canonical_returns_itself_only_when_ids_sessions_and_rt_agree():
     # rt over more ids than the events
     wide = dataclasses.replace(c, rt=Relation(c.ids | {"C:0"}, c.rt.pairs))
     assert wide.canonical() is not wide and wide.canonical() == c
+    # sessions and events in reverse client order
+    backwards = dataclasses.replace(c, sessions=c.sessions[::-1],
+                                    events=c.events[2:] + c.events[:2])
+    assert backwards.canonical() is not backwards and backwards.canonical() == c
 
 
 def test_project_restricts_everything():

@@ -77,6 +77,8 @@ def test_total_order_helpers():
     assert (t == fresh, hash(t), repr(t)) == (True, hash(fresh), repr(fresh))
     assert repr(t) == "TotalOrder(sequence=('b', 'a', 'c'))"
     assert t.as_relation().pairs == {("b", "a"), ("b", "c"), ("a", "c")}
+    assert list(t) == ["b", "a", "c"] and len(t) == 3
+    assert t.as_relation() and not TotalOrder(("a",)).as_relation()
     with pytest.raises(ValueError, match="total order repeats an element"):
         TotalOrder(("a", "a"))
     for order in (t, fresh):

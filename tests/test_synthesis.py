@@ -352,7 +352,7 @@ def test_synthesis_covers_least_witnesses_of_every_arbitration(sem):
         h, _ = random_well_fenced_run(rng, sem, clients=3)
         if len(h.events) > 6:
             continue
-        for ar in linear_extensions(_required_ar_seed(h, None)[0]):
+        for ar in linear_extensions(_required_ar_seed(h, {})):
             w = AbstractExecution(h, minimal_visibility(h, ar)[0], ar)
             if check_axioms(w, sem).ok:
                 assert realizes(synthesize_schedule(w, sem), w, sem)
